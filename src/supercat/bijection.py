@@ -112,16 +112,20 @@ class BijectionTrace:
 def trace(pair: RestrictedPair) -> BijectionTrace:
     """Apply both surgeries to `pair`, recording every landmark."""
     p, q = pair.p, pair.q
-    assert p.steps[-1] == DOWN  # nonempty Dyck paths end with a down step
+    if p.steps[-1] != DOWN:
+        raise RuntimeError("a nonempty Dyck path must end with a down step")
     f = Path(p.steps[:-1] + UP + q.steps)
     boundary = len(p)
     intermediate = IntermediatePath(f, boundary)
 
     y = f.levels.index(f.height)  # leftmost highest point
-    assert y >= boundary, "leftmost highest point of F must lie in F2"
-    assert f.steps[y - 1] == UP
+    if y < boundary:
+        raise RuntimeError("leftmost highest point of F must lie in F2")
+    if f.steps[y - 1] != UP:
+        raise RuntimeError("leftmost highest point of F must follow an up step")
     output = Path(f.steps[:y - 1] + DOWN + f.steps[y:])
-    assert output.is_dyck()
+    if not output.is_dyck():
+        raise RuntimeError("surgery 2 must yield a Dyck path")
 
     return BijectionTrace(
         pair=pair,
@@ -150,12 +154,14 @@ def inverse(d: Path) -> RestrictedPair:
 
     # undo surgery 2: x is the rightmost highest point; re-raise the tail
     x = len(d.levels) - 1 - d.levels[::-1].index(d.height)
-    assert d.steps[x] == DOWN
+    if d.steps[x] != DOWN:
+        raise RuntimeError("rightmost highest point must precede a down step")
     f = Path(d.steps[:x] + UP + d.steps[x + 1:])
 
     # undo surgery 1: u is the rightmost level-1 point of F
     u = len(f.levels) - 1 - f.levels[::-1].index(1)
-    assert f.steps[u] == UP
+    if f.steps[u] != UP:
+        raise RuntimeError("rightmost level-1 point of F must precede an up step")
     boundary = u + 1
     p = Path(f.steps[:boundary - 1] + DOWN)
     q = Path(f.steps[boundary:])

@@ -96,12 +96,9 @@ def _resolve_order(args) -> int | None:
     if env is None:
         return None
     try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"{ORDER_ENV} must be an integer, got {env!r}")
-    if not ORDER_MIN <= value <= ORDER_MAX:
-        raise ValueError(f"{ORDER_ENV} must be in [{ORDER_MIN}, {ORDER_MAX}], got {value}")
-    return value
+        return _order_arg(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{ORDER_ENV}: {exc}")
 
 
 def dumps_report(data) -> str:
@@ -210,3 +207,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

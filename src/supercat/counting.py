@@ -1,11 +1,13 @@
-"""Exact integer counting: Catalan and super Catalan numbers, transfer-table
-path counts, and brute-force pair-set counts used as oracles."""
+"""Exact integer counting: Catalan and super Catalan numbers, and path and
+pair counts from one transfer recurrence (de Bruijn, Knuth and Rice 1972)."""
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, factorial
+from operator import add
 
-from .lattice_paths import Path, PathClass, enumerate_dyck
+from .lattice_paths import PathClass
 
 
 def catalan(n: int) -> int:
@@ -23,8 +25,28 @@ def super_catalan(m: int, n: int) -> int:
         raise ValueError("value at (0, 0) is 1/2, not an integer")
     num = factorial(2 * m) * factorial(2 * n)
     den = 2 * factorial(m) * factorial(n) * factorial(m + n)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"T({m},{n}) is not an integer")
     return num // den
+
+
+def _rows(steps: int, start_level: int, max_height: int | None):
+    """Yield rows 0..steps of the step recurrence: row s, index j, is the
+    number of paths with s steps from start_level to level j that never leave
+    [0, max_height] (no cap when max_height is None)."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if start_level < 0:
+        raise ValueError("start_level must be nonnegative")
+    cap = max_height if max_height is not None else start_level + steps
+    row = [0] * max(cap + 1, 0)
+    if start_level < len(row):
+        row[start_level] = 1
+    yield row
+    for _ in range(steps):
+        if row:
+            row = list(map(add, [0] + row[:-1], row[1:] + [0]))
+        yield row
 
 
 class CountTable:
@@ -35,28 +57,9 @@ class CountTable:
     """
 
     def __init__(self, steps: int, max_height: int | None = None, start_level: int = 0):
-        if steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if start_level < 0:
-            raise ValueError("start_level must be nonnegative")
-        cap = max_height if max_height is not None else start_level + steps
-        width = cap + 1 if cap >= 0 else 0
-        row = [0] * width
-        if start_level < width:
-            row[start_level] = 1
-        rows = [row]
-        for _ in range(steps):
-            prev = rows[-1]
-            row = [0] * width
-            for j in range(width):
-                total = prev[j - 1] if j >= 1 else 0
-                if j + 1 < width:
-                    total += prev[j + 1]
-                row[j] = total
-            rows.append(row)
         self.max_height = max_height
         self.start_level = start_level
-        self.rows = rows
+        self.rows = list(_rows(steps, start_level, max_height))
 
     def count(self, step: int, level: int) -> int:
         if not 0 <= step < len(self.rows):
@@ -65,10 +68,14 @@ class CountTable:
         return row[level] if 0 <= level < len(row) else 0
 
 
-def _capped_count(bound: int | None, end_level: int, steps: int) -> int:
-    if bound is not None and bound < 0:
-        return 0
-    return CountTable(steps, bound).count(steps, end_level)
+def count_paths_dp(steps: int, start_level: int, end_level: int,
+                   max_height: int | None = None) -> int:
+    """Nonnegative paths from start_level to end_level with a height cap."""
+    if end_level < 0:
+        raise ValueError("end_level must be nonnegative")
+    for row in _rows(steps, start_level, max_height):
+        pass  # only the last row is kept
+    return row[end_level] if end_level < len(row) else 0
 
 
 def count_ballot_dp(path_class: PathClass, steps: int) -> int:
@@ -76,73 +83,58 @@ def count_ballot_dp(path_class: PathClass, steps: int) -> int:
 
     Exact-height classes are counted as (height <= h) - (height <= h-1).
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if path_class.exact_height is not None:
-        h = path_class.exact_height
-        return (_capped_count(h, path_class.end_level, steps)
-                - _capped_count(h - 1, path_class.end_level, steps))
-    return _capped_count(path_class.max_height, path_class.end_level, steps)
+    end, h = path_class.end_level, path_class.exact_height
+    if h is not None:
+        return count_paths_dp(steps, 0, end, h) - count_paths_dp(steps, 0, end, h - 1)
+    return count_paths_dp(steps, 0, end, path_class.max_height)
 
 
-def count_paths_dp(steps: int, start_level: int, end_level: int,
-                   max_height: int | None = None) -> int:
-    """Nonnegative paths from start_level to end_level with a height cap."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if start_level < 0 or end_level < 0:
-        raise ValueError("levels must be nonnegative")
-    if max_height is not None and max_height < 0:
-        return 0
-    return CountTable(steps, max_height, start_level).count(steps, end_level)
+def _height_table(n: int) -> list[list[int]]:
+    """B[a][h + 1] = Dyck paths of semilength a and height at most h, for a <= n
+    and -1 <= h <= n: the level-0 entries of every other row under the cap h."""
+    within = [[row[0] for row in islice(_rows(2 * n, 0, h), 0, None, 2)]
+              for h in range(n + 1)]
+    return [[0] + [within[h][a] for h in range(n + 1)] for a in range(n + 1)]
 
 
-def _dyck_lists(n: int) -> dict[int, list[Path]]:
-    return {a: enumerate_dyck(a) for a in range(n + 1)}
+_heights: list[list[int]] = []
+
+
+def _pair_count(n: int, band) -> int:
+    """Ordered pairs (P, Q) of Dyck paths of total semilength n with
+    lo <= h(Q) <= hi for (lo, hi) = band(h(P)), where hi >= lo - 1.
+
+    Sums D(a, hP) * D(n - a, hQ), where D(a, h) = B[a][h + 1] - B[a][h] counts
+    height exactly h.  The table is kept between calls and rebuilt only for a
+    larger n, so a caller counting many n asks for the largest first."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if len(_heights) <= n:
+        _heights[:] = _height_table(n)
+    total = 0
+    for a in range(n + 1):
+        p_row, q_row = _heights[a], _heights[n - a]
+        for hp in range(a + 1):
+            lo, hi = band(hp)
+            total += ((p_row[hp + 1] - p_row[hp])
+                      * (q_row[min(hi, n) + 1] - q_row[max(lo, 0)]))
+    return total
 
 
 def count_pairs_height_diff(n: int, d: int) -> int:
     """Ordered pairs (P, Q) of Dyck paths of total semilength n with
-    |h(P) - h(Q)| <= d, by exhaustive enumeration."""
-    if n < 0 or d < 0:
-        raise ValueError("n and d must be nonnegative")
-    lists = _dyck_lists(n)
-    total = 0
-    for a in range(n + 1):
-        for p in lists[a]:
-            hp = p.height
-            for q in lists[n - a]:
-                if abs(hp - q.height) <= d:
-                    total += 1
-    return total
+    |h(P) - h(Q)| <= d."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    return _pair_count(n, lambda hp: (hp - d, hp + d))
 
 
 def count_E_set(n: int) -> int:
-    """Pairs (P, Q) of Dyck paths of total semilength n with P nonempty and
-    h(P) <= h(Q) + 1, by exhaustive enumeration."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lists = _dyck_lists(n)
-    total = 0
-    for a in range(1, n + 1):
-        for p in lists[a]:
-            hp = p.height
-            for q in lists[n - a]:
-                if hp <= q.height + 1:
-                    total += 1
-    return total
+    """Pairs (P, Q) of Dyck paths of total semilength n with P nonempty (the
+    empty path is the only one of height 0) and h(P) <= h(Q) + 1."""
+    return _pair_count(n, lambda hp: (hp - 1, n) if hp else (0, -1))
 
 
 def count_F_set(n: int) -> int:
-    """Like count_E_set but P may be empty, by exhaustive enumeration."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lists = _dyck_lists(n)
-    total = 0
-    for a in range(n + 1):
-        for p in lists[a]:
-            hp = p.height
-            for q in lists[n - a]:
-                if hp <= q.height + 1:
-                    total += 1
-    return total
+    """Like count_E_set but P may be empty."""
+    return _pair_count(n, lambda hp: (hp - 1, n))

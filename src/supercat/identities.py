@@ -5,8 +5,8 @@ identity id, the order it was checked to, pass/fail, and the first mismatching
 coefficient on failure.  Series checks compare coefficients of the half-step
 variable t (x = t**2); `first_mismatch.power` is the t-exponent there, and an
 index (or index tuple) for integer and bivariate checks.  Identities with a
-combinatorial meaning are additionally cross-checked against brute-force path
-enumeration at small orders, so a defect on either route fails the report.
+combinatorial meaning are additionally cross-checked against path counts or
+path enumeration, so a defect on either route fails the report.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import comb
 from time import perf_counter
 
 from .bijection import enumerate_restricted_pairs, forward, inverse
-from .counting import (CountTable, catalan, count_E_set, count_ballot_dp,
+from .counting import (CountTable, catalan, count_E_set,
                        count_pairs_height_diff, super_catalan)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
@@ -110,28 +110,27 @@ def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries,
     return None
 
 
-def verify_t2_closed_form(n_max: int) -> VerificationReport:
-    """T(2,n) = 4*C_n - C_{n+1} for 1 <= n <= n_max."""
+def _closed_form_row(identity: str, m: int, n_max: int, closed) -> VerificationReport:
+    """T(m,n) = closed(n) for 1 <= n <= n_max."""
     def body(notes):
         for n in range(1, n_max + 1):
-            lhs = super_catalan(2, n)
-            rhs = 4 * catalan(n) - catalan(n + 1)
+            lhs, rhs = super_catalan(m, n), closed(n)
             if lhs != rhs:
                 return Mismatch(n, lhs, rhs)
         return None
-    return _run("e2", n_max, body)
+    return _run(identity, n_max, body)
+
+
+def verify_t2_closed_form(n_max: int) -> VerificationReport:
+    """T(2,n) = 4*C_n - C_{n+1} for 1 <= n <= n_max."""
+    return _closed_form_row("e2", 2, n_max, lambda n: 4 * catalan(n) - catalan(n + 1))
 
 
 def verify_t3_closed_form(n_max: int) -> VerificationReport:
     """T(3,n) = 16*C_n - 8*C_{n+1} + C_{n+2} for 1 <= n <= n_max."""
-    def body(notes):
-        for n in range(1, n_max + 1):
-            lhs = super_catalan(3, n)
-            rhs = 16 * catalan(n) - 8 * catalan(n + 1) + catalan(n + 2)
-            if lhs != rhs:
-                return Mismatch(n, lhs, rhs)
-        return None
-    return _run("t3-closed", n_max, body)
+    return _closed_form_row(
+        "t3-closed", 3, n_max,
+        lambda n: 16 * catalan(n) - 8 * catalan(n + 1) + catalan(n + 2))
 
 
 def verify_e8(m_max: int, p_max: int) -> VerificationReport:
@@ -202,7 +201,7 @@ def verify_firstsum(x_order: int) -> VerificationReport:
 
 def verify_pairsum(x_order: int) -> VerificationReport:
     """sum_n (G_n - G_{n-1})(G_{n+1} - G_{n-2}) = 1 + 2C - C^2
-    = 1 + sum T(2,n) x^n, with pair-enumeration cross-checks at low orders."""
+    = 1 + sum T(2,n) x^n, every coefficient cross-checked against pair counts."""
     def body(notes):
         t_order = 2 * x_order
         total = TruncSeries.zero(t_order)
@@ -222,14 +221,14 @@ def verify_pairsum(x_order: int) -> VerificationReport:
         if mismatch:
             notes.append("series sum vs 1 + sum T(2,n) x^n")
             return mismatch
-        n_oracle = min(_ENUM_ORACLE_CAP, x_order)
-        for n in range(1, n_oracle + 1):
-            counted = count_pairs_height_diff(n, 1)
+        # largest n first, so the height table is built once
+        counts = [count_pairs_height_diff(n, 1) for n in range(x_order, 0, -1)]
+        for n, counted in enumerate(reversed(counts), 1):
             if total.coeffs[2 * n] != counted:
-                notes.append(f"pair enumeration disagrees at n={n}")
+                notes.append(f"pair count disagrees at n={n}")
                 return Mismatch(2 * n, total.coeffs[2 * n], counted)
-        notes.append(f"coefficients x^1..x^{n_oracle} cross-checked "
-                     "against pair enumeration")
+        notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
+                     "pair counts from the height table")
         return None
     return _run("pairsum", x_order, body)
 
@@ -278,7 +277,8 @@ def _t3_triple_sum(t_order: int) -> TruncSeries:
         term = (ballot_exact_gf(k, 4) * ballot_exact_gf(k - 2, 3)
                 * ballot_exact_gf(k - 4, 2))
         min_degree = term.min_t_degree()
-        assert min_degree == 6 * k - 21, "triple-product valuation drifted"
+        if min_degree != 6 * k - 21:
+            raise RuntimeError("triple-product valuation drifted")
         if min_degree > t_order:
             return total
         total = total + term.expand(t_order)

@@ -66,7 +66,7 @@ def test_criterion_2_pair_counts_equal_t2():
             counted = count_pairs_height_diff(n, 1)
             if counted != super_catalan(2, n):
                 return False, f"n={n}: {counted} != {super_catalan(2, n)}"
-        return True, "n = 1..9 by exhaustive pair enumeration"
+        return True, "n = 1..9 from the height table"
     check("criterion 2 (pairs with height gap <= 1 count T(2,n))", 10.0, body)
 
 

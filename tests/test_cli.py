@@ -7,9 +7,14 @@ Claims covered:
     - bijection prints mapped objects, reports violated preconditions, and
       writes deterministic SVG traces
     - malformed invocations are usage errors (exit code 2)
+    - `python -m supercat.cli` runs the same CLI with the same exit codes
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +172,27 @@ def test_bijection_svg_is_deterministic(capsys, tmp_path):
 def test_usage_error_on_missing_required_flag(capsys):
     code, _, _ = run_cli(capsys, ["count", "super", "--m", "2"])
     assert code == 2
+
+
+def run_module(args, **env_updates):
+    env = dict(os.environ)
+    env.pop("SUPERCAT_ORDER", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(env_updates)
+    return subprocess.run([sys.executable, "-m", "supercat.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_invocation_runs_the_cli():
+    result = run_module(["verify", "e2", "--order", "3"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("e2: PASS (order 3,")
+
+
+def test_module_invocation_fails_on_bad_env_order():
+    result = run_module(["verify", "e2"], SUPERCAT_ORDER="banana")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "SUPERCAT_ORDER" in result.stderr

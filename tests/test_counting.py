@@ -6,6 +6,8 @@ Claims covered:
     - the transfer table agrees with exhaustive enumeration for every class
     - pair counts (height difference, restricted pairs) match their
       inclusion-exclusion relations
+    - pair counts from the height table equal exhaustive pair enumeration
+      for n <= 9 and keep their closed forms far beyond it
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import pytest
 from supercat import (CountTable, Path, PathClass, catalan, count_ballot_dp,
                       count_E_set, count_F_set, count_pairs_height_diff,
                       count_paths_dp, enumerate_ballot, enumerate_dyck,
-                      factor_dyck, super_catalan)
+                      enumerate_restricted_pairs, factor_dyck, super_catalan)
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 SUPER_ROW_2 = [3, 2, 3, 6, 14, 36, 99, 286, 858, 2652, 8398]
@@ -157,6 +159,41 @@ def test_count_pairs_unrestricted_diff_gives_all_pairs():
     # heights never differ by more than n, so bound n counts all of B_n
     for n in range(7):
         assert count_pairs_height_diff(n, n) == catalan(n + 1)
+
+
+def _exhaustive_pairs(n: int, keep) -> int:
+    """Reference count: every ordered pair (P, Q) of Dyck paths of total
+    semilength n, listed, with keep(P, Q)."""
+    lists = [enumerate_dyck(a) for a in range(n + 1)]
+    return sum(1 for a in range(n + 1) for p in lists[a] for q in lists[n - a]
+               if keep(p, q))
+
+
+def test_pair_counts_match_exhaustive_enumeration():
+    for n in range(10):
+        for d in sorted({0, 1, 2, n}):
+            assert count_pairs_height_diff(n, d) == _exhaustive_pairs(
+                n, lambda p, q: abs(p.height - q.height) <= d)
+        assert count_E_set(n) == _exhaustive_pairs(
+            n, lambda p, q: len(p) > 0 and p.height <= q.height + 1)
+        assert count_F_set(n) == _exhaustive_pairs(
+            n, lambda p, q: p.height <= q.height + 1)
+
+
+def test_count_E_set_matches_restricted_pair_enumeration():
+    for n in range(10):
+        assert count_E_set(n) == len(enumerate_restricted_pairs(n))
+
+
+def test_pair_counts_beyond_enumeration():
+    for n in range(40, 0, -1):
+        assert count_pairs_height_diff(n, 1) == super_catalan(2, n)
+        assert count_pairs_height_diff(n, n) == catalan(n + 1)
+        assert count_E_set(n) == catalan(n)
+        assert count_F_set(n) == 2 * catalan(n)
+    # a count for a smaller n after a larger one reads the same table
+    assert count_pairs_height_diff(11, 1) == 27132
+    assert count_pairs_height_diff(11, 11) == 208012
 
 
 def test_count_E_set_values():

@@ -3,22 +3,27 @@
 Claims covered:
     - every registered verifier passes and reports structured results
     - the mismatch machinery pinpoints the first differing coefficient
+    - a planted wrong pair count fails pairsum and lemma-main at that n
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - reports serialize to the documented JSON dict with exact coefficients
+    - the README catalogue lists exactly the registered identity ids
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supercat import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
-                      TruncSeries, report_to_dict, run_identity,
-                      shifted_catalan_series, verify_e8, verify_e52,
+                      TruncSeries, catalan, report_to_dict, run_identity,
+                      shifted_catalan_series, super_catalan, verify_e8, verify_e52,
                       verify_e_mo, verify_firstsum, verify_g_closed_forms,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
+from supercat import identities
 from supercat.identities import _series_mismatch
 
 
@@ -56,7 +61,20 @@ def test_firstsum():
 def test_pairsum():
     report = verify_pairsum(12)
     _assert_clean_pass(report, "pairsum")
-    assert any("pair enumeration" in note for note in report.notes)
+    assert ("coefficients x^1..x^12 cross-checked against pair counts "
+            "from the height table") in report.notes
+
+
+def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
+    # n = 11 lies past the old enumeration cap of 9
+    real = identities.count_pairs_height_diff
+    monkeypatch.setattr(identities, "count_pairs_height_diff",
+                        lambda n, d: real(n, d) + (n == 11))
+    report = verify_pairsum(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(22, super_catalan(2, 11),
+                                             super_catalan(2, 11) + 1)
+    assert "pair count disagrees at n=11" in report.notes
 
 
 def test_e52():
@@ -88,6 +106,15 @@ def test_lemma_main_count():
     report = verify_lemma_main_count(5)
     _assert_clean_pass(report, "lemma-main")
     assert any("roundtrips" in note for note in report.notes)
+
+
+def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
+    real = identities.count_E_set
+    monkeypatch.setattr(identities, "count_E_set", lambda n: real(n) + (n == 4))
+    report = verify_lemma_main_count(5)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(4, catalan(4) + 1, catalan(4))
+    assert "|E_4| != C_4" in report.notes
 
 
 def test_series_mismatch_locates_first_difference():
@@ -143,3 +170,10 @@ def test_report_to_dict_serializes_exact_coefficients():
     data = report_to_dict(report)
     assert data["first_mismatch"] == {"power": [2, 3], "lhs": "1/2", "rhs": 4}
     assert data["notes"] == ["example"]
+
+
+def test_readme_catalogue_lists_every_identity():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Identity catalogue", 1)[1].split("\n## ", 1)[0]
+    ids = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(ids) == sorted(ALL_IDENTITIES)
