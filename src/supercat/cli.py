@@ -20,6 +20,11 @@ from .svg import render_trace
 ORDER_MIN = 1
 ORDER_MAX = 200
 ORDER_ENV = "SUPERCAT_ORDER"
+# `count pairs` builds an O(n^3) height table and `count ballot` O(steps^2)
+# rows: past these limits a count takes more than a few seconds, so it is
+# refused before it starts
+PAIRS_N_MAX = 400
+BALLOT_STEPS_MAX = 10_000
 
 
 def _order_arg(text: str) -> int:
@@ -43,6 +48,16 @@ def _nonneg_arg(text: str) -> int:
     return value
 
 
+def _bounded_arg(limit: int):
+    """A nonnegative-integer argument type that refuses values above `limit`."""
+    def parse(text: str) -> int:
+        value = _nonneg_arg(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supercat",
@@ -58,11 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     c_super.add_argument("--n", type=_nonneg_arg, required=True)
     c_pairs = kinds.add_parser(
         "pairs", help="Dyck path pairs of total semilength n, heights within --diff")
-    c_pairs.add_argument("--n", type=_nonneg_arg, required=True)
+    c_pairs.add_argument("--n", type=_bounded_arg(PAIRS_N_MAX), required=True,
+                         help=f"0..{PAIRS_N_MAX}")
     c_pairs.add_argument("--diff", type=_nonneg_arg, default=1)
     c_ballot = kinds.add_parser(
         "ballot", help="nonnegative paths by step count, end level, height bound")
-    c_ballot.add_argument("--steps", type=_nonneg_arg, required=True)
+    c_ballot.add_argument("--steps", type=_bounded_arg(BALLOT_STEPS_MAX), required=True,
+                          help=f"0..{BALLOT_STEPS_MAX}")
     c_ballot.add_argument("--end-level", type=_nonneg_arg, default=0)
     bound = c_ballot.add_mutually_exclusive_group()
     bound.add_argument("--max-height", type=int, default=None)

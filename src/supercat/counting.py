@@ -73,7 +73,11 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     """Nonnegative paths from start_level to end_level with a height cap."""
     if end_level < 0:
         raise ValueError("end_level must be nonnegative")
-    for row in _rows(steps, start_level, max_height):
+    # a path that climbs above this level has too few steps left to come back
+    # down to end_level, so the rows stop there even without a cap
+    reach = (start_level + end_level + steps) // 2
+    cap = reach if max_height is None else min(max_height, reach)
+    for row in _rows(steps, start_level, cap):
         pass  # only the last row is kept
     return row[end_level] if end_level < len(row) else 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .series import TruncSeries
+from .series import TruncSeries, _reciprocal
 
 
 class PolyX:
@@ -193,15 +193,27 @@ class PolyQuotient:
         return hash((self.num, self.den, self.t_shift))
 
     def expand(self, t_order: int) -> TruncSeries:
-        """Series expansion truncated to exactly `t_order`."""
+        """Series expansion truncated to exactly `t_order`.
+
+        The x-coefficients of num/den follow den's linear recurrence
+        out[k] = (num[k] - sum_{i>=1} den[i] * out[k-i]) / den[0], which costs
+        O(N * deg den) and never touches the odd t-powers."""
         if t_order < 0:
             raise ValueError("t_order must be nonnegative")
         if self.is_zero:
             return TruncSeries.zero(t_order)
-        series = self.num.to_series(t_order) * self.den.to_series(t_order).invert()
-        if self.t_shift:
-            series = series.shift(self.t_shift).truncate(t_order)
-        return series
+        num, den = self.num.coeffs, self.den.coeffs
+        inv0 = _reciprocal(den[0])
+        tail = den[1:]
+        out = []
+        for k in range((t_order - self.t_shift) // 2 + 1):
+            acc = num[k] if k < len(num) else 0
+            for i, d in enumerate(tail[:k], 1):
+                acc -= d * out[k - i]
+            out.append(acc * inv0)
+        cs = [0] * (t_order + 1)
+        cs[self.t_shift::2] = out
+        return TruncSeries(cs, t_order)
 
     def __repr__(self) -> str:
         return (f"PolyQuotient(num={list(self.num.coeffs)}, "

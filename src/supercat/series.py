@@ -5,6 +5,11 @@ x-powers that weight odd-length paths are ordinary monomials here.  A series
 of order N is exact modulo t**(N+1) and always stores N+1 coefficients.
 Arithmetic never loses precision silently: results carry the minimum operand
 order (raised by the amount of any multiplication by a power of t).
+
+Coefficients follow one rule: an integral value is stored as a plain int and
+any other value as an exact Fraction; a float, or any other type, raises
+TypeError.  Every series in the identity catalogue has integer coefficients,
+so its arithmetic runs on ints and never boxes them.
 """
 
 from __future__ import annotations
@@ -16,15 +21,25 @@ from .counting import catalan
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
-def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _frac(value: Scalar) -> Scalar:
+    """The stored form of an exact coefficient: int when integral, else Fraction."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+
+
+def _reciprocal(a0: Scalar) -> Scalar:
+    """1 / a0 exactly: a unit stays an int, and an int never divides to a float."""
+    return a0 if a0 in (1, -1) else Fraction(1) / a0
 
 
 class TruncSeries:
-    """Immutable truncated series in t over exact rationals."""
+    """Immutable truncated series in t over exact rationals (int when integral)."""
 
     __slots__ = ("coeffs", "order")
 
@@ -58,16 +73,16 @@ class TruncSeries:
         for k, c in enumerate(x_coeffs):
             if 2 * k > order:
                 break
-            cs[2 * k] = _frac(c)
+            cs[2 * k] = c
         return cls(cs, order)
 
-    def coefficient(self, s: int) -> Fraction:
+    def coefficient(self, s: int) -> Scalar:
         """Coefficient of t**s; s must not exceed the truncation order."""
         if not 0 <= s <= self.order:
             raise ValueError(f"t^{s} is beyond truncation order {self.order}")
         return self.coeffs[s]
 
-    def x_coefficient(self, k: int) -> Fraction:
+    def x_coefficient(self, k: int) -> Scalar:
         """Coefficient of x**k = t**(2k)."""
         return self.coefficient(2 * k)
 
@@ -121,7 +136,7 @@ class TruncSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv0 = 1 / a0
+        inv0 = _reciprocal(a0)
         out = [inv0] + [_ZERO] * self.order
         nz = [(i, c) for i, c in enumerate(self.coeffs) if i > 0 and c]
         for k in range(1, self.order + 1):
@@ -137,12 +152,12 @@ class TruncSeries:
         """Square root of a series with constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        out = [Fraction(1)] + [_ZERO] * self.order
+        out = [1] + [_ZERO] * self.order
         for k in range(1, self.order + 1):
             acc = self.coeffs[k]
             for i in range(1, k):
                 acc -= out[i] * out[k - i]
-            out[k] = acc / 2
+            out[k] = _frac(Fraction(acc, 2))
         return TruncSeries(out, self.order)
 
     def shift(self, s: int) -> "TruncSeries":
@@ -179,7 +194,7 @@ def binomial_pow(alpha: Scalar, u: int, x_order: int) -> TruncSeries:
     """(1 + u*x)**alpha through x**x_order, via generalized binomials."""
     if x_order < 0:
         raise ValueError("x_order must be nonnegative")
-    a = _frac(alpha)
+    a, u = _frac(alpha), _frac(u)
     xs = [Fraction(1)]
     for k in range(1, x_order + 1):
         xs.append(xs[-1] * (a - k + 1) / k * u)
@@ -200,7 +215,8 @@ def shifted_catalan_series(x_order: int) -> TruncSeries:
 
 
 class BiTrunc:
-    """Bivariate series over exact rationals, truncated by total degree.
+    """Bivariate series over exact rationals (int when integral), truncated by
+    total degree.
 
     Coefficients are stored sparsely by (x-power, y-power); entries beyond the
     total-degree bound are absent by construction.
@@ -211,7 +227,7 @@ class BiTrunc:
     def __init__(self, terms, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs: dict[tuple[int, int], Fraction] = {}
+        coeffs: dict[tuple[int, int], Scalar] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (i, j), c in items:
             if i < 0 or j < 0:
@@ -232,7 +248,7 @@ class BiTrunc:
     def one(cls, order: int) -> "BiTrunc":
         return cls({(0, 0): 1}, order)
 
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int) -> Scalar:
         return self.coeffs.get((i, j), _ZERO)
 
     def __add__(self, other: "BiTrunc") -> "BiTrunc":
@@ -253,7 +269,7 @@ class BiTrunc:
         if not isinstance(other, BiTrunc):
             return NotImplemented
         order = min(self.order, other.order)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
                 i, j = i1 + i2, j1 + j2
@@ -267,8 +283,8 @@ class BiTrunc:
         a00 = self.get(0, 0)
         if a00 == 0:
             raise ZeroDivisionError("bivariate series with zero constant term is not invertible")
-        inv0 = 1 / a00
-        out: dict[tuple[int, int], Fraction] = {(0, 0): inv0}
+        inv0 = _reciprocal(a00)
+        out: dict[tuple[int, int], Scalar] = {(0, 0): inv0}
         rest = [(key, c) for key, c in self.coeffs.items() if key != (0, 0)]
         for d in range(1, self.order + 1):
             for i in range(d + 1):

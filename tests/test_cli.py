@@ -7,6 +7,8 @@ Claims covered:
     - bijection prints mapped objects, reports violated preconditions, and
       writes deterministic SVG traces
     - malformed invocations are usage errors (exit code 2)
+    - `count pairs --n` and `count ballot --steps` above their limits are
+      refused before any counting starts
     - `python -m supercat.cli` runs the same CLI with the same exit codes
 """
 
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from supercat.cli import main
+from supercat import cli
+from supercat.cli import BALLOT_STEPS_MAX, PAIRS_N_MAX, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -54,6 +57,29 @@ def test_count_ballot(capsys):
     code, out, _ = run_cli(capsys, ["count", "ballot", "--steps", "4",
                                     "--end-level", "2", "--exact-height", "2"])
     assert (code, out) == (0, "2\n")
+
+
+def test_count_limits_accept_their_bound():
+    parser = build_parser()
+    assert PAIRS_N_MAX == 400 and BALLOT_STEPS_MAX == 10_000
+    assert parser.parse_args(["count", "pairs", "--n", "400"]).n == 400
+    assert parser.parse_args(["count", "ballot", "--steps", "10000"]).steps == 10_000
+    # the sizes the benchmark's paths workload runs
+    assert parser.parse_args(["count", "pairs", "--n", "11"]).n == 11
+    assert parser.parse_args(["count", "ballot", "--steps", "3000"]).steps == 3000
+
+
+def test_count_limits_refuse_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("counting started")
+    monkeypatch.setattr(cli, "count_pairs_height_diff", no_work)
+    monkeypatch.setattr(cli, "count_ballot_dp", no_work)
+    code, out, err = run_cli(capsys, ["count", "pairs", "--n", "401"])
+    assert (code, out) == (2, "")
+    assert "argument --n: must be at most 400, got 401" in err
+    code, out, err = run_cli(capsys, ["count", "ballot", "--steps", "10001"])
+    assert (code, out) == (2, "")
+    assert "argument --steps: must be at most 10000, got 10001" in err
 
 
 def test_table_rows_match_reference(capsys):

@@ -142,6 +142,17 @@ def test_count_paths_dp_with_start_level():
         count_paths_dp(3, -1, 0)
 
 
+def test_trimmed_rows_match_the_full_recurrence():
+    # CountTable keeps full rows: no trim at (start + end + steps) // 2
+    for start in range(7):
+        for cap in (None, *range(9)):
+            table = CountTable(30, cap, start_level=start)
+            for steps in range(31):
+                for end in range(7):
+                    assert count_paths_dp(steps, start, end, cap) == \
+                        table.count(steps, end)
+
+
 def test_count_pairs_height_diff_examples():
     assert count_pairs_height_diff(1, 1) == 2
     assert count_pairs_height_diff(2, 1) == 3

@@ -8,7 +8,11 @@ Claims covered:
       with the right parity support and the right boundary zeros
     - height-exact functions combine over the denominator p_k * p_{k+1}
     - more height means more paths (coefficientwise monotonicity)
+    - expansion by the denominator's recurrence equals the product of the
+      numerator with the inverted denominator series
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -169,3 +173,27 @@ def test_more_height_means_more_paths():
         wider = dyck_gf(k + 1).expand(30)
         narrower = dyck_gf(k).expand(30)
         assert all(c >= 0 for c in (wider - narrower).coeffs)
+
+
+def _expand_by_product(quotient, t_order):
+    """The reference route: num * den^-1 as full series, then the t-shift."""
+    series = (quotient.num.to_series(t_order)
+              * quotient.den.to_series(t_order).invert())
+    return series.shift(quotient.t_shift).truncate(t_order)
+
+
+def test_expand_matches_product_with_inverted_denominator():
+    quotients = [dyck_gf(k) for k in range(8)]
+    quotients += [ballot_between_gf(5, i, j) for i in range(7) for j in range(i, 7)]
+    quotients += [ballot_exact_gf(4, 3) * ballot_exact_gf(2, 1),
+                  PolyQuotient(PolyX((3, 1)), PolyX((2, -1, 5)), 1),
+                  PolyQuotient(PolyX((1,)), PolyX((-1, 4)))]
+    for quotient in quotients:
+        for t_order in (0, 1, 2, 7, 30):
+            assert quotient.expand(t_order) == _expand_by_product(quotient, t_order)
+
+
+def test_expand_divides_exactly_by_a_non_unit_constant_term():
+    series = PolyQuotient(PolyX((1,)), PolyX((2, -1)), 1).expand(7)
+    assert series.coeffs == (0, Fraction(1, 2), 0, Fraction(1, 4), 0,
+                             Fraction(1, 8), 0, Fraction(1, 16))

@@ -4,6 +4,8 @@ Claims covered:
     - every registered verifier passes and reports structured results
     - the mismatch machinery pinpoints the first differing coefficient
     - a planted wrong pair count fails pairsum and lemma-main at that n
+    - a planted wrong super Catalan number fails e-mo at its index, a
+      planted wrong height bound fails g-forms, and both pass at order 40
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - reports serialize to the documented JSON dict with exact coefficients
@@ -54,6 +56,19 @@ def test_e_mo():
         verify_e_mo(1)
 
 
+def test_e_mo_fails_on_a_wrong_super_catalan(monkeypatch):
+    real = identities.super_catalan
+    monkeypatch.setattr(identities, "super_catalan",
+                        lambda m, n: real(m, n) + ((m, n) == (3, 4)))
+    report = verify_e_mo(20)
+    assert report.passed is False
+    assert report.first_mismatch.power == (3, 4)
+
+
+def test_e_mo_passes_deep():
+    _assert_clean_pass(run_identity("e-mo", 40), "e-mo")
+
+
 def test_firstsum():
     _assert_clean_pass(verify_firstsum(12), "firstsum")
 
@@ -96,6 +111,18 @@ def test_t3_main_series_only():
 
 def test_g_closed_forms():
     _assert_clean_pass(verify_g_closed_forms(4, 10), "g-forms")
+
+
+def test_g_closed_forms_fail_on_a_wrong_height_bound(monkeypatch):
+    real = identities.dyck_gf
+    monkeypatch.setattr(identities, "dyck_gf", lambda k: real(k + (k == 2)))
+    report = verify_g_closed_forms(4, 12)
+    assert report.passed is False
+    assert "G_2: polynomial form vs C-form" in report.notes
+
+
+def test_g_closed_forms_pass_deep():
+    _assert_clean_pass(run_identity("g-forms", 40), "g-forms")
 
 
 def test_p_bridge():

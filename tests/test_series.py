@@ -9,6 +9,8 @@ Claims covered:
     - the Catalan series satisfies c = 1 + x c^2 and matches its radical form
     - the substitution identities x = C/(1+C)^2 and sqrt(C) = t(1+C)
     - bivariate multiplication/inversion on total-degree-truncated series
+    - one coefficient rule: integral values are plain ints, the rest exact
+      Fractions, and floats or other types are refused
 """
 
 from fractions import Fraction
@@ -17,7 +19,8 @@ from math import comb, prod
 import pytest
 
 from supercat import (BiTrunc, TruncSeries, binomial_pow, catalan,
-                      catalan_series, shifted_catalan_series)
+                      catalan_series, dyck_gf, shifted_catalan_series,
+                      super_catalan)
 
 
 def test_construction_pads_and_truncates():
@@ -161,3 +164,51 @@ def test_bi_trunc_drops_terms_beyond_total_degree():
     assert s.get(5, 5) == 0
     with pytest.raises(ZeroDivisionError):
         BiTrunc({(1, 0): 1}, 3).invert()
+
+
+def test_inexact_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        TruncSeries([0.5], 3)
+    with pytest.raises(TypeError):
+        TruncSeries(["1"], 3)
+    with pytest.raises(TypeError):
+        BiTrunc({(0, 0): 1.0}, 2)
+    with pytest.raises(TypeError):
+        binomial_pow(0.5, -4, 3)
+    with pytest.raises(TypeError):
+        binomial_pow(Fraction(1, 2), -4.0, 0)
+    with pytest.raises(TypeError):
+        TruncSeries.one(3) * 0.5
+
+
+def test_integral_coefficients_are_plain_ints():
+    C = shifted_catalan_series(20)
+    one = TruncSeries.one(40)
+    degree = 20
+    inner = BiTrunc({(m, n): super_catalan(m, n)
+                     for m in range(1, degree) for n in range(1, degree - m + 1)},
+                    degree)
+    e_mo_rhs = (BiTrunc.one(degree) - inner).invert()
+    for coeffs in (dyck_gf(4).expand(40).coeffs, catalan_series(30).coeffs,
+                   (one - C).invert().coeffs, C.shift(-2).sqrt().coeffs,
+                   binomial_pow(Fraction(5, 2), -4, 10).coeffs,
+                   TruncSeries([Fraction(4, 2), Fraction(-3, 1)], 2).coeffs,
+                   tuple(e_mo_rhs.coeffs.values())):
+        assert all(type(c) is int for c in coeffs)
+
+
+def test_non_unit_constant_term_inverts_to_exact_fractions():
+    inv = TruncSeries([2, 1], 4).invert()
+    assert inv.coeffs == tuple(Fraction((-1) ** k, 2 ** (k + 1)) for k in range(5))
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    bi = BiTrunc({(0, 0): 2, (1, 0): 1}, 4).invert()
+    assert bi.coeffs == {(k, 0): Fraction((-1) ** k, 2 ** (k + 1)) for k in range(5)}
+    assert all(type(c) is Fraction for c in bi.coeffs.values())
+
+
+def test_sqrt_halves_exactly():
+    root = TruncSeries([1, 1], 4).sqrt()
+    assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16),
+                           Fraction(-5, 128))
+    assert type(root.coeffs[0]) is int
+    assert all(type(c) is Fraction for c in root.coeffs[1:])
