@@ -172,12 +172,20 @@ def enumerate_restricted_pairs(n: int) -> list[RestrictedPair]:
     """All restricted pairs of total semilength n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _restricted_pairs(n, [enumerate_dyck(a) for a in range(n + 1)])
+
+
+def _restricted_pairs(n: int, dycks: list[list[Path]]) -> list[RestrictedPair]:
+    """The restricted pairs of total semilength n, built from dycks[a], the
+    Dyck paths of semilength a for every a <= n, so a caller covering many n
+    enumerates each semilength once.  P runs over semilengths 1..n, then over
+    dycks[a], then Q over dycks[n - a]."""
     out = []
     for a in range(1, n + 1):
-        qs = enumerate_dyck(n - a)
-        for p in enumerate_dyck(a):
+        qs = [(q, q.height) for q in dycks[n - a]]
+        for p in dycks[a]:
             hp = p.height
-            for q in qs:
-                if hp <= q.height + 1:
+            for q, hq in qs:
+                if hp <= hq + 1:
                     out.append(RestrictedPair(p, q))
     return out

@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from operator import mul
 from time import perf_counter
 
-from .bijection import enumerate_restricted_pairs, forward, inverse
-from .counting import (CountTable, catalan, count_E_set,
+from .bijection import _restricted_pairs, forward, inverse
+from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        count_pairs_height_diff, super_catalan)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
-from .lattice_paths import PathClass, enumerate_ballot, enumerate_dyck
+from .lattice_paths import PathClass, enumerate_dyck
 from .series import BiTrunc, TruncSeries, binomial_pow, shifted_catalan_series
 
 ALL_IDENTITIES = ("e-mo", "e2", "e52", "e8", "firstsum", "g-forms",
@@ -43,6 +44,7 @@ DEFAULT_ORDERS = {
 
 # exhaustive enumeration stays feasible only at desk scale
 _LEMMA_MAIN_CAP = 10
+# the t3-main path-count oracle covers x^0..x^9
 _ENUM_ORACLE_CAP = 9
 
 
@@ -138,21 +140,23 @@ def verify_e8(m_max: int, p_max: int) -> VerificationReport:
 
     The m = 0 row is checked in its doubled form, where the summand T(0,n)
     becomes the middle binomial coefficient and the right side C(2p, p).
+    The weights 2^(p-2n) C(p,2n) are built once, and the values T(m, n) once
+    per m, each from the factorial formula.
     """
     def body(notes):
         notes.append(f"checked 0 <= m <= {m_max}, 0 <= p <= {p_max}")
         notes.append("m=0 row checked as the doubled identity "
                      "(middle binomial coefficients)")
+        weights = [[2 ** (p - 2 * n) * comb(p, 2 * n) for n in range(p // 2 + 1)]
+                   for p in range(p_max + 1)]
         for m in range(m_max + 1):
-            for p in range(p_max + 1):
-                if m == 0:
-                    lhs = sum(2 ** (p - 2 * n) * comb(p, 2 * n) * comb(2 * n, n)
-                              for n in range(p // 2 + 1))
-                    rhs = comb(2 * p, p)
-                else:
-                    lhs = sum(2 ** (p - 2 * n) * comb(p, 2 * n) * super_catalan(m, n)
-                              for n in range(p // 2 + 1))
-                    rhs = super_catalan(m, m + p)
+            if m:
+                row = [super_catalan(m, n) for n in range(m + p_max + 1)]
+            else:
+                row = [comb(2 * n, n) for n in range(p_max + 1)]
+            for p, weight in enumerate(weights):
+                lhs = sum(map(mul, weight, row))  # n <= p // 2, the weights' length
+                rhs = row[m + p]
                 if lhs != rhs:
                     return Mismatch((m, p), lhs, rhs)
         return None
@@ -286,21 +290,22 @@ def _t3_triple_sum(t_order: int) -> TruncSeries:
 
 
 def _t3_oracle_coefficient(n: int, cache: dict) -> int:
-    """Brute-force count behind the x^n coefficient of the path-sum side:
-    triples of exact-height ballot paths (heights k, k-2, k-4 ending at levels
-    4, 3, 2; the extra half step makes the total step count 2n - 1) plus
-    height-bounded Dyck paths with multiplicities 2, 2, 1, 1."""
+    """Path count behind the x^n coefficient of the path-sum side: triples of
+    exact-height ballot paths (heights k, k-2, k-4 ending at levels 4, 3, 2;
+    the extra half step makes the total step count 2n - 1) plus
+    height-bounded Dyck paths with multiplicities 2, 2, 1, 1.  Every count
+    comes from the step recurrence, not from the generating functions."""
     def exact_count(height: int, end: int, steps: int) -> int:
         key = (height, end, steps)
         if key not in cache:
-            cache[key] = len(enumerate_ballot(
-                PathClass(end_level=end, exact_height=height), steps))
+            cache[key] = count_ballot_dp(
+                PathClass(end_level=end, exact_height=height), steps)
         return cache[key]
 
     total = 0
     for mult, bound in ((2, 1), (2, 2), (1, 3), (1, 5)):
-        total += mult * len(enumerate_ballot(
-            PathClass(end_level=0, max_height=bound), 2 * n))
+        total += mult * count_ballot_dp(
+            PathClass(end_level=0, max_height=bound), 2 * n)
     steps_total = 2 * n - 1
     k = 6
     while 6 * k - 21 <= steps_total:
@@ -323,7 +328,7 @@ def verify_t3_main(x_order: int, oracle_n_max: int = _ENUM_ORACLE_CAP,
     + 2*G_1 + 2*G_2 + G_3 + G_5.
 
     Also checks the k-sum alone against its displayed closed rational form,
-    and (optionally) the low-order coefficients against triple enumeration.
+    and (optionally) the low-order coefficients against triple path counts.
     """
     def body(notes):
         t_order = 2 * x_order
@@ -362,10 +367,10 @@ def verify_t3_main(x_order: int, oracle_n_max: int = _ENUM_ORACLE_CAP,
             for n in range(n_oracle + 1):
                 counted = _t3_oracle_coefficient(n, cache)
                 if rhs.coeffs[2 * n] != counted:
-                    notes.append(f"triple enumeration disagrees at n={n}")
+                    notes.append(f"triple path counts disagree at n={n}")
                     return Mismatch(2 * n, rhs.coeffs[2 * n], counted)
             notes.append(f"coefficients x^0..x^{n_oracle} cross-checked "
-                         "against triple enumeration")
+                         "against triple path counts")
         return None
     return _run("t3-main", x_order, body)
 
@@ -474,37 +479,40 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     """|E_n| = C_n and the pair-to-path map is a bijection, exhaustively.
 
     E_n is the set of pairs (P, Q) of Dyck paths of total semilength n with P
-    nonempty and h(P) <= h(Q) + 1.  Checks the count, both roundtrips, and
-    image equality with the full set of Dyck paths for 1 <= n <= n_max.
+    nonempty and h(P) <= h(Q) + 1.  For 1 <= n <= n_max this checks the count
+    against the height table and the enumeration, that forward maps E_n onto
+    the full set D_n of Dyck paths, and that inverse(forward(pair)) == pair on
+    E_n.  The reverse round trip follows and is not run: every d in D_n is
+    forward(pair) for some pair, so inverse(d) = pair and forward(inverse(d))
+    = forward(pair) = d.  The Dyck paths of each semilength are enumerated
+    once per check and shared by every n.
     """
     def body(notes):
+        dycks = [enumerate_dyck(a) for a in range(n_max + 1)]
         for n in range(1, n_max + 1):
             expected = catalan(n)
             counted = count_E_set(n)
             if counted != expected:
                 notes.append(f"|E_{n}| != C_{n}")
                 return Mismatch(n, counted, expected)
-            pairs = enumerate_restricted_pairs(n)
+            pairs = _restricted_pairs(n, dycks)
             if len(pairs) != expected:
                 notes.append(f"pair enumeration at n={n} disagrees with count")
                 return Mismatch(n, len(pairs), expected)
-            dycks = enumerate_dyck(n)
             failures = 0
-            images = set()
+            images = set()  # step strings, so no image Path outlives its round trip
             for pair in pairs:
                 image = forward(pair)
-                images.add(image)
+                images.add(image.steps)
                 if inverse(image) != pair:
                     failures += 1
-            for d in dycks:
-                if forward(inverse(d)) != d:
-                    failures += 1
+            # with |E_n| = |D_n|, equal sets also make forward one-to-one
+            if images != {d.steps for d in dycks[n]}:
+                notes.append(f"image of E_{n} is not all of D_{n}")
+                return Mismatch(n, len(images), len(dycks[n]))
             if failures:
                 notes.append(f"{failures} roundtrip failures at n={n}")
                 return Mismatch(n, failures, 0)
-            if len(images) != len(pairs) or images != set(dycks):
-                notes.append(f"image of E_{n} is not all of D_{n}")
-                return Mismatch(n, len(images), len(dycks))
         notes.append(f"exhaustive roundtrips for n = 1..{n_max}")
         return None
     return _run("lemma-main", n_max, body)

@@ -15,6 +15,7 @@ so its arithmetic runs on ints and never boxes them.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 from .counting import catalan
@@ -279,25 +280,36 @@ class BiTrunc:
         return BiTrunc(out, order)
 
     def invert(self) -> "BiTrunc":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Works on dense triangular arrays, a[i][j] for i + j <= order: the
+        (i, j) coefficient of the inverse is -a00^(-1) times the sum of
+        a[k][l] * out[i-k][j-l] over (k, l) != (0, 0), one slice product per
+        nonzero row k of a.
+        """
         a00 = self.get(0, 0)
         if a00 == 0:
             raise ZeroDivisionError("bivariate series with zero constant term is not invertible")
         inv0 = _reciprocal(a00)
-        out: dict[tuple[int, int], Scalar] = {(0, 0): inv0}
-        rest = [(key, c) for key, c in self.coeffs.items() if key != (0, 0)]
-        for d in range(1, self.order + 1):
+        order = self.order
+        a = [[_ZERO] * (order + 1 - i) for i in range(order + 1)]
+        for (i, j), c in self.coeffs.items():
+            a[i][j] = c
+        a[0][0] = _ZERO  # (k, l) = (0, 0) is not in the sum
+        rows = [k for k, row in enumerate(a) if any(row)]
+        out = [[_ZERO] * (order + 1 - i) for i in range(order + 1)]
+        out[0][0] = inv0
+        for d in range(1, order + 1):
             for i in range(d + 1):
                 j = d - i
                 acc = _ZERO
-                for (k, l), c in rest:
-                    if k <= i and l <= j:
-                        b = out.get((i - k, j - l))
-                        if b:
-                            acc += c * b
-                if acc:
-                    out[(i, j)] = -inv0 * acc
-        return BiTrunc(out, self.order)
+                for k in rows:
+                    if k > i:
+                        break
+                    acc += sum(map(mul, a[k][:j + 1], out[i - k][j::-1]))
+                out[i][j] = -inv0 * acc
+        return BiTrunc({(i, j): c for i, row in enumerate(out)
+                        for j, c in enumerate(row)}, order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BiTrunc)

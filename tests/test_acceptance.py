@@ -12,7 +12,7 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        g-forms (k <= 8, all i, j)                                 (< 5 s each)
     5. bivariate identity e-mo exact to total degree 12               (< 5 s)
     6. t3-main exact to x-order 20 with its closed-form sub-identity
-       (< 5 s) and the triple-enumeration oracle for n <= 9          (< 60 s)
+       (< 5 s) and the triple path-count oracle for n <= 9           (< 60 s)
     7. transfer table equals exhaustive enumeration for every class
        with height bound <= 6, end level <= 5, steps <= 14           (< 30 s)
 """
@@ -143,9 +143,10 @@ def test_criterion_6_t3_main_series():
 def test_criterion_6_t3_main_oracle():
     def body():
         report = verify_t3_main(20, oracle_n_max=9)
-        oracle_ran = any("triple enumeration" in note for note in report.notes)
+        oracle_ran = ("coefficients x^0..x^9 cross-checked against triple path counts"
+                      in report.notes)
         return report.passed and oracle_ran, "; ".join(report.notes)
-    check("criterion 6b (t3-main triple-enumeration oracle, n <= 9)", 60.0, body)
+    check("criterion 6b (t3-main triple path-count oracle, n <= 9)", 60.0, body)
 
 
 def test_criterion_7_dp_equals_enumeration():

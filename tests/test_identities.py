@@ -4,8 +4,11 @@ Claims covered:
     - every registered verifier passes and reports structured results
     - the mismatch machinery pinpoints the first differing coefficient
     - a planted wrong pair count fails pairsum and lemma-main at that n
-    - a planted wrong super Catalan number fails e-mo at its index, a
-      planted wrong height bound fails g-forms, and both pass at order 40
+    - a planted wrong inverse fails the lemma-main round trip, and a planted
+      forward that is not one-to-one fails its image check
+    - a planted wrong super Catalan number fails e-mo and e8 at its index, a
+      planted wrong height bound fails g-forms; e-mo and g-forms pass at
+      order 40, and e8, e-mo and lemma-main at order 60
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - reports serialize to the documented JSON dict with exact coefficients
@@ -19,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from supercat import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
-                      TruncSeries, catalan, report_to_dict, run_identity,
+                      TruncSeries, catalan, enumerate_dyck,
+                      enumerate_restricted_pairs, report_to_dict, run_identity,
                       shifted_catalan_series, super_catalan, verify_e8, verify_e52,
                       verify_e_mo, verify_firstsum, verify_g_closed_forms,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
@@ -48,6 +52,22 @@ def test_e8():
     report = verify_e8(6, 6)
     _assert_clean_pass(report, "e8")
     assert any("doubled" in note for note in report.notes)
+
+
+def test_e8_fails_on_a_wrong_super_catalan(monkeypatch):
+    # T(2, 5) first appears as the right side T(m, m + p) at (m, p) = (2, 3);
+    # on the left it would need n = 5 <= p // 2, past p_max = 6
+    real = identities.super_catalan
+    monkeypatch.setattr(identities, "super_catalan",
+                        lambda m, n: real(m, n) + ((m, n) == (2, 5)))
+    report = verify_e8(6, 6)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch((2, 3), real(2, 5), real(2, 5) + 1)
+
+
+@pytest.mark.parametrize("identity", ["e8", "e-mo"])
+def test_deep_order(identity):
+    _assert_clean_pass(run_identity(identity, 60), identity)
 
 
 def test_e_mo():
@@ -100,13 +120,14 @@ def test_t3_main():
     report = verify_t3_main(10, oracle_n_max=6)
     _assert_clean_pass(report, "t3-main")
     assert any("rational form" in note for note in report.notes)
-    assert any("triple enumeration" in note for note in report.notes)
+    assert ("coefficients x^0..x^6 cross-checked against triple path counts"
+            in report.notes)
 
 
 def test_t3_main_series_only():
     report = verify_t3_main(10, include_oracle=False)
     _assert_clean_pass(report, "t3-main")
-    assert not any("triple enumeration" in note for note in report.notes)
+    assert not any("triple path counts" in note for note in report.notes)
 
 
 def test_g_closed_forms():
@@ -144,6 +165,29 @@ def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
     assert "|E_4| != C_4" in report.notes
 
 
+def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
+    real = identities.inverse
+    d, other = enumerate_dyck(4)[:2]
+    wrong = real(other)
+    monkeypatch.setattr(identities, "inverse",
+                        lambda path: wrong if path == d else real(path))
+    report = verify_lemma_main_count(5)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(4, 1, 0)
+    assert "1 roundtrip failures at n=4" in report.notes
+
+
+def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
+    real = identities.forward
+    first, second = enumerate_restricted_pairs(4)[:2]
+    monkeypatch.setattr(identities, "forward",
+                        lambda pair: real(first) if pair == second else real(pair))
+    report = verify_lemma_main_count(5)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(4, catalan(4) - 1, catalan(4))
+    assert "image of E_4 is not all of D_4" in report.notes
+
+
 def test_series_mismatch_locates_first_difference():
     order = 10
     C = shifted_catalan_series(order)
@@ -167,7 +211,8 @@ def test_run_identity_dispatch():
 
 
 def test_run_identity_clamps_enumeration_bounds():
-    report = run_identity("lemma-main", 12)
+    # lemma-main at the deep order 60 runs clamped to n <= 10
+    report = run_identity("lemma-main", 60)
     assert report.passed
     assert report.order == 10
     assert any("clamped" in note for note in report.notes)

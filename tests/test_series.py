@@ -8,11 +8,14 @@ Claims covered:
       composition enumeration)
     - the Catalan series satisfies c = 1 + x c^2 and matches its radical form
     - the substitution identities x = C/(1+C)^2 and sqrt(C) = t(1+C)
-    - bivariate multiplication/inversion on total-degree-truncated series
+    - bivariate multiplication/inversion on total-degree-truncated series;
+      the dense inverse equals the dict-scan reference on seeded random
+      sparse and dense inputs with int and Fraction entries
     - one coefficient rule: integral values are plain ints, the rest exact
       Fractions, and floats or other types are refused
 """
 
+import random
 from fractions import Fraction
 from math import comb, prod
 
@@ -149,6 +152,53 @@ def test_bi_trunc_geometric_inverse():
     expected = BiTrunc({(k, k): 1 for k in range(order // 2 + 1)}, order)
     assert inv == expected
     assert (one - xy) * inv == one
+
+
+def _dict_scan_invert(s):
+    """The reference inverse: each output coefficient scans every term of s."""
+    inv0 = Fraction(1) / s.get(0, 0)
+    out = {(0, 0): inv0}
+    rest = [(key, c) for key, c in s.coeffs.items() if key != (0, 0)]
+    for d in range(1, s.order + 1):
+        for i in range(d + 1):
+            j = d - i
+            acc = 0
+            for (k, l), c in rest:
+                if k <= i and l <= j:
+                    b = out.get((i - k, j - l))
+                    if b:
+                        acc += c * b
+            if acc:
+                out[(i, j)] = -inv0 * acc
+    return BiTrunc(out, s.order)
+
+
+def _random_entry(rng, fractions):
+    if fractions and rng.random() < 0.5:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-9, 9)
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("density", [0.15, 1.0])
+def test_bi_trunc_invert_matches_dict_scan(fractions, density):
+    rng = random.Random(20041)
+    for order in range(13):
+        for _ in range(3):
+            const = rng.choice([1, -1, 2, -3, Fraction(2, 3)] if fractions
+                               else [1, -1, 2, -3])
+            terms = {(i, d - i): _random_entry(rng, fractions)
+                     for d in range(1, order + 1) for i in range(d + 1)
+                     if rng.random() < density}
+            terms[(0, 0)] = const
+            s = BiTrunc(terms, order)
+            inv = s.invert()
+            assert inv == _dict_scan_invert(s)
+            for c in inv.coeffs.values():
+                integral = isinstance(c, int) or c.denominator == 1
+                assert type(c) is (int if integral else Fraction)
+            if const in (1, -1) and not fractions:
+                assert all(type(c) is int for c in inv.coeffs.values())
 
 
 def test_bi_trunc_mul_commutes():
