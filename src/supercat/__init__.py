@@ -7,7 +7,7 @@ from .bijection import (BijectionTrace, IntermediatePath, RestrictedPair,
                         enumerate_restricted_pairs, forward, inverse, trace)
 from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        count_F_set, count_pairs_height_diff, count_paths_dp,
-                       super_catalan)
+                       super_catalan, super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly, p_poly_explicit)
 from .identities import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
@@ -34,7 +34,8 @@ __all__ = [
     "count_paths_dp", "dyck_gf", "enumerate_ballot", "enumerate_dyck",
     "enumerate_restricted_pairs", "factor_dyck", "forward", "inverse",
     "p_poly", "p_poly_explicit", "render_trace", "report_to_dict",
-    "run_identity", "shifted_catalan_series", "super_catalan", "trace",
+    "run_identity", "shifted_catalan_series", "super_catalan",
+    "super_catalan_row", "trace",
     "verify_e8", "verify_e52", "verify_e_mo", "verify_firstsum",
     "verify_g_closed_forms", "verify_lemma_main_count", "verify_p_bridge",
     "verify_pairsum", "verify_t2_closed_form", "verify_t3_closed_form",

@@ -7,11 +7,10 @@ import argparse
 import json
 import os
 import sys
-from math import comb
 
 from .bijection import RestrictedPair, inverse, trace
 from .counting import (catalan, count_ballot_dp, count_pairs_height_diff,
-                       super_catalan)
+                       exact_div, super_catalan, super_catalan_row)
 from .identities import (ALL_IDENTITIES, VerificationReport, report_to_dict,
                          run_identity)
 from .lattice_paths import Path, PathClass
@@ -25,6 +24,11 @@ ORDER_ENV = "SUPERCAT_ORDER"
 # refused before it starts
 PAIRS_N_MAX = 400
 BALLOT_STEPS_MAX = 10_000
+# C_n <= 4^n and T(m, n) <= 4^(m+n) / 2 have at most 4215 digits up to this
+# n or m + n, inside Python's 4300-digit limit on printing an int, so
+# `count catalan --n`, `count super --m + --n` and `table --m + --nmax` are
+# refused above it before any value is computed
+EXACT_N_MAX = 7000
 
 
 def _order_arg(text: str) -> int:
@@ -67,8 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print one exact count")
     kinds = count.add_subparsers(dest="kind", required=True)
     c_catalan = kinds.add_parser("catalan", help="Catalan number C_n")
-    c_catalan.add_argument("--n", type=_nonneg_arg, required=True)
-    c_super = kinds.add_parser("super", help="super Catalan number T(m,n)")
+    c_catalan.add_argument("--n", type=_bounded_arg(EXACT_N_MAX), required=True,
+                           help=f"0..{EXACT_N_MAX}")
+    c_super = kinds.add_parser(
+        "super", help=f"super Catalan number T(m,n), m + n <= {EXACT_N_MAX}")
     c_super.add_argument("--m", type=_nonneg_arg, required=True)
     c_super.add_argument("--n", type=_nonneg_arg, required=True)
     c_pairs = kinds.add_parser(
@@ -85,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--max-height", type=int, default=None)
     bound.add_argument("--exact-height", type=int, default=None)
 
-    table = sub.add_parser("table", help="print the row T(m, 0..nmax)")
+    table = sub.add_parser(
+        "table", help=f"print the row T(m, 0..nmax), m + nmax <= {EXACT_N_MAX}")
     table.add_argument("--m", type=_nonneg_arg, required=True)
     table.add_argument("--nmax", type=_nonneg_arg, required=True)
 
@@ -104,6 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     bijection.add_argument("--svg", default=None, help="write a trace diagram")
 
     return parser
+
+
+def _exact_size_error(args) -> str | None:
+    """The refusal of a T(m, n) request whose m + n exceeds EXACT_N_MAX."""
+    if args.command == "table":
+        names, total = "--m + --nmax", args.m + args.nmax
+    elif args.command == "count" and args.kind == "super":
+        names, total = "--m + --n", args.m + args.n
+    else:
+        return None
+    if total > EXACT_N_MAX:
+        return f"{names} must be at most {EXACT_N_MAX}, got {total}"
+    return None
 
 
 def _resolve_order(args) -> int | None:
@@ -158,13 +178,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    row = super_catalan_row(args.m, args.nmax)
     if args.m == 0:
-        row = [comb(2 * n, n) for n in range(args.nmax + 1)]
         print("note: T(0,0) = 1/2 is not an integer; printing the doubled row "
               "2*T(0,n), the middle binomial coefficients", file=sys.stderr)
     else:
-        row = [super_catalan(args.m, n) for n in range(args.nmax + 1)]
-    print(" ".join(str(value) for value in row))
+        row = [exact_div(value, 2, f"T({args.m},{n})") for n, value in enumerate(row)]
+    print(" ".join(map(str, row)))
     return 0
 
 
@@ -209,6 +229,9 @@ def _cmd_bijection(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = _exact_size_error(args)
+    if error:
+        parser.error(error)
     try:
         if args.command == "count":
             return _cmd_count(args)

@@ -30,10 +30,42 @@ def super_catalan(m: int, n: int) -> int:
     return num // den
 
 
-def _rows(steps: int, start_level: int, max_height: int | None):
+def exact_div(num: int, den: int, what: str) -> int:
+    """num // den, raising RuntimeError if den does not divide num."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise RuntimeError(f"{what} is not an integer")
+    return quotient
+
+
+def super_catalan_row(m: int, n_max: int) -> list[int]:
+    """The doubled row 2T(m, n) for n = 0..n_max, an integer row even at
+    m = 0, where T(0, 0) = 1/2.
+
+    Built by the ratio recurrence 2T(m, 0) = C(2m, m),
+    2T(m, n + 1) = 2T(m, n) * 2(2n + 1) / (m + n + 1): one big-integer by
+    small-integer product and one exact division per entry, where
+    super_catalan builds each value from factorials.  Every division is
+    checked exact."""
+    if m < 0 or n_max < 0:
+        raise ValueError("m and n_max must be nonnegative")
+    value = comb(2 * m, m)
+    row = [value]
+    for n in range(n_max):
+        value = exact_div(value * (4 * n + 2), m + n + 1, f"2T({m},{n + 1})")
+        row.append(value)
+    return row
+
+
+def _rows(steps: int, start_level: int, max_height: int | None,
+          end_level: int | None = None):
     """Yield rows 0..steps of the step recurrence: row s, index j, is the
     number of paths with s steps from start_level to level j that never leave
-    [0, max_height] (no cap when max_height is None)."""
+    [0, max_height] (no cap when max_height is None).
+
+    With an end_level, each row s >= 1 stops at level end_level + steps - s:
+    a path above it has too few steps left to come back down to end_level, so
+    those entries are dropped (the entries kept are exact)."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if start_level < 0:
@@ -43,9 +75,11 @@ def _rows(steps: int, start_level: int, max_height: int | None):
     if start_level < len(row):
         row[start_level] = 1
     yield row
-    for _ in range(steps):
+    for left in range(steps - 1, -1, -1):
         if row:
             row = list(map(add, [0] + row[:-1], row[1:] + [0]))
+            if end_level is not None:
+                del row[end_level + left + 1:]
         yield row
 
 
@@ -71,13 +105,17 @@ class CountTable:
 def count_paths_dp(steps: int, start_level: int, end_level: int,
                    max_height: int | None = None) -> int:
     """Nonnegative paths from start_level to end_level with a height cap."""
-    if end_level < 0:
-        raise ValueError("end_level must be nonnegative")
+    for name, value in (("end_level", end_level), ("steps", steps),
+                        ("start_level", start_level)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if abs(end_level - start_level) > steps or (start_level + end_level + steps) % 2:
+        return 0  # before any row is built: its size grows with end_level
     # a path that climbs above this level has too few steps left to come back
     # down to end_level, so the rows stop there even without a cap
     reach = (start_level + end_level + steps) // 2
     cap = reach if max_height is None else min(max_height, reach)
-    for row in _rows(steps, start_level, cap):
+    for row in _rows(steps, start_level, cap, end_level):
         pass  # only the last row is kept
     return row[end_level] if end_level < len(row) else 0
 

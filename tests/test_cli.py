@@ -9,6 +9,11 @@ Claims covered:
     - malformed invocations are usage errors (exit code 2)
     - `count pairs --n` and `count ballot --steps` above their limits are
       refused before any counting starts
+    - `count catalan --n`, `count super --m + --n` and `table --m + --nmax`
+      above EXACT_N_MAX are refused before any value is computed, and every
+      value at the limit prints
+    - `table` rows from the ratio recurrence equal super_catalan, and a
+      wrong start value fails the halving check
     - `python -m supercat.cli` runs the same CLI with the same exit codes
 """
 
@@ -16,12 +21,14 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from supercat import cli
-from supercat.cli import BALLOT_STEPS_MAX, PAIRS_N_MAX, build_parser, main
+from supercat import cli, counting, super_catalan
+from supercat.cli import (BALLOT_STEPS_MAX, EXACT_N_MAX, PAIRS_N_MAX, build_parser,
+                          main)
 
 
 def run_cli(capsys, argv):
@@ -82,6 +89,42 @@ def test_count_limits_refuse_before_any_work(capsys, monkeypatch):
     assert "argument --steps: must be at most 10000, got 10001" in err
 
 
+def test_count_ballot_unreachable_end_level(capsys):
+    assert run_cli(capsys, ["count", "ballot", "--steps", "10",
+                            "--end-level", "8000000"]) == (0, "0\n", "")
+
+
+# the limit and limit + 1 of each command bounded by EXACT_N_MAX
+EXACT_LIMITS = [
+    ("catalan", ["count", "catalan", "--n", "7000"],
+     ["count", "catalan", "--n", "7001"], "argument --n: must be at most 7000, got 7001"),
+    ("super_catalan", ["count", "super", "--m", "6999", "--n", "1"],
+     ["count", "super", "--m", "3500", "--n", "3501"], "--m + --n must be at most 7000, got 7001"),
+    ("super_catalan_row", ["table", "--m", "7000", "--nmax", "0"],
+     ["table", "--m", "1", "--nmax", "7000"], "--m + --nmax must be at most 7000, got 7001"),
+]
+
+
+@pytest.mark.parametrize("name, at_limit, over_limit, message", EXACT_LIMITS)
+def test_exact_limit_accepts_its_bound(capsys, name, at_limit, over_limit, message):
+    assert EXACT_N_MAX == 7000
+    code, out, err = run_cli(capsys, at_limit)
+    assert (code, err) == (0, "")
+    # C_7000, T(6999, 1) and T(7000, 0) have 4208 to 4212 digits
+    assert 4200 < len(out.strip()) <= 4215 and out.strip().isdigit()
+
+
+@pytest.mark.parametrize("name, at_limit, over_limit, message", EXACT_LIMITS)
+def test_exact_limit_refuses_before_any_work(capsys, monkeypatch, name, at_limit,
+                                             over_limit, message):
+    def no_work(*args):
+        raise AssertionError("counting started")
+    monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, over_limit)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_table_rows_match_reference(capsys):
     code, out, err = run_cli(capsys, ["table", "--m", "2", "--nmax", "10"])
     assert (code, out, err) == (0, "3 2 3 6 14 36 99 286 858 2652 8398\n", "")
@@ -94,6 +137,23 @@ def test_table_zero_row_substitutes_doubled_values(capsys):
     assert code == 0
     assert out == "1 2 6 20\n"
     assert "doubled" in err
+
+
+def test_long_table_row_matches_super_catalan(capsys):
+    code, out, err = run_cli(capsys, ["table", "--m", "50", "--nmax", "2000"])
+    row = [int(value) for value in out.split()]
+    assert (code, err, len(row)) == (0, "", 2001)
+    for n in (0, 1, 999, 2000):
+        assert row[n] == super_catalan(50, n)
+
+
+def test_table_halving_refuses_a_wrong_start_value(capsys, monkeypatch):
+    # 2T(1,0) planted as 3 keeps every recurrence step exact (the row is
+    # 3 C_n), so the halving is the check that fails
+    monkeypatch.setattr(counting, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(RuntimeError, match=r"T\(1,0\) is not an integer"):
+        main(["table", "--m", "1", "--nmax", "4"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_single_identity_text(capsys):

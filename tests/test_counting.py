@@ -2,14 +2,19 @@
 
 Claims covered:
     - catalan and super_catalan reproduce the known value tables exactly
+    - super_catalan_row, built by the ratio recurrence, equals the doubled
+      factorial values and fails loudly on a wrong start value
     - super_catalan is symmetric and errors on the non-integral (0, 0) case
     - the transfer table agrees with exhaustive enumeration for every class
+    - count_paths_dp, with its rows trimmed by the steps left, equals the
+      full rows of CountTable, and an unreachable end level costs nothing
     - pair counts (height difference, restricted pairs) match their
       inclusion-exclusion relations
     - pair counts from the height table equal exhaustive pair enumeration
       for n <= 9 and keep their closed forms far beyond it
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -19,7 +24,9 @@ import pytest
 from supercat import (CountTable, Path, PathClass, catalan, count_ballot_dp,
                       count_E_set, count_F_set, count_pairs_height_diff,
                       count_paths_dp, enumerate_ballot, enumerate_dyck,
-                      enumerate_restricted_pairs, factor_dyck, super_catalan)
+                      enumerate_restricted_pairs, factor_dyck, super_catalan,
+                      super_catalan_row)
+from supercat import counting
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 SUPER_ROW_2 = [3, 2, 3, 6, 14, 36, 99, 286, 858, 2652, 8398]
@@ -75,6 +82,26 @@ def test_super_catalan_errors():
         super_catalan(0, 0)
     with pytest.raises(ValueError):
         super_catalan(-1, 2)
+
+
+def test_super_catalan_row_matches_factorials():
+    assert super_catalan_row(0, 80) == [comb(2 * n, n) for n in range(81)]
+    for m in range(1, 13):
+        assert super_catalan_row(m, 80) == [2 * super_catalan(m, n) for n in range(81)]
+    assert [value // 2 for value in super_catalan_row(2, 10)] == SUPER_ROW_2
+    assert [value // 2 for value in super_catalan_row(3, 10)] == SUPER_ROW_3
+    assert super_catalan_row(4, 0) == [comb(8, 4)]
+    with pytest.raises(ValueError):
+        super_catalan_row(-1, 3)
+    with pytest.raises(ValueError):
+        super_catalan_row(2, -1)
+
+
+def test_super_catalan_row_refuses_a_wrong_start_value(monkeypatch):
+    monkeypatch.setattr(counting, "comb", lambda n, k: comb(n, k) + 1)
+    # 2T(2,0) planted as 7: 7 * 2 / 3 is the first inexact step
+    with pytest.raises(RuntimeError, match=r"2T\(2,1\) is not an integer"):
+        super_catalan_row(2, 5)
 
 
 def test_count_table_basics():
@@ -143,14 +170,34 @@ def test_count_paths_dp_with_start_level():
 
 
 def test_trimmed_rows_match_the_full_recurrence():
-    # CountTable keeps full rows: no trim at (start + end + steps) // 2
-    for start in range(7):
-        for cap in (None, *range(9)):
+    # CountTable keeps full rows: no trim at (start + end + steps) // 2 nor by
+    # the steps left; end levels run past reach, and start levels past steps
+    for start in (*range(7), 12, 31):
+        for cap in (None, *range(9), 35):
             table = CountTable(30, cap, start_level=start)
             for steps in range(31):
-                for end in range(7):
+                for end in range(start + 32):
                     assert count_paths_dp(steps, start, end, cap) == \
                         table.count(steps, end)
+
+
+def test_unreachable_end_level_builds_no_rows():
+    tracemalloc.start()
+    try:
+        assert count_paths_dp(10, 0, 8_000_000) == 0
+        assert count_paths_dp(10, 8_000_000, 0) == 0
+        assert count_paths_dp(10, 0, 5) == 0  # parity
+        assert count_ballot_dp(PathClass(end_level=8_000_000), 10) == 0
+        assert count_ballot_dp(PathClass(end_level=8_000_000, exact_height=9_000_000),
+                               10) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        count_paths_dp(-1, 0, 8_000_000)
+    with pytest.raises(ValueError, match="start_level must be nonnegative"):
+        count_paths_dp(2, -1, 8_000_000)
 
 
 def test_count_pairs_height_diff_examples():

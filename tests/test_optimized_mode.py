@@ -3,6 +3,8 @@
 Claims covered:
     - t3-main and bijection round trips run and pass with optimization on
     - a planted drift in the t3-main triple-product valuation still raises
+    - a planted wrong start value of super_catalan_row still raises at its
+      first inexact division
 """
 
 import os
@@ -14,8 +16,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SCRIPT = """
 import sys
-from supercat import (enumerate_dyck, enumerate_restricted_pairs, forward,
-                      height_gf, identities, inverse, run_identity)
+from math import comb
+from supercat import (counting, enumerate_dyck, enumerate_restricted_pairs,
+                      forward, height_gf, identities, inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
 print("t3-main", run_identity("t3-main", 6).passed)
@@ -31,6 +34,12 @@ try:
     print("planted valuation passed")
 except RuntimeError as exc:
     print("planted valuation raised:", exc)
+counting.comb = lambda n, k: comb(n, k) + 1
+try:
+    counting.super_catalan_row(2, 5)
+    print("planted start value passed")
+except RuntimeError as exc:
+    print("planted start value raised:", exc)
 """
 
 
@@ -46,4 +55,5 @@ def test_checks_survive_optimize_flag():
         "t3-main True",
         "roundtrips True",
         "planted valuation raised: triple-product valuation drifted",
+        "planted start value raised: 2T(2,1) is not an integer",
     ]
