@@ -15,13 +15,19 @@ semilength n.  The map performs two local surgeries:
 The inverse recovers the surgeries from two canonical landmarks: x is the
 rightmost highest point of the output, and u is the rightmost level-1 point of
 the intermediate path F.  Both directions validate these landmarks at runtime.
+
+`forward` and `inverse` run the surgeries on step strings in two private
+cores and build Path objects only for their input and output; `trace` takes
+its output from the same forward core and builds and validates every
+intermediate object around it, for diagrams and debugging.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .lattice_paths import DOWN, UP, Path, enumerate_dyck
+from .lattice_paths import DOWN, UP, Path, PathClass, _ballot_words
 
 
 @dataclass(frozen=True)
@@ -110,22 +116,20 @@ class BijectionTrace:
 
 
 def trace(pair: RestrictedPair) -> BijectionTrace:
-    """Apply both surgeries to `pair`, recording every landmark."""
+    """Apply both surgeries to `pair`, recording every landmark.
+
+    The output comes from the same string core as `forward`; the intermediate
+    path and the landmarks are built here and checked against it.
+    """
     p, q = pair.p, pair.q
-    if p.steps[-1] != DOWN:
-        raise RuntimeError("a nonempty Dyck path must end with a down step")
+    output, q_peak = _forward_path(pair)
     f = Path(p.steps[:-1] + UP + q.steps)
     boundary = len(p)
     intermediate = IntermediatePath(f, boundary)
 
     y = f.levels.index(f.height)  # leftmost highest point
-    if y < boundary:
-        raise RuntimeError("leftmost highest point of F must lie in F2")
-    if f.steps[y - 1] != UP:
-        raise RuntimeError("leftmost highest point of F must follow an up step")
-    output = Path(f.steps[:y - 1] + DOWN + f.steps[y:])
-    if not output.is_dyck():
-        raise RuntimeError("surgery 2 must yield a Dyck path")
+    if y != boundary + q_peak:
+        raise RuntimeError("leftmost highest point of F must be the first peak of F2")
 
     return BijectionTrace(
         pair=pair,
@@ -142,7 +146,18 @@ def trace(pair: RestrictedPair) -> BijectionTrace:
 
 def forward(pair: RestrictedPair) -> Path:
     """Map a restricted pair to a Dyck path of the same total semilength."""
-    return trace(pair).output
+    return _forward_path(pair)[0]
+
+
+def _forward_path(pair: RestrictedPair) -> tuple[Path, int]:
+    """forward's image as a checked Path, with q's leftmost highest point."""
+    p, q = pair.p, pair.q
+    hq = q.height
+    q_peak = q.levels.index(hq)
+    output = Path(_forward_core(p.steps, q.steps, p.height, hq, q_peak))
+    if not output.is_dyck():
+        raise RuntimeError("surgery 2 must yield a Dyck path")
+    return output, q_peak
 
 
 def inverse(d: Path) -> RestrictedPair:
@@ -151,41 +166,75 @@ def inverse(d: Path) -> RestrictedPair:
         raise ValueError("the empty path has no preimage")
     if not d.is_dyck():
         raise ValueError("input is not a Dyck path")
+    p, q = _inverse_core(d.steps, d.levels, d.height)
+    return RestrictedPair(Path(p), Path(q))
 
-    # undo surgery 2: x is the rightmost highest point; re-raise the tail
-    x = len(d.levels) - 1 - d.levels[::-1].index(d.height)
-    if d.steps[x] != DOWN:
+
+def _forward_core(p: str, q: str, hp: int, hq: int, q_peak: int) -> str:
+    """Both surgeries on step strings: p nonempty Dyck of height hp, q Dyck
+    of height hq whose leftmost highest point is q_peak.
+
+    F = p[:-1]·U·q keeps p's points before v' (maximum hp) and raises q's by
+    two (maximum hq + 2).  So the leftmost highest point y of F lies in F2
+    exactly when hp <= hq + 1, and then y = len(p) + q_peak.  The output is
+    then a Dyck path: its points from y on are q's, at q's own levels.
+    """
+    if p[-1] != DOWN:
+        raise RuntimeError("a nonempty Dyck path must end with a down step")
+    if hp > hq + 1:
+        raise RuntimeError("leftmost highest point of F must lie in F2")
+    f = p[:-1] + UP + q
+    y = len(p) + q_peak
+    if f[y - 1] != UP:
+        raise RuntimeError("leftmost highest point of F must follow an up step")
+    return f[:y - 1] + DOWN + f[y:]
+
+
+def _inverse_core(d: str, levels: Sequence[int], h: int) -> tuple[str, str]:
+    """Undo both surgeries on a nonempty Dyck step string d with the given
+    levels and height h; returns the step strings of p and q.
+
+    x is the rightmost highest point of d.  F = d[:x]·U·d[x+1:] has d's
+    levels up to x and d's levels plus two after it, so F's rightmost
+    level-1 point u is d's rightmost level-1 point at or before x.
+    """
+    x = len(levels) - 1 - levels[::-1].index(h)
+    if d[x] != DOWN:
         raise RuntimeError("rightmost highest point must precede a down step")
-    f = Path(d.steps[:x] + UP + d.steps[x + 1:])
-
-    # undo surgery 1: u is the rightmost level-1 point of F
-    u = len(f.levels) - 1 - f.levels[::-1].index(1)
-    if f.steps[u] != UP:
+    f = d[:x] + UP + d[x + 1:]
+    u = x - levels[x::-1].index(1)
+    if f[u] != UP:
         raise RuntimeError("rightmost level-1 point of F must precede an up step")
-    boundary = u + 1
-    p = Path(f.steps[:boundary - 1] + DOWN)
-    q = Path(f.steps[boundary:])
-    return RestrictedPair(p, q)
+    return f[:u] + DOWN, f[u + 1:]
 
 
 def enumerate_restricted_pairs(n: int) -> list[RestrictedPair]:
-    """All restricted pairs of total semilength n."""
+    """All restricted pairs of total semilength n, in `_restricted_words`
+    order; each Dyck path is built once and shared by its pairs."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _restricted_pairs(n, [enumerate_dyck(a) for a in range(n + 1)])
+    words = _dyck_words(n)
+    paths = {w: Path(w) for ws in words for w, _, _ in ws}
+    return [RestrictedPair(paths[p], paths[q])
+            for p, q, _, _, _ in _restricted_words(n, words)]
 
 
-def _restricted_pairs(n: int, dycks: list[list[Path]]) -> list[RestrictedPair]:
-    """The restricted pairs of total semilength n, built from dycks[a], the
-    Dyck paths of semilength a for every a <= n, so a caller covering many n
-    enumerates each semilength once.  P runs over semilengths 1..n, then over
-    dycks[a], then Q over dycks[n - a]."""
-    out = []
+def _dyck_words(n_max: int) -> list[list[tuple[str, int, int]]]:
+    """The Dyck words of semilengths 0..n_max as (steps, height, first peak)."""
+    return [_ballot_words(PathClass(end_level=0), 2 * a) for a in range(n_max + 1)]
+
+
+def _restricted_words(n: int, words: Sequence[Sequence[tuple[str, int, int]]]
+                      ) -> Iterator[tuple[str, str, int, int, int]]:
+    """The restricted pairs of total semilength n as (p, q, hp, hq, q_peak)
+    step strings and landmarks, from `_dyck_words` of at least n.
+
+    P runs over semilengths 1..n, then over the Dyck paths of that semilength,
+    then Q over those of the rest; a pair is kept when hp <= hq + 1.
+    """
     for a in range(1, n + 1):
-        qs = [(q, q.height) for q in dycks[n - a]]
-        for p in dycks[a]:
-            hp = p.height
-            for q, hq in qs:
+        qs = words[n - a]
+        for p, hp, _ in words[a]:
+            for q, hq, q_peak in qs:
                 if hp <= hq + 1:
-                    out.append(RestrictedPair(p, q))
-    return out
+                    yield p, q, hp, hq, q_peak

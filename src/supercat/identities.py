@@ -17,12 +17,13 @@ from math import comb
 from operator import mul
 from time import perf_counter
 
-from .bijection import _restricted_pairs, forward, inverse
+from .bijection import (_dyck_words, _forward_core, _inverse_core,
+                        _restricted_words)
 from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        count_pairs_height_diff, super_catalan)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
-from .lattice_paths import PathClass, enumerate_dyck
+from .lattice_paths import PathClass, _levels
 from .series import BiTrunc, TruncSeries, binomial_pow, shifted_catalan_series
 
 ALL_IDENTITIES = ("e-mo", "e2", "e52", "e8", "firstsum", "g-forms",
@@ -484,32 +485,43 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     the full set D_n of Dyck paths, and that inverse(forward(pair)) == pair on
     E_n.  The reverse round trip follows and is not run: every d in D_n is
     forward(pair) for some pair, so inverse(d) = pair and forward(inverse(d))
-    = forward(pair) = d.  The Dyck paths of each semilength are enumerated
-    once per check and shared by every n.
+    = forward(pair) = d.
+
+    The Dyck paths of each semilength are enumerated once per check as
+    (steps, height, first peak) words and shared by every n.  The pairs of
+    each n stream from `_restricted_words`, the generator behind
+    `enumerate_restricted_pairs`, through the bijection's string cores, so
+    no Path is built; an image outside D_n counts as a round-trip failure
+    without an inverse.
     """
     def body(notes):
-        dycks = [enumerate_dyck(a) for a in range(n_max + 1)]
+        words = _dyck_words(n_max)
         for n in range(1, n_max + 1):
             expected = catalan(n)
             counted = count_E_set(n)
             if counted != expected:
                 notes.append(f"|E_{n}| != C_{n}")
                 return Mismatch(n, counted, expected)
-            pairs = _restricted_pairs(n, dycks)
-            if len(pairs) != expected:
-                notes.append(f"pair enumeration at n={n} disagrees with count")
-                return Mismatch(n, len(pairs), expected)
-            failures = 0
-            images = set()  # step strings, so no image Path outlives its round trip
-            for pair in pairs:
-                image = forward(pair)
-                images.add(image.steps)
-                if inverse(image) != pair:
+            dyck_n = {d for d, _, _ in words[n]}
+            pairs = failures = 0
+            images = set()
+            for p, q, hp, hq, q_peak in _restricted_words(n, words):
+                pairs += 1
+                image = _forward_core(p, q, hp, hq, q_peak)
+                images.add(image)
+                if image not in dyck_n:
                     failures += 1
+                    continue
+                levels = _levels(image)
+                if _inverse_core(image, levels, max(levels)) != (p, q):
+                    failures += 1
+            if pairs != expected:
+                notes.append(f"pair enumeration at n={n} disagrees with count")
+                return Mismatch(n, pairs, expected)
             # with |E_n| = |D_n|, equal sets also make forward one-to-one
-            if images != {d.steps for d in dycks[n]}:
+            if images != dyck_n:
                 notes.append(f"image of E_{n} is not all of D_{n}")
-                return Mismatch(n, len(images), len(dycks[n]))
+                return Mismatch(n, len(images), len(dyck_n))
             if failures:
                 notes.append(f"{failures} roundtrip failures at n={n}")
                 return Mismatch(n, failures, 0)

@@ -8,9 +8,23 @@ All values are immutable after construction and every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 UP = "U"
 DOWN = "D"
+_STEP = {UP: 1, DOWN: -1}
+
+
+def _levels(steps: str) -> tuple[int, ...]:
+    """The level at every point of `steps`, starting with 0: one pass."""
+    try:
+        # through a list: a tuple grown from an iterator is resized again and
+        # again, which is slower on long paths and leaves more of the heap
+        # fragmented (peak RSS)
+        return tuple(list(accumulate(map(_STEP.__getitem__, steps), initial=0)))
+    except KeyError as exc:
+        raise ValueError(f"invalid step {exc.args[0]!r}: "
+                         f"steps are {UP!r} or {DOWN!r}") from None
 
 
 class Path:
@@ -23,18 +37,8 @@ class Path:
     __slots__ = ("steps", "levels")
 
     def __init__(self, steps: str = ""):
-        level = 0
-        levels = [0]
-        for ch in steps:
-            if ch == UP:
-                level += 1
-            elif ch == DOWN:
-                level -= 1
-            else:
-                raise ValueError(f"invalid step {ch!r}: steps are {UP!r} or {DOWN!r}")
-            levels.append(level)
+        self.levels = _levels(steps)
         self.steps = steps
-        self.levels = tuple(levels)
 
     @property
     def height(self) -> int:
@@ -129,37 +133,44 @@ def enumerate_ballot(path_class: PathClass, steps: int) -> list[Path]:
     Lexicographic order with U before D.  Empty when steps and end level have
     different parity or when the class is vacuous.
     """
+    return [Path(word) for word, _, _ in _ballot_words(path_class, steps)]
+
+
+def _ballot_words(path_class: PathClass, steps: int) -> list[tuple[str, int, int]]:
+    """enumerate_ballot as (steps, height, first peak) triples, no Path built.
+
+    The first peak is the index of the leftmost highest point, so a caller
+    needs no level pass to find either landmark.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     end = path_class.end_level
     bound = path_class.height_bound
-    if (steps - end) % 2 != 0:
+    if (steps - end) % 2 != 0 or end > steps:
         return []
     if bound is not None and (bound < 0 or end > bound):
         return []
 
     exact = path_class.exact_height
-    out: list[Path] = []
-    buf: list[str] = []
+    top = steps if bound is None else bound
+    out: list[tuple[str, int, int]] = []
 
-    def extend(level: int, remaining: int, peak: int) -> None:
-        if remaining == 0:
-            if level == end and (exact is None or peak == exact):
-                out.append(Path("".join(buf)))
+    # each step is taken only if the end level stays reachable after it
+    def extend(prefix: str, level: int, remaining: int, peak: int, first: int) -> None:
+        if not remaining:
+            if exact is None or peak == exact:
+                out.append((prefix, peak, first))
             return
-        # the end level must stay reachable
-        if abs(level - end) > remaining:
-            return
-        if bound is None or level < bound:
-            buf.append(UP)
-            extend(level + 1, remaining - 1, max(peak, level + 1))
-            buf.pop()
-        if level > 0:
-            buf.append(DOWN)
-            extend(level - 1, remaining - 1, peak)
-            buf.pop()
+        remaining -= 1
+        if level < top and level - end < remaining:
+            if level == peak:  # a new highest point
+                extend(prefix + UP, level + 1, remaining, level + 1, len(prefix) + 1)
+            else:
+                extend(prefix + UP, level + 1, remaining, peak, first)
+        if level and end - level < remaining:
+            extend(prefix + DOWN, level - 1, remaining, peak, first)
 
-    extend(0, steps, 0)
+    extend("", 0, steps, 0, 0)
     return out
 
 

@@ -6,7 +6,8 @@ Claims covered:
     - inverse recovers the pair from the two landmarks (rightmost highest
       point, rightmost level-1 point)
     - both roundtrips hold exhaustively and the image is exactly the set of
-      Dyck paths, for total semilength up to 7
+      Dyck paths, for total semilength up to 7, and trace's validated
+      intermediate path and landmarks accept every pair and give forward's image
     - traces expose the boundary and marked points, including the edge case
       where the second portion carries no steps
 """
@@ -98,6 +99,7 @@ def test_exhaustive_roundtrips():
         for pair in pairs:
             image = forward(pair)
             assert len(image) == 2 * n
+            assert trace(pair).output == image
             assert inverse(image) == pair
             images.add(image)
         assert len(images) == len(pairs)

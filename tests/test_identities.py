@@ -4,8 +4,11 @@ Claims covered:
     - every registered verifier passes and reports structured results
     - the mismatch machinery pinpoints the first differing coefficient
     - a planted wrong pair count fails pairsum and lemma-main at that n
-    - a planted wrong inverse fails the lemma-main round trip, and a planted
-      forward that is not one-to-one fails its image check
+    - a planted wrong inverse core fails the lemma-main round trip, and a
+      planted forward core that is not one-to-one fails its image check
+    - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
+      bound fails firstsum, a wrong binomial power e52, a wrong exact-height
+      series t3-main and a wrong p_n p-bridge, each at a stated coefficient
     - a planted wrong super Catalan number fails e-mo and e8 at its index, a
       planted wrong height bound fails g-forms; e-mo and g-forms pass at
       order 40, and e8, e-mo and lemma-main at order 60
@@ -23,9 +26,10 @@ import pytest
 
 from supercat import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
                       TruncSeries, catalan, enumerate_dyck,
-                      enumerate_restricted_pairs, report_to_dict, run_identity,
-                      shifted_catalan_series, super_catalan, verify_e8, verify_e52,
-                      verify_e_mo, verify_firstsum, verify_g_closed_forms,
+                      enumerate_restricted_pairs, forward, inverse,
+                      report_to_dict, run_identity, shifted_catalan_series,
+                      super_catalan, verify_e8, verify_e52, verify_e_mo,
+                      verify_firstsum, verify_g_closed_forms,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
@@ -46,6 +50,24 @@ def test_t2_closed_form():
 
 def test_t3_closed_form():
     _assert_clean_pass(verify_t3_closed_form(12), "t3-closed")
+
+
+def _plant(monkeypatch, name, wrong):
+    """Replace identities.<name> by wrong(real)."""
+    monkeypatch.setattr(identities, name, wrong(getattr(identities, name)))
+
+
+@pytest.mark.parametrize("verify, n, lhs, delta", [
+    # C_7 is C_{n+1} first at n = 6 in 4C_n - C_{n+1}
+    (verify_t2_closed_form, 6, super_catalan(2, 6), -1),
+    # and C_{n+2} first at n = 5 in 16C_n - 8C_{n+1} + C_{n+2}
+    (verify_t3_closed_form, 5, super_catalan(3, 5), 1),
+])
+def test_closed_forms_fail_on_a_wrong_catalan(monkeypatch, verify, n, lhs, delta):
+    _plant(monkeypatch, "catalan", lambda real: lambda k: real(k) + (k == 7))
+    report = verify(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(n, lhs, lhs + delta)
 
 
 def test_e8():
@@ -93,6 +115,16 @@ def test_firstsum():
     _assert_clean_pass(verify_firstsum(12), "firstsum")
 
 
+def test_firstsum_fails_on_a_wrong_height_bound(monkeypatch):
+    # G_4 -> G_5 changes the n = 3 summand by (G_3 - G_2)(G_5 - G_4), which
+    # starts at 1·x^3 · 1·x^5; the n = 4 and n = 5 changes sum to
+    # (G_5 - G_4)(G_5 - G_6), which starts at x^11
+    _plant(monkeypatch, "dyck_gf", lambda real: lambda k: real(k + (k == 4)))
+    report = verify_firstsum(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(16, 2 * catalan(8) + 1, 2 * catalan(8))
+
+
 def test_pairsum():
     report = verify_pairsum(12)
     _assert_clean_pass(report, "pairsum")
@@ -116,6 +148,15 @@ def test_e52():
     _assert_clean_pass(verify_e52(12), "e52")
 
 
+def test_e52_fails_on_a_wrong_binomial_power(monkeypatch):
+    # (1 - 4x)^(7/2) instead of ^(5/2): the x^1 coefficient is -14, not -10
+    _plant(monkeypatch, "binomial_pow",
+           lambda real: lambda alpha, u, order: real(alpha + 1, u, order))
+    report = verify_e52(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(2, 4, 0)
+
+
 def test_t3_main():
     report = verify_t3_main(10, oracle_n_max=6)
     _assert_clean_pass(report, "t3-main")
@@ -128,6 +169,18 @@ def test_t3_main_series_only():
     report = verify_t3_main(10, include_oracle=False)
     _assert_clean_pass(report, "t3-main")
     assert not any("triple path counts" in note for note in report.notes)
+
+
+def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
+    # doubling H_6^(4) doubles the k = 6 triple product, whose single
+    # lowest path term sits at t^15, so t^16 after the half-step shift
+    _plant(monkeypatch, "ballot_exact_gf",
+           lambda real: lambda k, j: real(k, j) * (1 + ((k, j) == (6, 4))))
+    report = verify_t3_main(10)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(16, super_catalan(3, 9),
+                                             super_catalan(3, 9) + 1)
+    assert "main series identity" in report.notes
 
 
 def test_g_closed_forms():
@@ -150,6 +203,15 @@ def test_p_bridge():
     _assert_clean_pass(verify_p_bridge(8, 12), "p-bridge")
 
 
+def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
+    # p_4 = 1 - 3x + x^2 in place of p_3 = 1 - 2x
+    _plant(monkeypatch, "p_poly", lambda real: lambda n: real(n + (n == 3)))
+    report = verify_p_bridge(8, 12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(2, -3, -2)
+    assert "first failure at n=3" in report.notes
+
+
 def test_lemma_main_count():
     report = verify_lemma_main_count(5)
     _assert_clean_pass(report, "lemma-main")
@@ -166,11 +228,12 @@ def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
 
 
 def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
-    real = identities.inverse
+    real = identities._inverse_core
     d, other = enumerate_dyck(4)[:2]
-    wrong = real(other)
-    monkeypatch.setattr(identities, "inverse",
-                        lambda path: wrong if path == d else real(path))
+    wrong = inverse(other)
+    monkeypatch.setattr(identities, "_inverse_core",
+                        lambda word, levels, h: (wrong.p.steps, wrong.q.steps)
+                        if word == d.steps else real(word, levels, h))
     report = verify_lemma_main_count(5)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, 1, 0)
@@ -178,10 +241,13 @@ def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
 
 
 def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
-    real = identities.forward
+    real = identities._forward_core
     first, second = enumerate_restricted_pairs(4)[:2]
-    monkeypatch.setattr(identities, "forward",
-                        lambda pair: real(first) if pair == second else real(pair))
+    merged = forward(first).steps
+    monkeypatch.setattr(identities, "_forward_core",
+                        lambda p, q, *landmarks: merged
+                        if (p, q) == (second.p.steps, second.q.steps)
+                        else real(p, q, *landmarks))
     report = verify_lemma_main_count(5)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, catalan(4) - 1, catalan(4))

@@ -1,7 +1,10 @@
 """Runtime checks that must hold under `python -O`, which strips asserts.
 
 Claims covered:
-    - t3-main and bijection round trips run and pass with optimization on
+    - t3-main, lemma-main and bijection round trips run and pass with
+      optimization on
+    - a planted wrong landmark in either bijection core still raises: u on a
+      down step in the inverse, y after a down step in the forward
     - a planted drift in the t3-main triple-product valuation still raises
     - a planted wrong start value of super_catalan_row still raises at its
       first inexact division
@@ -17,16 +20,32 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCRIPT = """
 import sys
 from math import comb
-from supercat import (counting, enumerate_dyck, enumerate_restricted_pairs,
-                      forward, height_gf, identities, inverse, run_identity)
+from supercat import (Path, bijection, counting, enumerate_dyck,
+                      enumerate_restricted_pairs, forward, height_gf,
+                      identities, inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
 print("t3-main", run_identity("t3-main", 6).passed)
+print("lemma-main", run_identity("lemma-main", 8).passed)
 paths_ok = all(forward(inverse(d)) == d
                for n in range(1, 8) for d in enumerate_dyck(n))
 pairs_ok = all(inverse(forward(pair)) == pair
                for n in range(1, 8) for pair in enumerate_restricted_pairs(n))
 print("roundtrips", paths_ok and pairs_ok)
+# level 0 at point 3 of UDUUDD moves u from 3 to 1, a down step
+levels = list(Path("UDUUDD").levels)
+levels[3] = 0
+try:
+    bijection._inverse_core("UDUUDD", levels, 2)
+    print("planted u passed")
+except RuntimeError as exc:
+    print("planted u raised:", exc)
+# q = UD peaks at 1, not 2: y lands after the down step of UUUD
+try:
+    bijection._forward_core("UD", "UD", 1, 1, 2)
+    print("planted y passed")
+except RuntimeError as exc:
+    print("planted y raised:", exc)
 real = height_gf.PolyQuotient.min_t_degree
 height_gf.PolyQuotient.min_t_degree = lambda self: real(self) + 1
 try:
@@ -53,7 +72,10 @@ def test_checks_survive_optimize_flag():
     assert result.stdout.splitlines() == [
         "optimize 1",
         "t3-main True",
+        "lemma-main True",
         "roundtrips True",
+        "planted u raised: rightmost level-1 point of F must precede an up step",
+        "planted y raised: leftmost highest point of F must follow an up step",
         "planted valuation raised: triple-product valuation drifted",
         "planted start value raised: 2T(2,1) is not an integer",
     ]
