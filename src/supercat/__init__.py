@@ -10,11 +10,11 @@ from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        super_catalan, super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly, p_poly_explicit)
-from .identities import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
-                         VerificationReport, report_to_dict, run_identity,
-                         verify_e8, verify_e52, verify_e_mo, verify_firstsum,
-                         verify_g_closed_forms, verify_lemma_main_count,
-                         verify_p_bridge, verify_pairsum, verify_t2_closed_form,
+from .identities import (IDENTITIES, Mismatch, VerificationReport,
+                         report_to_dict, run_identity, verify_e8, verify_e52,
+                         verify_e_mo, verify_firstsum, verify_g_closed_forms,
+                         verify_lemma_main_count, verify_p_bridge,
+                         verify_pairsum, verify_t2_closed_form,
                          verify_t3_closed_form, verify_t3_main)
 from .lattice_paths import (DOWN, UP, Path, PathClass, enumerate_ballot,
                             enumerate_dyck, factor_dyck)
@@ -25,12 +25,11 @@ from .svg import render_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_IDENTITIES", "BiTrunc", "BijectionTrace", "CountTable",
-    "DEFAULT_ORDERS", "DOWN", "IntermediatePath", "Mismatch", "Path",
-    "PathClass", "PolyQuotient", "PolyX", "RestrictedPair", "TruncSeries",
-    "UP", "VerificationReport", "ballot_between_gf", "ballot_end_gf",
-    "ballot_exact_gf", "binomial_pow", "catalan", "catalan_series",
-    "count_E_set", "count_F_set", "count_ballot_dp", "count_pairs_height_diff",
+    "BiTrunc", "BijectionTrace", "CountTable", "DOWN", "IDENTITIES",
+    "IntermediatePath", "Mismatch", "Path", "PathClass", "PolyQuotient",
+    "PolyX", "RestrictedPair", "TruncSeries", "UP", "VerificationReport",
+    "ballot_between_gf", "ballot_end_gf", "ballot_exact_gf", "binomial_pow",
+    "catalan", "catalan_series", "count_E_set", "count_F_set", "count_ballot_dp", "count_pairs_height_diff",
     "count_paths_dp", "dyck_gf", "enumerate_ballot", "enumerate_dyck",
     "enumerate_restricted_pairs", "factor_dyck", "forward", "inverse",
     "p_poly", "p_poly_explicit", "render_trace", "report_to_dict",

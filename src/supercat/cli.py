@@ -11,7 +11,7 @@ import sys
 from .bijection import RestrictedPair, inverse, trace
 from .counting import (catalan, count_ballot_dp, count_pairs_height_diff,
                        exact_div, super_catalan, super_catalan_row)
-from .identities import (ALL_IDENTITIES, VerificationReport, report_to_dict,
+from .identities import (IDENTITIES, VerificationReport, report_to_dict,
                          run_identity)
 from .lattice_paths import Path, PathClass
 from .svg import render_trace
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--nmax", type=_nonneg_arg, required=True)
 
     verify = sub.add_parser("verify", help="verify one identity (or all)")
-    verify.add_argument("identity", choices=ALL_IDENTITIES + ("all",))
+    verify.add_argument("identity", choices=(*IDENTITIES, "all"))
     verify.add_argument("--order", type=_order_arg, default=None,
                         help=f"check order, {ORDER_MIN}..{ORDER_MAX} "
                              f"(default: per-identity, or ${ORDER_ENV})")
@@ -190,7 +190,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _resolve_order(args)
-    identities = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
+    identities = IDENTITIES if args.identity == "all" else (args.identity,)
     reports = [run_identity(identity, order) for identity in identities]
     passed = all(report.passed for report in reports)
     if args.format == "json":
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bijection(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
@@ -26,27 +27,11 @@ from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
 from .lattice_paths import PathClass, _levels
 from .series import BiTrunc, TruncSeries, binomial_pow, shifted_catalan_series
 
-ALL_IDENTITIES = ("e-mo", "e2", "e52", "e8", "firstsum", "g-forms",
-                  "lemma-main", "p-bridge", "pairsum", "t3-closed", "t3-main")
-
-DEFAULT_ORDERS = {
-    "e-mo": 12,
-    "e2": 30,
-    "e52": 30,
-    "e8": 10,
-    "firstsum": 30,
-    "g-forms": 30,
-    "lemma-main": 8,
-    "p-bridge": 30,
-    "pairsum": 30,
-    "t3-closed": 30,
-    "t3-main": 20,
-}
-
-# exhaustive enumeration stays feasible only at desk scale
-_LEMMA_MAIN_CAP = 10
 # the t3-main path-count oracle covers x^0..x^9
 _ENUM_ORACLE_CAP = 9
+# g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
+_G_FORMS_K_MAX = 8
+_P_BRIDGE_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -136,8 +121,8 @@ def verify_t3_closed_form(n_max: int) -> VerificationReport:
         lambda n: 16 * catalan(n) - 8 * catalan(n + 1) + catalan(n + 2))
 
 
-def verify_e8(m_max: int, p_max: int) -> VerificationReport:
-    """sum_n 2^(p-2n) C(p,2n) T(m,n) = T(m, m+p) for all m <= m_max, p <= p_max.
+def verify_e8(order: int) -> VerificationReport:
+    """sum_n 2^(p-2n) C(p,2n) T(m,n) = T(m, m+p) for all m, p <= order.
 
     The m = 0 row is checked in its doubled form, where the summand T(0,n)
     becomes the middle binomial coefficient and the right side C(2p, p).
@@ -145,23 +130,23 @@ def verify_e8(m_max: int, p_max: int) -> VerificationReport:
     per m, each from the factorial formula.
     """
     def body(notes):
-        notes.append(f"checked 0 <= m <= {m_max}, 0 <= p <= {p_max}")
+        notes.append(f"checked 0 <= m <= {order}, 0 <= p <= {order}")
         notes.append("m=0 row checked as the doubled identity "
                      "(middle binomial coefficients)")
         weights = [[2 ** (p - 2 * n) * comb(p, 2 * n) for n in range(p // 2 + 1)]
-                   for p in range(p_max + 1)]
-        for m in range(m_max + 1):
+                   for p in range(order + 1)]
+        for m in range(order + 1):
             if m:
-                row = [super_catalan(m, n) for n in range(m + p_max + 1)]
+                row = [super_catalan(m, n) for n in range(m + order + 1)]
             else:
-                row = [comb(2 * n, n) for n in range(p_max + 1)]
+                row = [comb(2 * n, n) for n in range(order + 1)]
             for p, weight in enumerate(weights):
                 lhs = sum(map(mul, weight, row))  # n <= p // 2, the weights' length
                 rhs = row[m + p]
                 if lhs != rhs:
                     return Mismatch((m, p), lhs, rhs)
         return None
-    return _run("e8", max(m_max, p_max), body)
+    return _run("e8", order, body)
 
 
 def verify_e_mo(degree: int) -> VerificationReport:
@@ -238,18 +223,23 @@ def verify_pairsum(x_order: int) -> VerificationReport:
     return _run("pairsum", x_order, body)
 
 
+def _e52_cleared_lhs(x_order: int) -> TruncSeries:
+    """The e52 left side times 2x^4, 1 - 10x + 30x^2 - 20x^3 - (1-4x)^(5/2),
+    as a t-series through x^(x_order + 4)."""
+    big = x_order + 4
+    return (TruncSeries.from_x_coeffs([1, -10, 30, -20], 2 * big)
+            - binomial_pow(Fraction(5, 2), -4, big))
+
+
 def verify_e52(x_order: int) -> VerificationReport:
     """-(1-4x)^(5/2)/(2x^4) - 10/x + 15/x^2 - 5/x^3 + 1/(2x^4)
     = sum T(3,n+1) x^n.  Both sides are multiplied by 2x^4 first, which clears
     all negative powers and leaves an equality of genuine series."""
     def body(notes):
-        big = x_order + 4
-        t_order = 2 * big
-        head = TruncSeries.from_x_coeffs([1, -10, 30, -20], t_order)
-        lhs = head - binomial_pow(Fraction(5, 2), -4, big)
+        lhs = _e52_cleared_lhs(x_order)
         rhs = TruncSeries.from_x_coeffs(
             [0, 0, 0, 0] + [2 * super_catalan(3, n + 1) for n in range(x_order + 1)],
-            t_order)
+            lhs.order)
         notes.append("compared after clearing denominators (multiplied by 2x^4)")
         return _series_mismatch(lhs, rhs)
     return _run("e52", x_order, body)
@@ -323,13 +313,12 @@ def _t3_oracle_coefficient(n: int, cache: dict) -> int:
     return total
 
 
-def verify_t3_main(x_order: int, oracle_n_max: int = _ENUM_ORACLE_CAP,
-                   include_oracle: bool = True) -> VerificationReport:
+def verify_t3_main(x_order: int) -> VerificationReport:
     """1 + sum T(3,n+1) x^n = sqrt(x) * sum_{k>=6} H_k^(4) H_{k-2}^(3) H_{k-4}^(2)
     + 2*G_1 + 2*G_2 + G_3 + G_5.
 
     Also checks the k-sum alone against its displayed closed rational form,
-    and (optionally) the low-order coefficients against triple path counts.
+    and the coefficients through x^min(9, x_order) against triple path counts.
     """
     def body(notes):
         t_order = 2 * x_order
@@ -350,38 +339,34 @@ def verify_t3_main(x_order: int, oracle_n_max: int = _ENUM_ORACLE_CAP,
 
         # sub-identity: the k-sum equals its displayed closed rational form
         # (both sides multiplied by 2x^4 to clear negative powers)
-        big = x_order + 4
-        t2 = 2 * big
+        t2 = 2 * (x_order + 4)
         lhs_sub = (triple_sum.shift(9) * 2).truncate(t2)
-        rhs_sub = (TruncSeries.from_x_coeffs([1, -10, 30, -20], t2)
-                   - binomial_pow(Fraction(5, 2), -4, big)
-                   + 2 * _displayed_t3_tail(t2 - 8).shift(8))
+        rhs_sub = _e52_cleared_lhs(x_order) + 2 * _displayed_t3_tail(t2 - 8).shift(8)
         mismatch = _series_mismatch(lhs_sub, rhs_sub)
         if mismatch:
             notes.append("k-sum vs displayed closed rational expression")
             return mismatch
         notes.append("k-sum checked against its displayed closed rational form")
 
-        if include_oracle:
-            n_oracle = min(oracle_n_max, x_order)
-            cache: dict = {}
-            for n in range(n_oracle + 1):
-                counted = _t3_oracle_coefficient(n, cache)
-                if rhs.coeffs[2 * n] != counted:
-                    notes.append(f"triple path counts disagree at n={n}")
-                    return Mismatch(2 * n, rhs.coeffs[2 * n], counted)
-            notes.append(f"coefficients x^0..x^{n_oracle} cross-checked "
-                         "against triple path counts")
+        n_oracle = min(_ENUM_ORACLE_CAP, x_order)
+        cache: dict = {}
+        for n in range(n_oracle + 1):
+            counted = _t3_oracle_coefficient(n, cache)
+            if rhs.coeffs[2 * n] != counted:
+                notes.append(f"triple path counts disagree at n={n}")
+                return Mismatch(2 * n, rhs.coeffs[2 * n], counted)
+        notes.append(f"coefficients x^0..x^{n_oracle} cross-checked "
+                     "against triple path counts")
         return None
     return _run("t3-main", x_order, body)
 
 
-def verify_g_closed_forms(k_max: int, x_order: int) -> VerificationReport:
+def verify_g_closed_forms(x_order: int) -> VerificationReport:
     """All closed forms for height-bounded path generating functions agree:
     the C-substitution forms, their variants without half-integer powers of C,
     the polynomial quotients, and the transfer-table counts.
 
-    Covers G_k (k from -1), G_k^(j) in three forms (0 <= j <= k+1) and
+    Covers G_k (-1 <= k <= 8), G_k^(j) in three forms (0 <= j <= k+1) and
     G_k^(i,j) in four forms (0 <= i <= j <= k+1), each against the table.
     """
     def body(notes):
@@ -392,7 +377,7 @@ def verify_g_closed_forms(k_max: int, x_order: int) -> VerificationReport:
         onepC = one + C
         sqrtC = C.shift(-2).sqrt().shift(1)
 
-        max_pow = k_max + 3
+        max_pow = _G_FORMS_K_MAX + 3
         c_pow = [one]
         onepc_pow = [one]
         sqrtc_pow = [TruncSeries.one(sqrtC.order)]
@@ -403,7 +388,7 @@ def verify_g_closed_forms(k_max: int, x_order: int) -> VerificationReport:
             sqrtc_pow.append(sqrtc_pow[-1] * sqrtC)
             geom.append(geom[-1] + c_pow[-1])
 
-        for k in range(-1, k_max + 1):
+        for k in range(-1, _G_FORMS_K_MAX + 1):
             inv_den = (one - c_pow[k + 2]).invert()
             from_c = (onepC * (one - c_pow[k + 1]) * inv_den).truncate(t_order)
             from_p = dyck_gf(k).expand(t_order)
@@ -452,9 +437,11 @@ def verify_g_closed_forms(k_max: int, x_order: int) -> VerificationReport:
     return _run("g-forms", x_order, body)
 
 
-def verify_p_bridge(n_max: int, x_order: int) -> VerificationReport:
-    """p_n = (1 - C^{n+1}) / ((1 - C)(1 + C)^n) as t-series for n <= n_max."""
+def verify_p_bridge(x_order: int) -> VerificationReport:
+    """p_n = (1 - C^{n+1}) / ((1 - C)(1 + C)^n) as t-series for
+    n <= min(12, x_order)."""
     def body(notes):
+        n_max = min(_P_BRIDGE_N_MAX, x_order)
         t_order = 2 * x_order
         one = TruncSeries.one(t_order)
         C = shifted_catalan_series(x_order)
@@ -530,52 +517,54 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     return _run("lemma-main", n_max, body)
 
 
-def run_identity(identity: str, order: int | None = None) -> VerificationReport:
-    """Run one registered identity check at the given (or default) order.
+class Check(NamedTuple):
+    """A registered check: its default order, the function that runs it at
+    one order, and the orders it accepts.  A requested order outside
+    [min_order, max_order] runs clamped into that range, and the report
+    records `clamp_note`, formatted with the order that ran."""
+    default_order: int
+    verify: Callable[[int], VerificationReport]
+    min_order: int = 1
+    max_order: int | None = None
+    clamp_note: str = ""
 
-    Orders for checks that rely on exhaustive enumeration are clamped to keep
-    them feasible; a clamp is recorded in the report notes.
-    """
-    if identity not in ALL_IDENTITIES:
-        valid = ", ".join(ALL_IDENTITIES)
+
+# ids in sorted order, the order of `verify all`
+IDENTITIES: dict[str, Check] = {
+    "e-mo": Check(12, verify_e_mo, min_order=2, clamp_note=(
+        "total degree raised to 2 (minimum meaningful degree)")),
+    "e2": Check(30, verify_t2_closed_form),
+    "e52": Check(30, verify_e52),
+    "e8": Check(10, verify_e8),
+    "firstsum": Check(30, verify_firstsum),
+    "g-forms": Check(30, verify_g_closed_forms),
+    # exhaustive enumeration stays feasible only at desk scale
+    "lemma-main": Check(8, verify_lemma_main_count, max_order=10, clamp_note=(
+        "n_max clamped to {}: exhaustive enumeration bound")),
+    "p-bridge": Check(30, verify_p_bridge),
+    "pairsum": Check(30, verify_pairsum),
+    "t3-closed": Check(30, verify_t3_closed_form),
+    "t3-main": Check(20, verify_t3_main),
+}
+
+
+def run_identity(identity: str, order: int | None = None) -> VerificationReport:
+    """Run one registered identity check at the given (or default) order,
+    clamped into the orders the check accepts; a clamp is recorded in the
+    report notes."""
+    check = IDENTITIES.get(identity)
+    if check is None:
+        valid = ", ".join(IDENTITIES)
         raise ValueError(f"unknown identity {identity!r}; valid ids: {valid}")
     if order is None:
-        order = DEFAULT_ORDERS[identity]
+        order = check.default_order
     if order < 1:
         raise ValueError("order must be >= 1")
-
-    clamp_note = None
-    if identity == "e2":
-        report = verify_t2_closed_form(order)
-    elif identity == "t3-closed":
-        report = verify_t3_closed_form(order)
-    elif identity == "e8":
-        report = verify_e8(order, order)
-    elif identity == "e-mo":
-        effective = max(order, 2)
-        if effective != order:
-            clamp_note = "total degree raised to 2 (minimum meaningful degree)"
-        report = verify_e_mo(effective)
-    elif identity == "firstsum":
-        report = verify_firstsum(order)
-    elif identity == "pairsum":
-        report = verify_pairsum(order)
-    elif identity == "e52":
-        report = verify_e52(order)
-    elif identity == "t3-main":
-        report = verify_t3_main(order)
-    elif identity == "g-forms":
-        report = verify_g_closed_forms(8, order)
-    elif identity == "p-bridge":
-        # the registered check covers the polynomial indices n <= 12
-        report = verify_p_bridge(min(order, 12), order)
-    else:  # lemma-main
-        effective = min(order, _LEMMA_MAIN_CAP)
-        if effective != order:
-            clamp_note = (f"n_max clamped to {effective}: "
-                          "exhaustive enumeration bound")
-        report = verify_lemma_main_count(effective)
-
-    if clamp_note:
-        report = replace(report, notes=report.notes + (clamp_note,))
+    effective = max(order, check.min_order)
+    if check.max_order is not None:
+        effective = min(effective, check.max_order)
+    report = check.verify(effective)
+    if effective != order:
+        note = check.clamp_note.format(effective)
+        report = replace(report, notes=report.notes + (note,))
     return report

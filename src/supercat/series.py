@@ -120,18 +120,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "TruncSeries":
-        if e < 0:
-            raise ValueError("negative powers: invert first")
-        result = TruncSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         a0 = self.coeffs[0]

@@ -12,7 +12,8 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        g-forms (k <= 8, all i, j)                                 (< 5 s each)
     5. bivariate identity e-mo exact to total degree 12               (< 5 s)
     6. t3-main exact to x-order 20 with its closed-form sub-identity
-       (< 5 s) and the triple path-count oracle for n <= 9           (< 60 s)
+       and the triple path-count oracle for n <= 9: 6a times the full
+       check (< 5 s), 6b also asserts the oracle's note             (< 60 s)
     7. transfer table equals exhaustive enumeration for every class
        with height bound <= 6, end level <= 5, steps <= 14           (< 30 s)
 """
@@ -99,7 +100,7 @@ def test_criterion_4b_t3_closed():
 
 def test_criterion_4c_e8():
     _series_criterion("criterion 4c (e8 for m, p <= 10)",
-                      lambda: verify_e8(10, 10))
+                      lambda: verify_e8(10))
 
 
 def test_criterion_4d_firstsum():
@@ -119,12 +120,12 @@ def test_criterion_4f_e52():
 
 def test_criterion_4g_p_bridge():
     _series_criterion("criterion 4g (p-bridge, n <= 12, x-order 30)",
-                      lambda: verify_p_bridge(12, 30))
+                      lambda: verify_p_bridge(30))
 
 
 def test_criterion_4h_g_forms():
     _series_criterion("criterion 4h (g-forms, k <= 8, all i and j, x-order 30)",
-                      lambda: verify_g_closed_forms(8, 30))
+                      lambda: verify_g_closed_forms(30))
 
 
 def test_criterion_5_e_mo():
@@ -134,15 +135,16 @@ def test_criterion_5_e_mo():
 
 def test_criterion_6_t3_main_series():
     def body():
-        report = verify_t3_main(20, include_oracle=False)
+        report = verify_t3_main(20)
         sub_identity_ran = any("rational form" in note for note in report.notes)
-        return report.passed and sub_identity_ran, "series + closed-form sub-identity"
-    check("criterion 6a (t3-main series to x-order 20)", 5.0, body)
+        return (report.passed and sub_identity_ran,
+                "series + closed-form sub-identity + path-count oracle")
+    check("criterion 6a (t3-main to x-order 20)", 5.0, body)
 
 
 def test_criterion_6_t3_main_oracle():
     def body():
-        report = verify_t3_main(20, oracle_n_max=9)
+        report = verify_t3_main(20)
         oracle_ran = ("coefficients x^0..x^9 cross-checked against triple path counts"
                       in report.notes)
         return report.passed and oracle_ran, "; ".join(report.notes)

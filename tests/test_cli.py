@@ -6,6 +6,8 @@ Claims covered:
       SUPERCAT_ORDER, and emits canonical JSON that reparses byte-identically
     - bijection prints mapped objects, reports violated preconditions, and
       writes deterministic SVG traces
+    - an unwritable --out or --svg path is an error message and exit 1,
+      not a traceback
     - malformed invocations are usage errors (exit code 2)
     - `count pairs --n` and `count ballot --steps` above their limits are
       refused before any counting starts
@@ -253,6 +255,18 @@ def test_bijection_svg_is_deterministic(capsys, tmp_path):
     assert body.count("<polyline") == 2
     for label in ("u", "v'", "x", "y'"):
         assert label in body
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "e2", "--order", "3", "--out"],
+    ["bijection", "--forward", "UD", "UD", "--svg"],
+])
+def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, argv + [str(target)])
+    assert code == 1
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
 
 
 def test_usage_error_on_missing_required_flag(capsys):

@@ -14,18 +14,22 @@ Claims covered:
       order 40, and e8, e-mo and lemma-main at order 60
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
+    - the registry's default orders are the README values, and `verify all`
+      with no --order runs every check at them; every registry id runs under
+      its own id
     - reports serialize to the documented JSON dict with exact coefficients
-    - the README catalogue lists exactly the registered identity ids
+    - the README catalogue lists exactly the registered identity ids, and
+      the registry lists them sorted, the order of `verify all`
 """
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from supercat import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
-                      TruncSeries, catalan, enumerate_dyck,
+from supercat import (IDENTITIES, Mismatch, TruncSeries, catalan, enumerate_dyck,
                       enumerate_restricted_pairs, forward, inverse,
                       report_to_dict, run_identity, shifted_catalan_series,
                       super_catalan, verify_e8, verify_e52, verify_e_mo,
@@ -34,6 +38,7 @@ from supercat import (ALL_IDENTITIES, DEFAULT_ORDERS, Mismatch,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
 from supercat import identities
+from supercat.cli import main
 from supercat.identities import _series_mismatch
 
 
@@ -71,18 +76,18 @@ def test_closed_forms_fail_on_a_wrong_catalan(monkeypatch, verify, n, lhs, delta
 
 
 def test_e8():
-    report = verify_e8(6, 6)
+    report = verify_e8(6)
     _assert_clean_pass(report, "e8")
     assert any("doubled" in note for note in report.notes)
 
 
 def test_e8_fails_on_a_wrong_super_catalan(monkeypatch):
     # T(2, 5) first appears as the right side T(m, m + p) at (m, p) = (2, 3);
-    # on the left it would need n = 5 <= p // 2, past p_max = 6
+    # on the left it would need n = 5 <= p // 2, past p <= 6
     real = identities.super_catalan
     monkeypatch.setattr(identities, "super_catalan",
                         lambda m, n: real(m, n) + ((m, n) == (2, 5)))
-    report = verify_e8(6, 6)
+    report = verify_e8(6)
     assert report.passed is False
     assert report.first_mismatch == Mismatch((2, 3), real(2, 5), real(2, 5) + 1)
 
@@ -158,17 +163,14 @@ def test_e52_fails_on_a_wrong_binomial_power(monkeypatch):
 
 
 def test_t3_main():
-    report = verify_t3_main(10, oracle_n_max=6)
+    report = verify_t3_main(10)
     _assert_clean_pass(report, "t3-main")
     assert any("rational form" in note for note in report.notes)
-    assert ("coefficients x^0..x^6 cross-checked against triple path counts"
+    assert ("coefficients x^0..x^9 cross-checked against triple path counts"
             in report.notes)
-
-
-def test_t3_main_series_only():
-    report = verify_t3_main(10, include_oracle=False)
-    _assert_clean_pass(report, "t3-main")
-    assert not any("triple path counts" in note for note in report.notes)
+    # the oracle stops at the order checked
+    assert ("coefficients x^0..x^4 cross-checked against triple path counts"
+            in verify_t3_main(4).notes)
 
 
 def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
@@ -184,13 +186,13 @@ def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
 
 
 def test_g_closed_forms():
-    _assert_clean_pass(verify_g_closed_forms(4, 10), "g-forms")
+    _assert_clean_pass(verify_g_closed_forms(10), "g-forms")
 
 
 def test_g_closed_forms_fail_on_a_wrong_height_bound(monkeypatch):
     real = identities.dyck_gf
     monkeypatch.setattr(identities, "dyck_gf", lambda k: real(k + (k == 2)))
-    report = verify_g_closed_forms(4, 12)
+    report = verify_g_closed_forms(12)
     assert report.passed is False
     assert "G_2: polynomial form vs C-form" in report.notes
 
@@ -200,13 +202,17 @@ def test_g_closed_forms_pass_deep():
 
 
 def test_p_bridge():
-    _assert_clean_pass(verify_p_bridge(8, 12), "p-bridge")
+    report = verify_p_bridge(12)
+    _assert_clean_pass(report, "p-bridge")
+    assert "checked n = 0..12" in report.notes
+    # n stops at the x-order below 12
+    assert "checked n = 0..5" in verify_p_bridge(5).notes
 
 
 def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
     # p_4 = 1 - 3x + x^2 in place of p_3 = 1 - 2x
     _plant(monkeypatch, "p_poly", lambda real: lambda n: real(n + (n == 3)))
-    report = verify_p_bridge(8, 12)
+    report = verify_p_bridge(12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(2, -3, -2)
     assert "first failure at n=3" in report.notes
@@ -265,9 +271,30 @@ def test_series_mismatch_locates_first_difference():
     assert _series_mismatch(lhs, lhs) is None
 
 
+# the default orders of the README catalogue
+README_DEFAULT_ORDERS = {
+    "e-mo": 12, "e2": 30, "e52": 30, "e8": 10, "firstsum": 30, "g-forms": 30,
+    "lemma-main": 8, "p-bridge": 30, "pairsum": 30, "t3-closed": 30,
+    "t3-main": 20,
+}
+
+
+def test_default_orders(capsys, monkeypatch):
+    defaults = {identity: check.default_order
+                for identity, check in IDENTITIES.items()}
+    assert defaults == README_DEFAULT_ORDERS
+    monkeypatch.delenv("SUPERCAT_ORDER", raising=False)
+    assert main(["verify", "all", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert {r["identity"]: r["order"] for r in reports} == README_DEFAULT_ORDERS
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+def test_every_registered_check_reports_its_id(identity):
+    assert run_identity(identity, 2).identity == identity
+
+
 def test_run_identity_dispatch():
-    for identity in ALL_IDENTITIES:
-        assert identity in DEFAULT_ORDERS
     report = run_identity("e2", 6)
     assert report.order == 6 and report.passed
     with pytest.raises(ValueError, match="valid ids"):
@@ -314,4 +341,4 @@ def test_readme_catalogue_lists_every_identity():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Identity catalogue", 1)[1].split("\n## ", 1)[0]
     ids = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
-    assert sorted(ids) == sorted(ALL_IDENTITIES)
+    assert sorted(ids) == list(IDENTITIES)

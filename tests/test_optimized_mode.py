@@ -1,8 +1,8 @@
 """Runtime checks that must hold under `python -O`, which strips asserts.
 
 Claims covered:
-    - t3-main, lemma-main and bijection round trips run and pass with
-      optimization on
+    - every registered check at order 2, t3-main at 6, lemma-main at 8 and
+      bijection round trips run and pass with optimization on
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
     - a planted drift in the t3-main triple-product valuation still raises
@@ -20,11 +20,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCRIPT = """
 import sys
 from math import comb
-from supercat import (Path, bijection, counting, enumerate_dyck,
+from supercat import (IDENTITIES, Path, bijection, counting, enumerate_dyck,
                       enumerate_restricted_pairs, forward, height_gf,
                       identities, inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
+print("order 2", [i for i in IDENTITIES if not run_identity(i, 2).passed])
 print("t3-main", run_identity("t3-main", 6).passed)
 print("lemma-main", run_identity("lemma-main", 8).passed)
 paths_ok = all(forward(inverse(d)) == d
@@ -71,6 +72,7 @@ def test_checks_survive_optimize_flag():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "optimize 1",
+        "order 2 []",
         "t3-main True",
         "lemma-main True",
         "roundtrips True",
