@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .bijection import RestrictedPair, inverse, trace
 from .counting import (catalan, count_ballot_dp, count_pairs_height_diff,
@@ -154,12 +155,10 @@ def format_report_text(report: VerificationReport) -> str:
     return "\n".join([head] + [f"  note: {note}" for note in report.notes])
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(path: str | None, default=None):
+    """The file at `path` opened for writing, else `default`.  Commands open
+    their output before any work, so an unwritable path fails first."""
+    return open(path, "w") if path else nullcontext(default)
 
 
 def _cmd_count(args) -> int:
@@ -190,39 +189,43 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _resolve_order(args)
-    identities = IDENTITIES if args.identity == "all" else (args.identity,)
-    reports = [run_identity(identity, order) for identity in identities]
-    passed = all(report.passed for report in reports)
-    if args.format == "json":
-        if args.identity == "all":
-            data = {"passed": passed,
-                    "reports": [report_to_dict(report) for report in reports]}
+    with _open_output(args.out, sys.stdout) as out:
+        identities = IDENTITIES if args.identity == "all" else (args.identity,)
+        reports = [run_identity(identity, order) for identity in identities]
+        passed = all(report.passed for report in reports)
+        if args.format == "json":
+            if args.identity == "all":
+                data = {"passed": passed,
+                        "reports": [report_to_dict(report) for report in reports]}
+            else:
+                data = report_to_dict(reports[0])
+            text = dumps_report(data)
         else:
-            data = report_to_dict(reports[0])
-        text = dumps_report(data)
-    else:
-        lines = [format_report_text(report) for report in reports]
-        if args.identity == "all":
-            failed = [report.identity for report in reports if not report.passed]
-            lines.append("all identities passed" if passed
-                         else "failed: " + ", ".join(failed))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+            lines = [format_report_text(report) for report in reports]
+            if args.identity == "all":
+                failed = [report.identity for report in reports if not report.passed]
+                lines.append("all identities passed" if passed
+                             else "failed: " + ", ".join(failed))
+            text = "\n".join(lines) + "\n"
+        out.write(text)
     return 0 if passed else 1
 
 
 def _cmd_bijection(args) -> int:
     if args.forward is not None:
-        p, q = Path(args.forward[0]), Path(args.forward[1])
-        record = trace(RestrictedPair(p, q))
-        print(record.output)
+        pair = RestrictedPair(Path(args.forward[0]), Path(args.forward[1]))
     else:
-        pair = inverse(Path(args.inverse))
-        record = trace(pair)
-        print(f"({pair.p}, {pair.q})")
-    if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(render_trace(record))
+        dyck = Path(args.inverse)
+    with _open_output(args.svg) as svg:
+        if args.forward is not None:
+            record = trace(pair)
+            print(record.output)
+        else:
+            pair = inverse(dyck)
+            record = trace(pair)
+            print(f"({pair.p}, {pair.q})")
+        if svg is not None:
+            svg.write(render_trace(record))
     return 0
 
 

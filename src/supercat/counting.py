@@ -101,6 +101,10 @@ class CountTable:
         row = self.rows[step]
         return row[level] if 0 <= level < len(row) else 0
 
+    def column(self, level: int) -> tuple[int, ...]:
+        """count(s, level) for every step s of the table."""
+        return tuple(row[level] if 0 <= level < len(row) else 0 for row in self.rows)
+
 
 def count_paths_dp(steps: int, start_level: int, end_level: int,
                    max_height: int | None = None) -> int:

@@ -25,7 +25,7 @@ from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .lattice_paths import PathClass, _levels
-from .series import BiTrunc, TruncSeries, binomial_pow, shifted_catalan_series
+from .series import TruncSeries, binomial_pow, shifted_catalan_series
 
 # the t3-main path-count oracle covers x^0..x^9
 _ENUM_ORACLE_CAP = 9
@@ -87,15 +87,19 @@ def _run(identity: str, order: int, body) -> VerificationReport:
                               elapsed_ms=elapsed_ms, notes=tuple(notes))
 
 
+def _first_mismatch(lhs: tuple, rhs: tuple) -> Mismatch | None:
+    """The first index where two coefficient tuples of one length differ."""
+    if lhs == rhs:
+        return None
+    return next(Mismatch(s, a, b) for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
 def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries,
                      through: int | None = None) -> Mismatch | None:
     limit = min(lhs.order, rhs.order)
     if through is not None:
         limit = min(limit, through)
-    for s in range(limit + 1):
-        if lhs.coeffs[s] != rhs.coeffs[s]:
-            return Mismatch(s, lhs.coeffs[s], rhs.coeffs[s])
-    return None
+    return _first_mismatch(lhs.coeffs[:limit + 1], rhs.coeffs[:limit + 1])
 
 
 def _closed_form_row(identity: str, m: int, n_max: int, closed) -> VerificationReport:
@@ -151,23 +155,34 @@ def verify_e8(order: int) -> VerificationReport:
 
 def verify_e_mo(degree: int) -> VerificationReport:
     """1 + sum C_m C_n x^m y^n = (1 - sum T(m,n) x^m y^n)^(-1), m,n >= 1,
-    compared through the given total degree."""
+    compared through the given total degree.
+
+    The left side is L = 1 + u(x) u(y) with u = c - 1, so the check runs as
+    L = 1 + A L with A = sum T(m,n) x^m y^n, and needs no inverse:
+    (A L)[i][j] = A[i][j] + sum_k u[i-k] W[k][j], where W[k] is row k of A
+    times u(y).  Every term of A has total degree >= 2, so at the first
+    coefficient (by total degree, then i) where L and 1 + A L differ,
+    1 + A L equals the inverse's coefficient."""
     if degree < 2:
         raise ValueError("degree must be >= 2")
     def body(notes):
-        one = BiTrunc.one(degree)
-        lhs = one + BiTrunc(
-            {(m, n): catalan(m) * catalan(n)
-             for m in range(1, degree) for n in range(1, degree - m + 1)}, degree)
-        inner = BiTrunc(
-            {(m, n): super_catalan(m, n)
-             for m in range(1, degree) for n in range(1, degree - m + 1)}, degree)
-        rhs = (one - inner).invert()
-        for d in range(degree + 1):
+        u = [0] + [catalan(n) for n in range(1, degree)]  # u[n], n < degree
+        ru = u[::-1]  # u[m] = ru[degree - 1 - m]
+        # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; row 0 is zero
+        a = [[0] * (degree + 1)] + [
+            [0] + [super_catalan(m, n) for n in range(1, degree - m + 1)]
+            for m in range(1, degree + 1)]
+        # w[k][j] = sum_l a[k][l] u[j-l], and w_col[j][k] = w[k][j]
+        w = [[sum(map(mul, row[1:j], ru[degree - j:degree - 1]))
+              for j in range(len(row))] for row in a]
+        w_col = [[w[k][j] for k in range(degree - j + 1)] for j in range(degree + 1)]
+        for d in range(1, degree + 1):  # at (0, 0) both sides are 1
             for i in range(d + 1):
                 j = d - i
-                if lhs.get(i, j) != rhs.get(i, j):
-                    return Mismatch((i, j), lhs.get(i, j), rhs.get(i, j))
+                lhs = u[i] * u[j] if i and j else 0
+                rhs = a[i][j] + sum(map(mul, w_col[j][1:i], ru[degree - i:degree - 1]))
+                if lhs != rhs:
+                    return Mismatch((i, j), lhs, rhs)
         return None
     return _run("e-mo", degree, body)
 
@@ -377,7 +392,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
         onepC = one + C
         sqrtC = C.shift(-2).sqrt().shift(1)
 
-        max_pow = _G_FORMS_K_MAX + 3
+        max_pow = _G_FORMS_K_MAX + 2
         c_pow = [one]
         onepc_pow = [one]
         sqrtc_pow = [TruncSeries.one(sqrtC.order)]
@@ -387,10 +402,13 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
             onepc_pow.append(onepc_pow[-1] * onepC)
             sqrtc_pow.append(sqrtc_pow[-1] * sqrtC)
             geom.append(geom[-1] + c_pow[-1])
+        sqrtc_onepc = [p * onepC for p in sqrtc_pow[:max_pow]]  # sqrt(C)^d (1 + C)
 
         for k in range(-1, _G_FORMS_K_MAX + 1):
             inv_den = (one - c_pow[k + 2]).invert()
-            from_c = (onepC * (one - c_pow[k + 1]) * inv_den).truncate(t_order)
+            # tails[j] = (1 - C^(k-j+1)) / (1 - C^(k+2))
+            tails = [(one - c_pow[k - j + 1]) * inv_den for j in range(k + 2)]
+            from_c = (onepC * tails[0]).truncate(t_order)
             from_p = dyck_gf(k).expand(t_order)
             mismatch = _series_mismatch(from_p, from_c)
             if mismatch:
@@ -400,27 +418,26 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                 continue
 
             table = CountTable(t_order, k)
-            for j in range(k + 2):
-                tail = (one - c_pow[k - j + 1]) * inv_den
+            for j, tail in enumerate(tails):
                 by_p = ballot_end_gf(k, j).expand(t_order)
-                by_sqrt = sqrtc_pow[j] * onepC * tail
+                by_sqrt = sqrtc_onepc[j] * tail
                 by_x = (onepc_pow[j + 1] * tail).shift(j)
                 mismatch = (_series_mismatch(by_p, by_sqrt, t_order)
                             or _series_mismatch(by_p, by_x, t_order))
                 if mismatch:
                     notes.append(f"G_{k}^({j}): closed forms disagree")
                     return mismatch
-                for s in range(t_order + 1):
-                    if by_p.coeffs[s] != table.count(s, j):
-                        notes.append(f"G_{k}^({j}): series vs path count at t^{s}")
-                        return Mismatch(s, by_p.coeffs[s], table.count(s, j))
+                mismatch = _first_mismatch(by_p.coeffs, table.column(j))
+                if mismatch:
+                    notes.append(f"G_{k}^({j}): series vs path count at t^{mismatch.power}")
+                    return mismatch
 
             for i in range(k + 2):
                 table_i = CountTable(t_order, k, start_level=i)
                 for j in range(i, k + 2):
-                    head = geom[i] * (one - c_pow[k - j + 1]) * inv_den
+                    head = geom[i] * tails[j]
                     by_p = ballot_between_gf(k, i, j).expand(t_order)
-                    main = sqrtc_pow[j - i] * onepC * head
+                    main = sqrtc_onepc[j - i] * head
                     var_x = (onepc_pow[j - i + 1] * head).shift(j - i)
                     var_sqrt = (sqrtc_pow[j - i + 1] * head).shift(-1)
                     mismatch = (_series_mismatch(by_p, main, t_order)
@@ -429,10 +446,11 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                     if mismatch:
                         notes.append(f"G_{k}^({i},{j}): closed forms disagree")
                         return mismatch
-                    for s in range(t_order + 1):
-                        if by_p.coeffs[s] != table_i.count(s, j):
-                            notes.append(f"G_{k}^({i},{j}): series vs path count at t^{s}")
-                            return Mismatch(s, by_p.coeffs[s], table_i.count(s, j))
+                    mismatch = _first_mismatch(by_p.coeffs, table_i.column(j))
+                    if mismatch:
+                        notes.append(f"G_{k}^({i},{j}): series vs path count "
+                                     f"at t^{mismatch.power}")
+                        return mismatch
         return None
     return _run("g-forms", x_order, body)
 

@@ -9,20 +9,23 @@ order (raised by the amount of any multiplication by a power of t).
 Coefficients follow one rule: an integral value is stored as a plain int and
 any other value as an exact Fraction; a float, or any other type, raises
 TypeError.  Every series in the identity catalogue has integer coefficients,
-so its arithmetic runs on ints and never boxes them.
+so its arithmetic runs on ints and never boxes them.  An arithmetic result
+whose coefficients are all ints is stored as computed; any other result goes
+through the rule again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Union
+from operator import add, mul, sub
+from typing import Iterable, Sequence, Union
 
 from .counting import catalan
 
 Scalar = Union[int, Fraction]
 
 _ZERO = 0
+_INTS = {int}
 
 
 def _frac(value: Scalar) -> Scalar:
@@ -32,6 +35,17 @@ def _frac(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+
+
+def _span(cs: tuple) -> tuple[int, int, int | None] | None:
+    """(first, last, parity) of the nonzero terms of cs, parity None when
+    they sit on both parities; None when cs is zero."""
+    odd, even = any(cs[1::2]), any(cs[::2])
+    if not (odd or even):
+        return None
+    lo = next(i for i, c in enumerate(cs) if c)
+    hi = len(cs) - 1 - next(i for i, c in enumerate(reversed(cs)) if c)
+    return lo, hi, None if odd and even else lo % 2
 
 
 def _reciprocal(a0: Scalar) -> Scalar:
@@ -51,6 +65,17 @@ class TruncSeries:
         cs.extend([_ZERO] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
+
+    @classmethod
+    def _exact(cls, cs: Sequence[Scalar], order: int) -> "TruncSeries":
+        """A kernel output of exactly order + 1 coefficients.  Ints are stored
+        as they are; any other output goes through the coefficient rule."""
+        if set(map(type, cs)) != _INTS:
+            return cls(cs, order)
+        series = object.__new__(cls)
+        series.coeffs = tuple(cs)
+        series.order = order
+        return series
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -89,34 +114,43 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order)
+        return TruncSeries._exact(
+            list(map(add, self.coeffs[:order + 1], other.coeffs[:order + 1])), order)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(order + 1)], order)
+        return TruncSeries._exact(
+            list(map(sub, self.coeffs[:order + 1], other.coeffs[:order + 1])), order)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries._exact([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other) -> "TruncSeries":
+        """The truncated product.  Each output coefficient is one dot product
+        of a slice of self with a slice of other reversed, bounded by the
+        first and last nonzero terms of both.  When each operand keeps its
+        nonzero terms on one parity of t-power (every x-series and every
+        power of sqrt(C) does), the slices take every second term and the
+        output coefficients of the other parity are skipped."""
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
-            return TruncSeries([c * f for c in self.coeffs], self.order)
+            return TruncSeries._exact([c * f for c in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self.order, other.order)
+        a, b = self.coeffs[:order + 1], other.coeffs[:order + 1]
         out = [_ZERO] * (order + 1)
-        nz = [(j, c) for j, c in enumerate(other.coeffs[:order + 1]) if c]
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if not a:
-                continue
-            for j, b in nz:
-                if i + j > order:
-                    break
-                out[i + j] += a * b
-        return TruncSeries(out, order)
+        span_a, span_b = _span(a), _span(b)
+        if span_a is None or span_b is None:
+            return TruncSeries._exact(out, order)
+        (lo_a, hi_a, par_a), (lo_b, hi_b, par_b) = span_a, span_b
+        step = 2 if par_a is not None and par_b is not None else 1
+        rb = b[::-1]  # b[k - i] = rb[order - k + i]
+        for k in range(lo_a + lo_b, min(order, hi_a + hi_b) + 1, step):
+            i0, i1 = max(lo_a, k - hi_b), min(hi_a, k - lo_b) + 1
+            off = order - k
+            out[k] = sum(map(mul, a[i0:i1:step], rb[off + i0:off + i1:step]))
+        return TruncSeries._exact(out, order)
 
     __rmul__ = __mul__
 
@@ -135,7 +169,7 @@ class TruncSeries:
                     break
                 acc += c * out[k - i]
             out[k] = -inv0 * acc
-        return TruncSeries(out, self.order)
+        return TruncSeries._exact(out, self.order)
 
     def sqrt(self) -> "TruncSeries":
         """Square root of a series with constant term 1."""
@@ -147,24 +181,24 @@ class TruncSeries:
             for i in range(1, k):
                 acc -= out[i] * out[k - i]
             out[k] = _frac(Fraction(acc, 2))
-        return TruncSeries(out, self.order)
+        return TruncSeries._exact(out, self.order)
 
     def shift(self, s: int) -> "TruncSeries":
         """Multiply by t**s.  The order moves with the shift; a negative shift
         requires the dropped low coefficients to vanish."""
         if s >= 0:
-            return TruncSeries([_ZERO] * s + list(self.coeffs), self.order + s)
+            return TruncSeries._exact([_ZERO] * s + list(self.coeffs), self.order + s)
         if any(self.coeffs[:-s]):
             raise ValueError("cannot divide: low-order coefficients are nonzero")
         if self.order + s < 0:
             raise ValueError("shift would empty the series")
-        return TruncSeries(self.coeffs[-s:], self.order + s)
+        return TruncSeries._exact(self.coeffs[-s:], self.order + s)
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order + 1], order)
+        return TruncSeries._exact(self.coeffs[:order + 1], order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries)

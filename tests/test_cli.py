@@ -7,7 +7,8 @@ Claims covered:
     - bijection prints mapped objects, reports violated preconditions, and
       writes deterministic SVG traces
     - an unwritable --out or --svg path is an error message and exit 1,
-      not a traceback
+      not a traceback, given before any check or bijection runs and with
+      nothing on stdout
     - malformed invocations are usage errors (exit code 2)
     - `count pairs --n` and `count ballot --steps` above their limits are
       refused before any counting starts
@@ -259,12 +260,19 @@ def test_bijection_svg_is_deterministic(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "e2", "--order", "3", "--out"],
+    ["verify", "all", "--order", "60", "--out"],
     ["bijection", "--forward", "UD", "UD", "--svg"],
+    ["bijection", "--inverse", "UUDD", "--svg"],
 ])
-def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv):
+def test_unwritable_output_path_is_an_error(capsys, monkeypatch, tmp_path, argv):
+    def must_not_run(*args):
+        raise AssertionError("work started before the output path was opened")
+    for name in ("run_identity", "trace", "inverse"):
+        monkeypatch.setattr(cli, name, must_not_run)
     target = tmp_path / "missing" / "out"
-    code, _, err = run_cli(capsys, argv + [str(target)])
+    code, out, err = run_cli(capsys, argv + [str(target)])
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
 

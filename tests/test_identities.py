@@ -12,6 +12,12 @@ Claims covered:
     - a planted wrong super Catalan number fails e-mo and e8 at its index, a
       planted wrong height bound fails g-forms; e-mo and g-forms pass at
       order 40, and e8, e-mo and lemma-main at order 60
+    - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
+      1 - A at every degree 2..20, clean and under planted wrong super
+      Catalan and Catalan numbers
+    - a planted wrong end-level series, between-levels series or table count
+      fails g-forms with the same note and coefficient as before the closed
+      forms shared their factors
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - the registry's default orders are the README values, and `verify all`
@@ -29,7 +35,8 @@ from pathlib import Path
 
 import pytest
 
-from supercat import (IDENTITIES, Mismatch, TruncSeries, catalan, enumerate_dyck,
+from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
+                      PolyX, TruncSeries, catalan, enumerate_dyck,
                       enumerate_restricted_pairs, forward, inverse,
                       report_to_dict, run_identity, shifted_catalan_series,
                       super_catalan, verify_e8, verify_e52, verify_e_mo,
@@ -116,6 +123,67 @@ def test_e_mo_passes_deep():
     _assert_clean_pass(run_identity("e-mo", 40), "e-mo")
 
 
+def _e_mo_by_inverse(degree):
+    """(passed, first_mismatch, notes) of e-mo by the dense inverse of 1 - A,
+    reading catalan and super_catalan through the identities module, so a
+    planted defect reaches both routes."""
+    one = BiTrunc.one(degree)
+    pairs = [(m, n) for m in range(1, degree) for n in range(1, degree - m + 1)]
+    lhs = one + BiTrunc({(m, n): identities.catalan(m) * identities.catalan(n)
+                         for m, n in pairs}, degree)
+    rhs = (one - BiTrunc({(m, n): identities.super_catalan(m, n)
+                          for m, n in pairs}, degree)).invert()
+    for d in range(degree + 1):
+        for i in range(d + 1):
+            if lhs.get(i, d - i) != rhs.get(i, d - i):
+                return False, Mismatch((i, d - i), lhs.get(i, d - i), rhs.get(i, d - i)), ()
+    return True, None, ()
+
+
+def _same_as_inverse(degree):
+    report = verify_e_mo(degree)
+    assert (report.passed, report.first_mismatch, report.notes) == _e_mo_by_inverse(degree)
+    return report
+
+
+@pytest.mark.parametrize("degree", range(2, 21))
+def test_e_mo_matches_the_dense_inverse(degree):
+    assert _same_as_inverse(degree).passed
+
+
+@pytest.mark.parametrize("name, at, wrong", [
+    ("super_catalan", (3, 4), lambda v: v + 1),
+    ("super_catalan", (1, 1), lambda v: v - 1),
+    ("super_catalan", (1, 18), lambda v: 2 * v),
+    ("super_catalan", (9, 9), lambda v: v + 5),
+    ("super_catalan", (2, 2), lambda v: v + Fraction(1, 3)),
+    ("super_catalan", (12, 3), lambda v: 0),
+    ("catalan", (6,), lambda v: v + 1),
+    ("catalan", (1,), lambda v: v + 1),
+    ("catalan", (19,), lambda v: v - 3),
+    ("catalan", (10,), lambda v: -v),
+    ("catalan", (3,), lambda v: v + Fraction(1, 2)),
+])
+def test_e_mo_failures_match_the_dense_inverse(monkeypatch, name, at, wrong):
+    real = getattr(identities, name)
+    monkeypatch.setattr(identities, name,
+                        lambda *args: wrong(real(*args)) if args == at else real(*args))
+    for degree in (8, 12, 20):
+        report = _same_as_inverse(degree)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("name, at, mismatch", [
+    ("super_catalan", (3, 4), Mismatch((3, 4), 70, 71)),
+    ("catalan", (6,), Mismatch((1, 6), 133, 132)),
+])
+def test_e_mo_failure_reports(monkeypatch, name, at, mismatch):
+    real = getattr(identities, name)
+    monkeypatch.setattr(identities, name,
+                        lambda *args: real(*args) + (args == at))
+    assert verify_e_mo(20).first_mismatch == mismatch
+
+
 def test_firstsum():
     _assert_clean_pass(verify_firstsum(12), "firstsum")
 
@@ -195,6 +263,53 @@ def test_g_closed_forms_fail_on_a_wrong_height_bound(monkeypatch):
     report = verify_g_closed_forms(12)
     assert report.passed is False
     assert "G_2: polynomial form vs C-form" in report.notes
+
+
+def _bump(k, delta):
+    """The quotient x^k (t^k when delta is 1, odd k), added to a planted
+    series; zero when delta is 0."""
+    return PolyQuotient(PolyX((0,) * (k // 2) + (delta,)), t_shift=k % 2)
+
+
+class _TableWithOneWrongCount(CountTable):
+    """A CountTable whose count at (steps, level) is one too high for one
+    height bound and start level."""
+    planted = None  # (max_height, start_level, steps, level)
+
+    def __init__(self, steps, max_height=None, start_level=0):
+        super().__init__(steps, max_height, start_level)
+        h, start, s, level = self.planted
+        if (max_height, start_level) == (h, start):
+            self.rows[s][level] += 1
+
+
+# reports recorded before the closed forms shared their factors and the
+# table comparison read whole columns: (note, power, lhs, rhs)
+@pytest.mark.parametrize("plant, expected", [
+    (("ballot_end_gf", (4, 2), 6), ("G_4^(2): closed forms disagree", 6, 10, 9)),
+    (("ballot_end_gf", (2, 1), 5), ("G_2^(1): closed forms disagree", 5, 5, 4)),
+    (("ballot_between_gf", (5, 1, 3), 8),
+     ("G_5^(1,3): closed forms disagree", 8, 48, 47)),
+    ((3, 0, 7, 3), ("G_3^(3): series vs path count at t^7", 7, 8, 9)),
+    ((6, 2, 10, 4), ("G_6^(2,4): series vs path count at t^10", 10, 190, 191)),
+    ((8, 0, 24, 0), ("G_8^(0): series vs path count at t^24", 24, 206516, 206517)),
+    ((8, 3, 24, 5), ("G_8^(3,5): series vs path count at t^24", 24, 1805984, 1805985)),
+    ((1, 1, 0, 1), ("G_1^(1,1): series vs path count at t^0", 0, 1, 2)),
+])
+def test_g_closed_forms_failure_reports(monkeypatch, plant, expected):
+    if isinstance(plant[0], str):
+        name, at, power = plant
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args: real(*args) + _bump(
+            power, int(args == at)))
+    else:
+        monkeypatch.setattr(_TableWithOneWrongCount, "planted", plant)
+        monkeypatch.setattr(identities, "CountTable", _TableWithOneWrongCount)
+    report = verify_g_closed_forms(12)
+    note, power, lhs, rhs = expected
+    assert report.passed is False
+    assert report.notes == (note,)
+    assert report.first_mismatch == Mismatch(power, lhs, rhs)
 
 
 def test_g_closed_forms_pass_deep():

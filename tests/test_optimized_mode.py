@@ -8,6 +8,8 @@ Claims covered:
     - a planted drift in the t3-main triple-product valuation still raises
     - a planted wrong start value of super_catalan_row still raises at its
       first inexact division
+    - a planted wrong T(3,4) fails e-mo at degree 12 at (3, 4), and a product
+      of Fraction series that is integral is stored as ints
 """
 
 import os
@@ -19,8 +21,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SCRIPT = """
 import sys
+from fractions import Fraction
 from math import comb
-from supercat import (IDENTITIES, Path, bijection, counting, enumerate_dyck,
+from supercat import (IDENTITIES, Path, TruncSeries, bijection, counting, enumerate_dyck,
                       enumerate_restricted_pairs, forward, height_gf,
                       identities, inverse, run_identity)
 
@@ -54,6 +57,13 @@ try:
     print("planted valuation passed")
 except RuntimeError as exc:
     print("planted valuation raised:", exc)
+real_t = identities.super_catalan
+identities.super_catalan = lambda m, n: real_t(m, n) + ((m, n) == (3, 4))
+print("planted e-mo", identities.verify_e_mo(12).first_mismatch)
+identities.super_catalan = real_t
+product = (TruncSeries([Fraction(3, 2), Fraction(3, 2)], 3)
+           * TruncSeries([Fraction(2, 3), Fraction(4, 3)], 3))
+print("fraction product", product.coeffs, {type(c).__name__ for c in product.coeffs})
 counting.comb = lambda n, k: comb(n, k) + 1
 try:
     counting.super_catalan_row(2, 5)
@@ -79,5 +89,7 @@ def test_checks_survive_optimize_flag():
         "planted u raised: rightmost level-1 point of F must precede an up step",
         "planted y raised: leftmost highest point of F must follow an up step",
         "planted valuation raised: triple-product valuation drifted",
+        "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
+        "fraction product (1, 3, 2, 0) {'int'}",
         "planted start value raised: 2T(2,1) is not an integer",
     ]
