@@ -1,5 +1,6 @@
-"""Exact integer counting: Catalan and super Catalan numbers, and path and
-pair counts from one transfer recurrence (de Bruijn, Knuth and Rice 1972)."""
+"""Exact integer counting: Catalan and super Catalan numbers, path tables and
+pair counts from one transfer recurrence (de Bruijn, Knuth and Rice 1972),
+and single path counts by the reflection principle."""
 
 from __future__ import annotations
 
@@ -57,15 +58,10 @@ def super_catalan_row(m: int, n_max: int) -> list[int]:
     return row
 
 
-def _rows(steps: int, start_level: int, max_height: int | None,
-          end_level: int | None = None):
+def _rows(steps: int, start_level: int, max_height: int | None):
     """Yield rows 0..steps of the step recurrence: row s, index j, is the
     number of paths with s steps from start_level to level j that never leave
-    [0, max_height] (no cap when max_height is None).
-
-    With an end_level, each row s >= 1 stops at level end_level + steps - s:
-    a path above it has too few steps left to come back down to end_level, so
-    those entries are dropped (the entries kept are exact)."""
+    [0, max_height] (no cap when max_height is None)."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if start_level < 0:
@@ -75,11 +71,9 @@ def _rows(steps: int, start_level: int, max_height: int | None,
     if start_level < len(row):
         row[start_level] = 1
     yield row
-    for left in range(steps - 1, -1, -1):
+    for _ in range(steps):
         if row:
             row = list(map(add, [0] + row[:-1], row[1:] + [0]))
-            if end_level is not None:
-                del row[end_level + left + 1:]
         yield row
 
 
@@ -108,24 +102,50 @@ class CountTable:
 
 def count_paths_dp(steps: int, start_level: int, end_level: int,
                    max_height: int | None = None) -> int:
-    """Nonnegative paths from start_level to end_level with a height cap."""
+    """Paths of `steps` up/down steps from start_level to end_level that never
+    leave [0, max_height] (no cap when max_height is None).
+
+    Counted by the reflection principle (André), applied again at each wall
+    of the strip: with u = (steps + end_level - start_level) / 2 up steps
+    and h = max_height, the count is the sum of C(steps, j) over
+    j = u (mod h + 2) minus the sum over j = u - end_level - 1 (mod h + 2),
+    both from one walk along row `steps` of Pascal's triangle.  Without a
+    cap, or with one no path can reach, only j = u and j = u - end_level - 1
+    are in range.  Every division is checked exact."""
     for name, value in (("end_level", end_level), ("steps", steps),
                         ("start_level", start_level)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
     if abs(end_level - start_level) > steps or (start_level + end_level + steps) % 2:
-        return 0  # before any row is built: its size grows with end_level
-    # a path that climbs above this level has too few steps left to come back
-    # down to end_level, so the rows stop there even without a cap
+        return 0
+    up = (steps + end_level - start_level) // 2
+    down = up - end_level - 1  # up steps of the paths reflected at level -1
+    # no path climbs above reach and still comes back down to end_level
     reach = (start_level + end_level + steps) // 2
-    cap = reach if max_height is None else min(max_height, reach)
-    for row in _rows(steps, start_level, cap, end_level):
-        pass  # only the last row is kept
-    return row[end_level] if end_level < len(row) else 0
+    if max_height is None or max_height >= reach:
+        return comb(steps, up) - (comb(steps, down) if down >= 0 else 0)
+    if max_height < max(start_level, end_level):
+        return 0
+    period = max_height + 2
+    # the two residues differ, since end_level + 1 lies in [1, period - 1]
+    plus, minus = up % period, down % period
+    first = min(plus, minus)
+    last = steps - min((steps - plus) % period, (steps - minus) % period)
+    what = f"a binomial coefficient of row {steps}"
+    value, total = comb(steps, first), 0
+    for j in range(first, last + 1):
+        residue = j % period
+        if residue == plus:
+            total += value
+        elif residue == minus:
+            total -= value
+        value = exact_div(value * (steps - j), j + 1, what)
+    return total
 
 
 def count_ballot_dp(path_class: PathClass, steps: int) -> int:
-    """|enumerate_ballot(path_class, steps)| without enumerating.
+    """|enumerate_ballot(path_class, steps)| without enumerating, by the
+    reflection count of count_paths_dp.
 
     Exact-height classes are counted as (height <= h) - (height <= h-1).
     """
@@ -157,13 +177,14 @@ def _pair_count(n: int, band) -> int:
         raise ValueError("n must be nonnegative")
     if len(_heights) <= n:
         _heights[:] = _height_table(n)
+    # the Q-height window [lo, hi] of each P height, as indices into a row
+    bands = [(max(lo, 0), min(hi, n) + 1) for lo, hi in map(band, range(n + 1))]
     total = 0
     for a in range(n + 1):
         p_row, q_row = _heights[a], _heights[n - a]
         for hp in range(a + 1):
-            lo, hi = band(hp)
-            total += ((p_row[hp + 1] - p_row[hp])
-                      * (q_row[min(hi, n) + 1] - q_row[max(lo, 0)]))
+            lo, hi = bands[hp]
+            total += (p_row[hp + 1] - p_row[hp]) * (q_row[hi] - q_row[lo])
     return total
 
 

@@ -300,7 +300,8 @@ def _t3_oracle_coefficient(n: int, cache: dict) -> int:
     exact-height ballot paths (heights k, k-2, k-4 ending at levels 4, 3, 2;
     the extra half step makes the total step count 2n - 1) plus
     height-bounded Dyck paths with multiplicities 2, 2, 1, 1.  Every count
-    comes from the step recurrence, not from the generating functions."""
+    is a reflection count of count_ballot_dp, not from the generating
+    functions."""
     def exact_count(height: int, end: int, steps: int) -> int:
         key = (height, end, steps)
         if key not in cache:

@@ -14,21 +14,24 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
     6. t3-main exact to x-order 20 with its closed-form sub-identity
        and the triple path-count oracle for n <= 9: 6a times the full
        check (< 5 s), 6b also asserts the oracle's note             (< 60 s)
-    7. transfer table equals exhaustive enumeration for every class
+    7. ballot counts equal exhaustive enumeration for every class
        with height bound <= 6, end level <= 5, steps <= 14           (< 30 s)
+    8. ballot counts at the CLI limit of 10000 steps, from no cap to
+       cap 0 and one exact-height class, all together                 (< 1 s)
 """
 
 import time
 from contextlib import redirect_stdout
 from io import StringIO
 
-from supercat import (PathClass, count_ballot_dp, count_pairs_height_diff,
-                      enumerate_ballot, super_catalan, verify_e8, verify_e52,
-                      verify_e_mo, verify_firstsum, verify_g_closed_forms,
+from supercat import (PathClass, catalan, count_ballot_dp,
+                      count_pairs_height_diff, count_paths_dp, enumerate_ballot,
+                      super_catalan, verify_e8, verify_e52, verify_e_mo,
+                      verify_firstsum, verify_g_closed_forms,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
-from supercat.cli import main
+from supercat.cli import BALLOT_STEPS_MAX, main
 
 ROW_2 = "3 2 3 6 14 36 99 286 858 2652 8398"
 ROW_3 = "10 5 6 10 20 45 110 286 780 2210 6460"
@@ -166,4 +169,19 @@ def test_criterion_7_dp_equals_enumeration():
                             return False, f"{path_class} steps={steps}: {counted} != {listed}"
                         checked += 1
         return True, f"{checked} classes compared"
-    check("criterion 7 (transfer table vs enumeration, bounds <= 6)", 30.0, body)
+    check("criterion 7 (ballot counts vs enumeration, bounds <= 6)", 30.0, body)
+
+
+def test_criterion_8_ballot_counts_at_the_steps_limit():
+    def body():
+        steps = BALLOT_STEPS_MAX
+        counts = {(end, cap): count_paths_dp(steps, 0, end, cap)
+                  for end, cap in ((0, None), (0, 0), (0, 1), (0, 100),
+                                   (6, 2000), (0, 4999))}
+        exact = count_ballot_dp(PathClass(end_level=6, exact_height=2000), steps)
+        # cap 4999 leaves out the one path of height 5000
+        ok = (counts[0, None] == counts[0, 4999] + 1 == catalan(steps // 2)
+              and counts[0, 0] == 0 and counts[0, 1] == 1
+              and 0 < exact < counts[6, 2000])
+        return ok, f"{len(counts) + 2} strip counts at {steps} steps"
+    check("criterion 8 (ballot counts at the --steps limit)", 1.0, body)

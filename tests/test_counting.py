@@ -5,9 +5,10 @@ Claims covered:
     - super_catalan_row, built by the ratio recurrence, equals the doubled
       factorial values and fails loudly on a wrong start value
     - super_catalan is symmetric and errors on the non-integral (0, 0) case
-    - the transfer table agrees with exhaustive enumeration for every class
-    - count_paths_dp, with its rows trimmed by the steps left, equals the
-      full rows of CountTable, and an unreachable end level costs nothing
+    - count_ballot_dp agrees with exhaustive enumeration for every class
+    - count_paths_dp, a signed sum of reflected binomials, equals the full
+      rows of CountTable and the Catalan numbers, and an unreachable end
+      level costs nothing
     - pair counts (height difference, restricted pairs) match their
       inclusion-exclusion relations
     - pair counts from the height table equal exhaustive pair enumeration
@@ -170,8 +171,8 @@ def test_count_paths_dp_with_start_level():
 
 
 def test_trimmed_rows_match_the_full_recurrence():
-    # CountTable keeps full rows: no trim at (start + end + steps) // 2 nor by
-    # the steps left; end levels run past reach, and start levels past steps
+    # count_paths_dp sums reflected binomials; CountTable runs the full step
+    # recurrence.  End levels run past reach, and start levels past steps
     for start in (*range(7), 12, 31):
         for cap in (None, *range(9), 35):
             table = CountTable(30, cap, start_level=start)
@@ -179,6 +180,16 @@ def test_trimmed_rows_match_the_full_recurrence():
                 for end in range(start + 32):
                     assert count_paths_dp(steps, start, end, cap) == \
                         table.count(steps, end)
+    # long paths under caps just below reach (150 at 300 steps) take many
+    # reflections at both walls
+    for start in (0, 3):
+        for cap in (0, 1, 2, 3, 7, 40, 148, 149, 150, 151, None):
+            last = CountTable(300, cap, start_level=start).rows[300]
+            for end in range(start + 302):
+                want = last[end] if end < len(last) else 0
+                assert count_paths_dp(300, start, end, cap) == want
+    for n in (*range(61), 1500, 5000):
+        assert count_paths_dp(2 * n, 0, 0) == catalan(n)
 
 
 def test_unreachable_end_level_builds_no_rows():

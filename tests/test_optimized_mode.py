@@ -6,8 +6,9 @@ Claims covered:
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
     - a planted drift in the t3-main triple-product valuation still raises
-    - a planted wrong start value of super_catalan_row still raises at its
-      first inexact division
+    - a planted wrong start value of super_catalan_row, or of the walk along
+      a row of Pascal's triangle in count_paths_dp, still raises at its first
+      inexact division
     - a planted wrong T(3,4) fails e-mo at degree 12 at (3, 4), and a product
       of Fraction series that is integral is stored as ints
 """
@@ -70,6 +71,12 @@ try:
     print("planted start value passed")
 except RuntimeError as exc:
     print("planted start value raised:", exc)
+# C(10, 1) planted as 11: 11 * 9 / 2 is the first inexact step of the walk
+try:
+    counting.count_paths_dp(10, 0, 0, 1)
+    print("planted walk start passed")
+except RuntimeError as exc:
+    print("planted walk start raised:", exc)
 """
 
 
@@ -92,4 +99,5 @@ def test_checks_survive_optimize_flag():
         "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
         "fraction product (1, 3, 2, 0) {'int'}",
         "planted start value raised: 2T(2,1) is not an integer",
+        "planted walk start raised: a binomial coefficient of row 10 is not an integer",
     ]
