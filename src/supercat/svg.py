@@ -3,10 +3,19 @@
 Panel 1 shows the intermediate path F = F1·F2 with the F1/F2 boundary and the
 marked points u, v', x, y; panel 2 shows the output Dyck path with x and the
 lowered point y'.  Geometry and colors are fixed constants, so the output is
-byte-identical for a given trace.
+byte-identical for a given trace (tests/test_svg.py pins the bytes).
+
+A panel of a 2n-step path has one vertical grid line and one polyline point
+per point, so the per-point work is done in bulk: the x coordinates are
+formatted once per document and shared by both panels, which have the same
+length; the y coordinates once per level of a panel.  The vertical grid is one
+%-format of the line template repeated 2n + 1 times, and the polyline points
+are one join of "x," strings with the y strings looked up by level.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .bijection import BijectionTrace
 from .lattice_paths import Path
@@ -23,36 +32,39 @@ MARKER_RADIUS = 4
 
 
 def _panel(path: Path, markers: dict[str, int], boundary: int | None,
-           title: str, color: str, y_top: int) -> tuple[list[str], int, int]:
+           title: str, color: str, y_top: int,
+           xs: list[str], xs_comma: list[str]) -> tuple[list[str], int, int]:
     """Render one path panel at vertical offset y_top.
 
+    xs[i] is the x coordinate of point i as a string and xs_comma[i] the same
+    followed by a comma; both cover at least len(path) + 1 points.
     Returns (svg elements, width, height).
     """
     top = path.height
-    width = 2 * MARGIN + len(path) * UNIT
+    steps = len(path)
+    width = 2 * MARGIN + steps * UNIT
     height = TITLE_SPACE + top * UNIT + MARGIN
-
-    def px(i: int) -> int:
-        return MARGIN + i * UNIT
-
-    def py(level: int) -> int:
-        return y_top + TITLE_SPACE + (top - level) * UNIT
+    floor = y_top + TITLE_SPACE + top * UNIT  # y of level 0
+    ys = [str(floor - level * UNIT) for level in range(top + 1)]
 
     parts = [f'<text x="{MARGIN}" y="{y_top + 18}" font-size="14" '
              f'font-family="monospace">{title}</text>']
-    for level in range(top + 1):
+    for level, y in enumerate(ys):
         stroke = BASELINE_COLOR if level == 0 else GRID_COLOR
-        parts.append(f'<line x1="{px(0)}" y1="{py(level)}" x2="{px(len(path))}" '
-                     f'y2="{py(level)}" stroke="{stroke}" stroke-width="1"/>')
-    for i in range(len(path) + 1):
-        parts.append(f'<line x1="{px(i)}" y1="{py(top)}" x2="{px(i)}" '
-                     f'y2="{py(0)}" stroke="{GRID_COLOR}" stroke-width="1"/>')
+        parts.append(f'<line x1="{MARGIN}" y1="{y}" x2="{xs[steps]}" '
+                     f'y2="{y}" stroke="{stroke}" stroke-width="1"/>')
+    # one vertical line per point: the template holds its x twice
+    vertical = (f'<line x1="%s" y1="{ys[top]}" x2="%s" y2="{ys[0]}" '
+                f'stroke="{GRID_COLOR}" stroke-width="1"/>')
+    doubled = [""] * (2 * steps + 2)
+    doubled[::2] = doubled[1::2] = xs[:steps + 1]
+    parts.append("\n".join([vertical] * (steps + 1)) % tuple(doubled))
     if boundary is not None:
-        parts.append(f'<line x1="{px(boundary)}" y1="{py(top) - 10}" '
-                     f'x2="{px(boundary)}" y2="{py(0) + 10}" '
+        parts.append(f'<line x1="{xs[boundary]}" y1="{floor - top * UNIT - 10}" '
+                     f'x2="{xs[boundary]}" y2="{floor + 10}" '
                      f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
                      'stroke-dasharray="5,3"/>')
-    points = " ".join(f"{px(i)},{py(level)}" for i, level in enumerate(path.levels))
+    points = " ".join(map(add, xs_comma, map(ys.__getitem__, path.levels)))
     parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                  'stroke-width="2"/>')
 
@@ -61,7 +73,7 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
         by_index.setdefault(index, []).append(label)
     for index in sorted(by_index):
         label = ", ".join(by_index[index])
-        cx, cy = px(index), py(path.levels[index])
+        cx, cy = MARGIN + index * UNIT, floor - path.levels[index] * UNIT
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="{MARKER_RADIUS}" '
                      f'fill="{MARKER_COLOR}"/>')
         parts.append(f'<text x="{cx + 7}" y="{cy - 7}" font-size="13" '
@@ -71,13 +83,19 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
 
 def render_trace(trace: BijectionTrace) -> str:
     """Two-panel SVG document for one application of the pair-to-path map."""
+    f = trace.intermediate.path
+    # F and the output both have 2n steps, so the panels share the x strings
+    steps = max(len(f), len(trace.output))
+    xs = list(map(str, range(MARGIN, MARGIN + (steps + 1) * UNIT, UNIT)))
+    xs_comma = [x + "," for x in xs]
     panel1, w1, h1 = _panel(
-        trace.intermediate.path,
+        f,
         {"u": trace.u, "v'": trace.v_prime, "x": trace.x, "y": trace.y},
         trace.intermediate.boundary,
         "surgery 1: F = F1 F2 (dashed line marks the F1/F2 boundary)",
         PATH_COLORS[0],
         0,
+        xs, xs_comma,
     )
     panel2, w2, h2 = _panel(
         trace.output,
@@ -86,6 +104,7 @@ def render_trace(trace: BijectionTrace) -> str:
         "surgery 2: the step into y is flipped and the tail drops two levels",
         PATH_COLORS[1],
         h1,
+        xs, xs_comma,
     )
     width = max(w1, w2)
     height = h1 + h2
@@ -93,5 +112,5 @@ def render_trace(trace: BijectionTrace) -> str:
              f'height="{height}" viewBox="0 0 {width} {height}">']
     parts.extend(panel1)
     parts.extend(panel2)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -5,7 +5,7 @@ Claims covered:
     - verify exits 0 iff the requested checks pass, honors --order and
       SUPERCAT_ORDER, and emits canonical JSON that reparses byte-identically
     - bijection prints mapped objects, reports violated preconditions, and
-      writes deterministic SVG traces
+      writes deterministic SVG traces, each the renderer's string unmodified
     - an unwritable --out or --svg path is an error message and exit 1,
       not a traceback, given before any check or bijection runs and with
       nothing on stdout
@@ -29,9 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from supercat import cli, counting, super_catalan
+import supercat
+from supercat import RestrictedPair, cli, counting, super_catalan, trace
 from supercat.cli import (BALLOT_STEPS_MAX, EXACT_N_MAX, PAIRS_N_MAX, build_parser,
                           main)
+from supercat.svg import render_trace
 
 
 def run_cli(capsys, argv):
@@ -256,6 +258,18 @@ def test_bijection_svg_is_deterministic(capsys, tmp_path):
     assert body.count("<polyline") == 2
     for label in ("u", "v'", "x", "y'"):
         assert label in body
+
+
+@pytest.mark.parametrize("argv, pair", [
+    (["bijection", "--inverse", "UUDUDD"], ("UUDD", "UD")),
+    (["bijection", "--forward", "UUDD", "UD"], ("UUDD", "UD")),
+    (["bijection", "--forward", "UDUD", ""], ("UDUD", "")),
+])
+def test_bijection_svg_is_the_rendered_trace(capsys, tmp_path, argv, pair):
+    target = tmp_path / "trace.svg"
+    assert run_cli(capsys, argv + ["--svg", str(target)])[0] == 0
+    record = trace(RestrictedPair(*map(supercat.Path, pair)))
+    assert target.read_bytes() == render_trace(record).encode()
 
 
 @pytest.mark.parametrize("argv", [

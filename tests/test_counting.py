@@ -6,9 +6,11 @@ Claims covered:
       factorial values and fails loudly on a wrong start value
     - super_catalan is symmetric and errors on the non-integral (0, 0) case
     - count_ballot_dp agrees with exhaustive enumeration for every class
-    - count_paths_dp, a signed sum of reflected binomials, equals the full
-      rows of CountTable and the Catalan numbers, and an unreachable end
-      level costs nothing
+    - count_paths_dp, a signed sum of reflected binomials taken from one walk
+      over the first half of a row, equals the full rows of CountTable (odd
+      and even rows, every cap, start and end level up to 60 steps, and caps
+      0 and 1 at 10 000 steps) and the Catalan numbers, and an unreachable
+      end level costs nothing
     - pair counts (height difference, restricted pairs) match their
       inclusion-exclusion relations
     - pair counts from the height table equal exhaustive pair enumeration
@@ -171,15 +173,16 @@ def test_count_paths_dp_with_start_level():
 
 
 def test_trimmed_rows_match_the_full_recurrence():
-    # count_paths_dp sums reflected binomials; CountTable runs the full step
-    # recurrence.  End levels run past reach, and start levels past steps
-    for start in (*range(7), 12, 31):
-        for cap in (None, *range(9), 35):
-            table = CountTable(30, cap, start_level=start)
-            for steps in range(31):
-                for end in range(start + 32):
+    # count_paths_dp sums reflected binomials from a walk over the first half
+    # of a row; CountTable runs the full step recurrence.  Odd and even rows,
+    # caps up to past reach, end levels past reach, start levels past steps
+    for start in (*range(9), 12, 31, 61):
+        for cap in (None, *range(20), 28, 29, 30, 31, 35, 45, 60):
+            table = CountTable(60, cap, start_level=start)
+            for steps in range(61):
+                for end in range(start + 62):
                     assert count_paths_dp(steps, start, end, cap) == \
-                        table.count(steps, end)
+                        table.count(steps, end), (steps, start, end, cap)
     # long paths under caps just below reach (150 at 300 steps) take many
     # reflections at both walls
     for start in (0, 3):
@@ -188,6 +191,14 @@ def test_trimmed_rows_match_the_full_recurrence():
             for end in range(start + 302):
                 want = last[end] if end < len(last) else 0
                 assert count_paths_dp(300, start, end, cap) == want
+    # the narrowest strips at the steps limit: nothing fits under cap 0 and
+    # one zigzag under cap 1
+    for cap in (0, 1):
+        for start, end in product(range(cap + 1), repeat=2):
+            assert count_paths_dp(10_000, start, end, cap) == \
+                CountTable(10_000, cap, start_level=start).count(10_000, end)
+    assert count_paths_dp(10_000, 0, 0, 0) == 0
+    assert count_paths_dp(10_000, 1, 1, 1) == count_paths_dp(10_001, 0, 1, 1) == 1
     for n in (*range(61), 1500, 5000):
         assert count_paths_dp(2 * n, 0, 0) == catalan(n)
 

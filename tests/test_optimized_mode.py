@@ -8,7 +8,8 @@ Claims covered:
     - a planted drift in the t3-main triple-product valuation still raises
     - a planted wrong start value of super_catalan_row, or of the walk along
       a row of Pascal's triangle in count_paths_dp, still raises at its first
-      inexact division
+      inexact division; a wrong start that is a multiple of the true one,
+      which keeps every division exact, raises at the walk's end check
     - a planted wrong T(3,4) fails e-mo at degree 12 at (3, 4), and a product
       of Fraction series that is integral is stored as ints
 """
@@ -73,10 +74,17 @@ except RuntimeError as exc:
     print("planted start value raised:", exc)
 # C(10, 1) planted as 11: 11 * 9 / 2 is the first inexact step of the walk
 try:
-    counting.count_paths_dp(10, 0, 0, 1)
+    counting.count_paths_dp(10, 0, 2, 3)
     print("planted walk start passed")
 except RuntimeError as exc:
     print("planted walk start raised:", exc)
+# C(10, 0) planted as 2 doubles every value of the walk and keeps each
+# division exact; the walk ends at 504, not at C(10, 5) + 1 = 253
+try:
+    counting.count_paths_dp(10, 0, 0, 1)
+    print("planted walk multiple passed")
+except RuntimeError as exc:
+    print("planted walk multiple raised:", exc)
 """
 
 
@@ -100,4 +108,5 @@ def test_checks_survive_optimize_flag():
         "fraction product (1, 3, 2, 0) {'int'}",
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
+        "planted walk multiple raised: the walk along row 10 does not end at C(10, 5)",
     ]
