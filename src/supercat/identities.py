@@ -14,21 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import mul, sub
 from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
-from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
+from .counting import (CountTable, catalan, count_E_set,
                        count_pairs_height_diff, super_catalan)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
-from .lattice_paths import PathClass, _levels
+from .lattice_paths import _levels
 from .series import TruncSeries, binomial_pow, shifted_catalan_series
 
-# the t3-main path-count oracle covers x^0..x^9
-_ENUM_ORACLE_CAP = 9
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
 _P_BRIDGE_N_MAX = 12
@@ -295,38 +293,42 @@ def _t3_triple_sum(t_order: int) -> TruncSeries:
         k += 1
 
 
-def _t3_oracle_coefficient(n: int, cache: dict) -> int:
-    """Path count behind the x^n coefficient of the path-sum side: triples of
-    exact-height ballot paths (heights k, k-2, k-4 ending at levels 4, 3, 2;
-    the extra half step makes the total step count 2n - 1) plus
-    height-bounded Dyck paths with multiplicities 2, 2, 1, 1.  Every count
-    is a reflection count of count_ballot_dp, not from the generating
-    functions."""
-    def exact_count(height: int, end: int, steps: int) -> int:
-        key = (height, end, steps)
-        if key not in cache:
-            cache[key] = count_ballot_dp(
-                PathClass(end_level=end, exact_height=height), steps)
-        return cache[key]
+def _t3_path_counts(x_order: int) -> list[int]:
+    """Path counts behind x^0..x^x_order of the path-sum side of t3-main:
+    triples of exact-height ballot paths (heights k, k-2, k-4 ending at
+    levels 4, 3, 2; the extra half step makes the total step count 2n - 1)
+    plus height-bounded Dyck paths with multiplicities 2, 2, 1, 1.
 
-    total = 0
-    for mult, bound in ((2, 1), (2, 2), (1, 3), (1, 5)):
-        total += mult * count_ballot_dp(
-            PathClass(end_level=0, max_height=bound), 2 * n)
-    steps_total = 2 * n - 1
-    k = 6
-    while 6 * k - 21 <= steps_total:
-        for s1 in range(2 * k - 4, steps_total + 1, 2):
-            c1 = exact_count(k, 4, s1)
-            if not c1:
-                continue
-            for s2 in range(2 * k - 7, steps_total - s1 + 1, 2):
-                s3 = steps_total - s1 - s2
-                if s3 < 2 * k - 10:
-                    continue
-                total += c1 * exact_count(k - 2, 3, s2) * exact_count(k - 4, 2, s3)
-        k += 1
-    return total
+    Every count is read off one CountTable per height bound, exact height h
+    being the cap-h count minus the cap-(h-1) count, and the triples are
+    convolved by plain loops, so no series kernel or generating function
+    is involved."""
+    steps = 2 * x_order
+    last = steps - 1  # the longest triple, at x^x_order
+    # k runs while its shortest triple, (2k - 4) + (2k - 7) + (2k - 10)
+    # = 6k - 21 steps, fits
+    heights = range(6, (last + 21) // 6 + 1)
+    columns = {}  # cap h -> its columns at levels 0..4
+    for h in range(1, max(heights, default=5) + 1):
+        table = CountTable(steps, h)
+        columns[h] = [table.column(level) for level in range(5)]
+
+    def exact(h: int, level: int) -> list[int]:
+        return list(map(sub, columns[h][level], columns[h - 1][level]))
+
+    counts = [2 * g1 + 2 * g2 + g3 + g5 for g1, g2, g3, g5
+              in zip(*(columns[cap][0][::2] for cap in (1, 2, 3, 5)))]
+    for k in heights:
+        first, second, third = exact(k, 4), exact(k - 2, 3), exact(k - 4, 2)
+        shortest_third = 2 * k - 10
+        pairs = [0] * (last + 1)
+        for s1 in range(2 * k - 4, last + 1, 2):
+            for s2 in range(2 * k - 7, last - s1 - shortest_third + 1, 2):
+                pairs[s1 + s2] += first[s1] * second[s2]
+        for s12 in range(4 * k - 11, last + 1, 2):
+            for s3 in range(shortest_third, last - s12 + 1, 2):
+                counts[(s12 + s3 + 1) // 2] += pairs[s12] * third[s3]
+    return counts
 
 
 def verify_t3_main(x_order: int) -> VerificationReport:
@@ -334,7 +336,7 @@ def verify_t3_main(x_order: int) -> VerificationReport:
     + 2*G_1 + 2*G_2 + G_3 + G_5.
 
     Also checks the k-sum alone against its displayed closed rational form,
-    and the coefficients through x^min(9, x_order) against triple path counts.
+    and every coefficient through x^x_order against triple path counts.
     """
     def body(notes):
         t_order = 2 * x_order
@@ -364,14 +366,11 @@ def verify_t3_main(x_order: int) -> VerificationReport:
             return mismatch
         notes.append("k-sum checked against its displayed closed rational form")
 
-        n_oracle = min(_ENUM_ORACLE_CAP, x_order)
-        cache: dict = {}
-        for n in range(n_oracle + 1):
-            counted = _t3_oracle_coefficient(n, cache)
+        for n, counted in enumerate(_t3_path_counts(x_order)):
             if rhs.coeffs[2 * n] != counted:
                 notes.append(f"triple path counts disagree at n={n}")
                 return Mismatch(2 * n, rhs.coeffs[2 * n], counted)
-        notes.append(f"coefficients x^0..x^{n_oracle} cross-checked "
+        notes.append(f"coefficients x^0..x^{x_order} cross-checked "
                      "against triple path counts")
         return None
     return _run("t3-main", x_order, body)

@@ -12,7 +12,7 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        g-forms (k <= 8, all i, j)                                 (< 5 s each)
     5. bivariate identity e-mo exact to total degree 12               (< 5 s)
     6. t3-main exact to x-order 20 with its closed-form sub-identity
-       and the triple path-count oracle for n <= 9: 6a times the full
+       and the triple path-count oracle for n <= 20: 6a times the full
        check (< 5 s), 6b also asserts the oracle's note             (< 60 s)
     7. ballot counts equal exhaustive enumeration for every class
        with height bound <= 6, end level <= 5, steps <= 14           (< 30 s)
@@ -148,10 +148,10 @@ def test_criterion_6_t3_main_series():
 def test_criterion_6_t3_main_oracle():
     def body():
         report = verify_t3_main(20)
-        oracle_ran = ("coefficients x^0..x^9 cross-checked against triple path counts"
+        oracle_ran = ("coefficients x^0..x^20 cross-checked against triple path counts"
                       in report.notes)
         return report.passed and oracle_ran, "; ".join(report.notes)
-    check("criterion 6b (t3-main triple path-count oracle, n <= 9)", 60.0, body)
+    check("criterion 6b (t3-main triple path-count oracle, n <= 20)", 60.0, body)
 
 
 def test_criterion_7_dp_equals_enumeration():

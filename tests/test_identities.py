@@ -9,6 +9,9 @@ Claims covered:
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
       bound fails firstsum, a wrong binomial power e52, a wrong exact-height
       series t3-main and a wrong p_n p-bridge, each at a stated coefficient
+    - t3-main is cross-checked against path counts at every coefficient
+      through its order: a planted wrong table count above x^9 fails it at
+      x^10, and the path counts need no series kernel or generating function
     - a planted wrong super Catalan number fails e-mo and e8 at its index, a
       planted wrong height bound fails g-forms; e-mo and g-forms pass at
       order 40, and e8, e-mo and lemma-main at order 60
@@ -44,7 +47,7 @@ from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
-from supercat import identities
+from supercat import height_gf, identities
 from supercat.cli import main
 from supercat.identities import _series_mismatch
 
@@ -234,11 +237,12 @@ def test_t3_main():
     report = verify_t3_main(10)
     _assert_clean_pass(report, "t3-main")
     assert any("rational form" in note for note in report.notes)
-    assert ("coefficients x^0..x^9 cross-checked against triple path counts"
+    assert ("coefficients x^0..x^10 cross-checked against triple path counts"
             in report.notes)
-    # the oracle stops at the order checked
-    assert ("coefficients x^0..x^4 cross-checked against triple path counts"
-            in verify_t3_main(4).notes)
+    # the oracle covers every coefficient through the order checked
+    for order in (4, 1):
+        assert (f"coefficients x^0..x^{order} cross-checked against triple "
+                "path counts" in verify_t3_main(order).notes)
 
 
 def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
@@ -251,6 +255,32 @@ def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
     assert report.first_mismatch == Mismatch(16, super_catalan(3, 9),
                                              super_catalan(3, 9) + 1)
     assert "main series identity" in report.notes
+
+
+def test_t3_main_oracle_sees_a_wrong_count_above_x9(monkeypatch):
+    # one more cap-6 path of 12 steps ending at level 4 is one more path of
+    # exact height 6 there (and one fewer of exact height 7, which no triple
+    # of 19 steps uses), so the k = 6 triples of 12 + 5 + 2 steps gain one
+    # at x^10; the series side is untouched
+    monkeypatch.setattr(_TableWithOneWrongCount, "planted", (6, 0, 12, 4))
+    monkeypatch.setattr(identities, "CountTable", _TableWithOneWrongCount)
+    report = verify_t3_main(20)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(20, 19380, 19381)
+    assert "triple path counts disagree at n=10" in report.notes
+    _assert_clean_pass(verify_t3_main(9), "t3-main")
+
+
+def test_t3_path_counts_use_no_series_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the t3-main oracle used a series route")
+    monkeypatch.setattr(TruncSeries, "__mul__", refuse)
+    monkeypatch.setattr(PolyQuotient, "expand", refuse)
+    for module in (identities, height_gf):
+        for name in ("ballot_exact_gf", "dyck_gf", "p_poly"):
+            monkeypatch.setattr(module, name, refuse)
+    assert identities._t3_path_counts(30) == (
+        [1 + super_catalan(3, 1)] + [super_catalan(3, n + 1) for n in range(1, 31)])
 
 
 def test_g_closed_forms():
