@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .series import TruncSeries, _reciprocal
+from .series import _INTS, TruncSeries, _reciprocal
 
 
 class PolyX:
@@ -23,9 +23,10 @@ class PolyX:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
+        if not _INTS.issuperset(map(type, cs)):
+            if not all(isinstance(c, int) for c in cs):
                 raise TypeError("coefficients must be integers")
+            cs = list(map(int, cs))  # bool and other int subclasses
         self.coeffs = tuple(cs)
 
     @property

@@ -92,11 +92,8 @@ def _first_mismatch(lhs: tuple, rhs: tuple) -> Mismatch | None:
     return next(Mismatch(s, a, b) for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries,
-                     through: int | None = None) -> Mismatch | None:
+def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries) -> Mismatch | None:
     limit = min(lhs.order, rhs.order)
-    if through is not None:
-        limit = min(limit, through)
     return _first_mismatch(lhs.coeffs[:limit + 1], rhs.coeffs[:limit + 1])
 
 
@@ -378,11 +375,15 @@ def verify_t3_main(x_order: int) -> VerificationReport:
 
 def verify_g_closed_forms(x_order: int) -> VerificationReport:
     """All closed forms for height-bounded path generating functions agree:
-    the C-substitution forms, their variants without half-integer powers of C,
-    the polynomial quotients, and the transfer-table counts.
+    the C-substitution forms, the polynomial quotients, and the
+    transfer-table counts.
 
-    Covers G_k (-1 <= k <= 8), G_k^(j) in three forms (0 <= j <= k+1) and
-    G_k^(i,j) in four forms (0 <= i <= j <= k+1), each against the table.
+    Covers G_k (-1 <= k <= 8) and G_k^(i,j) (0 <= i <= j <= k+1), each
+    against its C-form and the table; G_k^(j) = G_k^(0,j) is compared first
+    at i = 0.  The three forms of the prefactor, sqrt(C)^d (1 + C),
+    t^d (1 + C)^(d+1) and sqrt(C)^(d+1) / t, are checked once per power d.
+    Coefficient t^n of a product depends only on its operands through t^n,
+    so one form per G compares it with all three.
     """
     def body(notes):
         t_order = 2 * x_order
@@ -402,7 +403,16 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
             onepc_pow.append(onepc_pow[-1] * onepC)
             sqrtc_pow.append(sqrtc_pow[-1] * sqrtC)
             geom.append(geom[-1] + c_pow[-1])
-        sqrtc_onepc = [p * onepC for p in sqrtc_pow[:max_pow]]  # sqrt(C)^d (1 + C)
+
+        prefactor = []  # prefactor[d] = sqrt(C)^d (1 + C)
+        for d in range(max_pow):
+            form = sqrtc_pow[d] * onepC
+            mismatch = (_series_mismatch(form, onepc_pow[d + 1].shift(d))
+                        or _series_mismatch(form, sqrtc_pow[d + 1].shift(-1)))
+            if mismatch:
+                notes.append(f"sqrt(C)^{d} (1 + C): prefactor forms disagree")
+                return mismatch
+            prefactor.append(form)
 
         for k in range(-1, _G_FORMS_K_MAX + 1):
             inv_den = (one - c_pow[k + 2]).invert()
@@ -417,40 +427,24 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
             if k < 0:
                 continue
 
-            table = CountTable(t_order, k)
-            for j, tail in enumerate(tails):
-                by_p = ballot_end_gf(k, j).expand(t_order)
-                by_sqrt = sqrtc_onepc[j] * tail
-                by_x = (onepc_pow[j + 1] * tail).shift(j)
-                mismatch = (_series_mismatch(by_p, by_sqrt, t_order)
-                            or _series_mismatch(by_p, by_x, t_order))
-                if mismatch:
-                    notes.append(f"G_{k}^({j}): closed forms disagree")
-                    return mismatch
-                mismatch = _first_mismatch(by_p.coeffs, table.column(j))
-                if mismatch:
-                    notes.append(f"G_{k}^({j}): series vs path count at t^{mismatch.power}")
-                    return mismatch
-
             for i in range(k + 2):
-                table_i = CountTable(t_order, k, start_level=i)
+                table = CountTable(t_order, k, start_level=i)
                 for j in range(i, k + 2):
-                    head = geom[i] * tails[j]
-                    by_p = ballot_between_gf(k, i, j).expand(t_order)
-                    main = sqrtc_onepc[j - i] * head
-                    var_x = (onepc_pow[j - i + 1] * head).shift(j - i)
-                    var_sqrt = (sqrtc_pow[j - i + 1] * head).shift(-1)
-                    mismatch = (_series_mismatch(by_p, main, t_order)
-                                or _series_mismatch(by_p, var_x, t_order)
-                                or _series_mismatch(by_p, var_sqrt, t_order))
-                    if mismatch:
-                        notes.append(f"G_{k}^({i},{j}): closed forms disagree")
-                        return mismatch
-                    mismatch = _first_mismatch(by_p.coeffs, table_i.column(j))
-                    if mismatch:
-                        notes.append(f"G_{k}^({i},{j}): series vs path count "
-                                     f"at t^{mismatch.power}")
-                        return mismatch
+                    form = prefactor[j - i] * (geom[i] * tails[j])
+                    gfs = [(f"G_{k}^({i},{j})", ballot_between_gf(k, i, j))]
+                    if i == 0:  # G_k^(j) = G_k^(0,j), compared first
+                        gfs.insert(0, (f"G_{k}^({j})", ballot_end_gf(k, j)))
+                    for name, gf in gfs:
+                        by_p = gf.expand(t_order)
+                        mismatch = _series_mismatch(by_p, form)
+                        if mismatch:
+                            notes.append(f"{name}: closed forms disagree")
+                            return mismatch
+                        mismatch = _first_mismatch(by_p.coeffs, table.column(j))
+                        if mismatch:
+                            notes.append(f"{name}: series vs path count "
+                                         f"at t^{mismatch.power}")
+                            return mismatch
         return None
     return _run("g-forms", x_order, body)
 

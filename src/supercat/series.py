@@ -30,8 +30,10 @@ _INTS = {int}
 
 def _frac(value: Scalar) -> Scalar:
     """The stored form of an exact coefficient: int when integral, else Fraction."""
-    if isinstance(value, int):
+    if type(value) is int:
         return value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")

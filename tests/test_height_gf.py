@@ -2,6 +2,7 @@
 
 Claims covered:
     - the p polynomials from the recurrence match the alternating binomial sum
+    - PolyX stores its coefficients as plain ints, a bool too
     - quotient normalization: even t-shifts fold into the numerator, the zero
       quotient is canonical, parity-mixed addition is rejected
     - every expanded generating function agrees with transfer-table counts,
@@ -55,6 +56,12 @@ def test_polyx_arithmetic():
         PolyX((1.5,))
     with pytest.raises(ValueError):
         PolyX(()).valuation()
+
+
+def test_polyx_stores_bool_coefficients_as_ints():
+    flags = PolyX((True, False, True))
+    assert flags == PolyX((1, 0, 1))
+    assert all(type(c) is int for c in flags.coeffs)
 
 
 def test_quotient_normalization():

@@ -20,7 +20,8 @@ Claims covered:
       Catalan and Catalan numbers
     - a planted wrong end-level series, between-levels series or table count
       fails g-forms with the same note and coefficient as before the closed
-      forms shared their factors
+      forms shared their factors and each G met one C-form; a planted wrong
+      square root fails the g-forms prefactor check at sqrt(C)^0
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - the registry's default orders are the README values, and `verify all`
@@ -340,6 +341,16 @@ def test_g_closed_forms_failure_reports(monkeypatch, plant, expected):
     assert report.passed is False
     assert report.notes == (note,)
     assert report.first_mismatch == Mismatch(power, lhs, rhs)
+
+
+def test_g_closed_forms_fail_on_a_wrong_square_root(monkeypatch):
+    real = TruncSeries.sqrt
+    monkeypatch.setattr(TruncSeries, "sqrt", lambda self: real(self)
+                        + TruncSeries.t_power(4, self.order))
+    report = verify_g_closed_forms(12)
+    assert report.passed is False
+    assert report.notes == ("sqrt(C)^0 (1 + C): prefactor forms disagree",)
+    assert report.first_mismatch == Mismatch(4, 2, 3)
 
 
 def test_g_closed_forms_pass_deep():

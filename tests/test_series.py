@@ -11,8 +11,8 @@ Claims covered:
     - bivariate multiplication/inversion on total-degree-truncated series;
       the dense inverse equals the dict-scan reference on seeded random
       sparse and dense inputs with int and Fraction entries
-    - one coefficient rule: integral values are plain ints, the rest exact
-      Fractions, and floats or other types are refused
+    - one coefficient rule: integral values are plain ints (a bool too), the
+      rest exact Fractions, and floats or other types are refused
 """
 
 import random
@@ -243,6 +243,8 @@ def test_integral_coefficients_are_plain_ints():
                    (one - C).invert().coeffs, C.shift(-2).sqrt().coeffs,
                    binomial_pow(Fraction(5, 2), -4, 10).coeffs,
                    TruncSeries([Fraction(4, 2), Fraction(-3, 1)], 2).coeffs,
+                   TruncSeries([True, 2], 2).coeffs,
+                   tuple(BiTrunc({(0, 0): True}, 1).coeffs.values()),
                    tuple(e_mo_rhs.coeffs.values())):
         assert all(type(c) is int for c in coeffs)
 
