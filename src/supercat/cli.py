@@ -23,9 +23,9 @@ ORDER_ENV = "SUPERCAT_ORDER"
 # `count pairs` builds an O(n^3) height table: past this limit a count takes
 # more than a few seconds, so it is refused before it starts
 PAIRS_N_MAX = 400
-# `count ballot` walks half of one row of Pascal's triangle, about 18 ms at this
-# limit for a count of at most 3010 digits; Python's 4300-digit limit on printing an
-# int would bind near 14300 steps
+# `count ballot` walks at most one row of Pascal's triangle, 27-42 ms in process at
+# this limit for a count of at most 3010 digits; Python's 4300-digit limit on printing
+# an int would bind near 14300 steps
 BALLOT_STEPS_MAX = 10_000
 # C_n <= 4^n and T(m, n) <= 4^(m+n) / 2 have at most 4215 digits up to this
 # n or m + n, inside Python's 4300-digit limit on printing an int, so

@@ -109,11 +109,10 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     of the strip: with u = (steps + end_level - start_level) / 2 up steps
     and h = max_height, the count is the sum of C(steps, j) over
     j = u (mod h + 2) minus the sum over j = u - end_level - 1 (mod h + 2),
-    both from one walk along the first half of row `steps` of Pascal's
-    triangle, each C(steps, j) standing also for C(steps, steps - j).
+    both from one forward walk along row `steps` of Pascal's triangle.
     Without a cap, or with one no path can reach, only j = u and
     j = u - end_level - 1 are in range.  Every division is checked exact,
-    and the walk's last value against C(steps, (steps + 1) // 2)."""
+    and the walk must end at C(steps, steps) = 1."""
     for name, value in (("end_level", end_level), ("steps", steps),
                         ("start_level", start_level)):
         if value < 0:
@@ -133,25 +132,20 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     plus, minus = up % period, down % period
     sign = [0] * period
     sign[plus], sign[minus] = 1, -1
-    # C(s, j) = C(s, s - j): walk j <= s // 2 only, credit each value to the
-    # residues of both j and s - j, and the middle term of an even row once
-    first = min(plus, minus, (steps - plus) % period, (steps - minus) % period)
-    mid = (steps + 1) // 2
+    first = min(plus, minus)
     what = f"a binomial coefficient of row {steps}"
     value, total = comb(steps, first), 0
-    for j in range(first, mid):
-        weight = sign[j % period] + sign[(steps - j) % period]
+    for j in range(first, steps):
+        weight = sign[j % period]
         if weight:
             total += weight * value
         value = exact_div(value * (steps - j), j + 1, what)
     # a wrong start value that is a multiple of C(steps, first) keeps every
     # division exact, so the walk's last value is checked on its own
-    if value != comb(steps, mid):
+    if value != 1:
         raise RuntimeError(f"the walk along row {steps} does not end at "
-                           f"C({steps}, {mid})")
-    if steps % 2 == 0:
-        total += sign[mid % period] * value
-    return total
+                           f"C({steps}, {steps}) = 1")
+    return total + sign[steps % period]  # the last term, C(steps, steps) = 1
 
 
 def count_ballot_dp(path_class: PathClass, steps: int) -> int:

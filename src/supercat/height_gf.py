@@ -190,9 +190,6 @@ class PolyQuotient:
         return (self.t_shift == other.t_shift
                 and self.num * other.den == other.num * self.den)
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den, self.t_shift))
-
     def expand(self, t_order: int) -> TruncSeries:
         """Series expansion truncated to exactly `t_order`.
 

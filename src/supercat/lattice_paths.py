@@ -154,23 +154,36 @@ def _ballot_words(path_class: PathClass, steps: int) -> list[tuple[str, int, int
     exact = path_class.exact_height
     top = steps if bound is None else bound
     out: list[tuple[str, int, int]] = []
-
-    # each step is taken only if the end level stays reachable after it
-    def extend(prefix: str, level: int, remaining: int, peak: int, first: int) -> None:
-        if not remaining:
-            if exact is None or peak == exact:
-                out.append((prefix, peak, first))
-            return
-        remaining -= 1
-        if level < top and level - end < remaining:
-            if level == peak:  # a new highest point
-                extend(prefix + UP, level + 1, remaining, level + 1, len(prefix) + 1)
+    # depth first by an explicit stack, so that a long path needs no
+    # recursion: a word takes U while the end level stays reachable and the
+    # cap allows, pushing each D it passes over as (prefix, level, peak,
+    # first) to resume from, which keeps the words in lexicographic order.
+    # Every step keeps |level - end| <= remaining, with the same parity, so
+    # once level - end equals remaining only down steps are left
+    stack = [("", 0, 0, 0)]
+    push = stack.append
+    while stack:
+        prefix, level, peak, first = stack.pop()
+        remaining = steps - len(prefix)
+        while True:
+            if level - end == remaining:
+                if exact is None or peak == exact:
+                    out.append((prefix + DOWN * remaining, peak, first))
+                break
+            remaining -= 1
+            down = level and end - level < remaining
+            if level < top:
+                if down:
+                    push((prefix + DOWN, level - 1, peak, first))
+                if level == peak:  # a new highest point
+                    peak, first = level + 1, len(prefix) + 1
+                prefix += UP
+                level += 1
+            elif down:
+                prefix += DOWN
+                level -= 1
             else:
-                extend(prefix + UP, level + 1, remaining, peak, first)
-        if level and end - level < remaining:
-            extend(prefix + DOWN, level - 1, remaining, peak, first)
-
-    extend("", 0, steps, 0, 0)
+                break
     return out
 
 

@@ -6,11 +6,14 @@ Claims covered:
       factorial values and fails loudly on a wrong start value
     - super_catalan is symmetric and errors on the non-integral (0, 0) case
     - count_ballot_dp agrees with exhaustive enumeration for every class
-    - count_paths_dp, a signed sum of reflected binomials taken from one walk
-      over the first half of a row, equals the full rows of CountTable (odd
+    - count_paths_dp, a signed sum of reflected binomials taken from one
+      forward walk along a row, equals the full rows of CountTable (odd
       and even rows, every cap, start and end level up to 60 steps, and caps
       0 and 1 at 10 000 steps) and the Catalan numbers, and an unreachable
       end level costs nothing
+    - a wrong start value of that walk raises: an inexact one at its first
+      inexact division, a multiple of the true one at the end check
+      C(s, s) = 1
     - pair counts (height difference, restricted pairs) match their
       inclusion-exclusion relations
     - pair counts from the height table equal exhaustive pair enumeration
@@ -173,8 +176,8 @@ def test_count_paths_dp_with_start_level():
 
 
 def test_trimmed_rows_match_the_full_recurrence():
-    # count_paths_dp sums reflected binomials from a walk over the first half
-    # of a row; CountTable runs the full step recurrence.  Odd and even rows,
+    # count_paths_dp sums reflected binomials from one walk along a row;
+    # CountTable runs the full step recurrence.  Odd and even rows,
     # caps up to past reach, end levels past reach, start levels past steps
     for start in (*range(9), 12, 31, 61):
         for cap in (None, *range(20), 28, 29, 30, 31, 35, 45, 60):
@@ -201,6 +204,18 @@ def test_trimmed_rows_match_the_full_recurrence():
     assert count_paths_dp(10_000, 1, 1, 1) == count_paths_dp(10_001, 0, 1, 1) == 1
     for n in (*range(61), 1500, 5000):
         assert count_paths_dp(2 * n, 0, 0) == catalan(n)
+
+
+def test_a_wrong_walk_start_raises(monkeypatch):
+    monkeypatch.setattr(counting, "comb", lambda n, k: comb(n, k) + 1)
+    # the walk starts at C(10, 1), planted as 11: 11 * 9 / 2 is inexact
+    with pytest.raises(RuntimeError,
+                       match=r"a binomial coefficient of row 10 is not an integer"):
+        count_paths_dp(10, 0, 2, 3)
+    # the walk starts at C(10, 0), planted as 2: every division stays exact
+    # and the walk ends at 2
+    with pytest.raises(RuntimeError, match=r"does not end at C\(10, 10\) = 1"):
+        count_paths_dp(10, 0, 0, 3)
 
 
 def test_unreachable_end_level_builds_no_rows():

@@ -5,6 +5,8 @@ Claims covered:
     - PolyX stores its coefficients as plain ints, a bool too
     - quotient normalization: even t-shifts fold into the numerator, the zero
       quotient is canonical, parity-mixed addition is rejected
+    - quotients compare by cross-multiplication and are unhashable, since
+      no hash of num, den and shift agrees with that equality
     - every expanded generating function agrees with transfer-table counts,
       with the right parity support and the right boundary zeros
     - height-exact functions combine over the denominator p_k * p_{k+1}
@@ -91,6 +93,10 @@ def test_quotient_equality_by_cross_multiplication():
     b = PolyQuotient(PolyX((2,)), PolyX((2, -2)))
     assert a == b
     assert a != PolyQuotient(PolyX((1,)), PolyX((1, -2)))
+    # no hash of num, den and shift agrees with this equality
+    for quotient in (a, b):
+        with pytest.raises(TypeError):
+            hash(quotient)
 
 
 def test_dyck_gf_small_cases():

@@ -9,6 +9,9 @@ Claims covered:
     - enumerate_ballot respects parity, height bounds, and end level;
       exact-height classes are the set difference of two bounded classes
     - negative height bounds denote the empty class
+    - enumeration needs no recursion per step: the single zigzag under cap 1
+      and the single all-up path come out at 2000 and 5000 steps, as many
+      as count_ballot_dp counts, with their height and first peak
 """
 
 import random
@@ -16,8 +19,9 @@ from math import comb
 
 import pytest
 
-from supercat import (DOWN, UP, Path, PathClass, enumerate_ballot,
-                      enumerate_dyck, factor_dyck)
+from supercat import (DOWN, UP, Path, PathClass, count_ballot_dp,
+                      enumerate_ballot, enumerate_dyck, factor_dyck)
+from supercat.lattice_paths import _ballot_words
 
 
 def lex_key(p: Path) -> str:
@@ -167,3 +171,22 @@ def test_exact_height_is_bounded_difference():
                 lower = set(enumerate_ballot(
                     PathClass(end_level=end, max_height=h - 1), steps))
                 assert exact == upper - lower
+
+
+def test_enumerate_ballot_is_lexicographic_under_caps():
+    for steps in range(11):
+        for end in range(4):
+            for path_class in (PathClass(end_level=end, max_height=3),
+                               PathClass(end_level=end, exact_height=2)):
+                paths = enumerate_ballot(path_class, steps)
+                assert paths == sorted(paths, key=lex_key)
+
+
+def test_long_single_path_classes_need_no_recursion():
+    for steps in (2000, 5000):
+        zigzag = PathClass(max_height=1)
+        assert _ballot_words(zigzag, steps) == [("UD" * (steps // 2), 1, 1)]
+        assert len(enumerate_ballot(zigzag, steps)) == count_ballot_dp(zigzag, steps) == 1
+        rising = PathClass(end_level=steps)
+        assert _ballot_words(rising, steps) == [(UP * steps, steps, steps)]
+        assert len(enumerate_ballot(rising, steps)) == count_ballot_dp(rising, steps) == 1

@@ -10,6 +10,7 @@ Claims covered:
       a row of Pascal's triangle in count_paths_dp, still raises at its first
       inexact division; a wrong start that is a multiple of the true one,
       which keeps every division exact, raises at the walk's end check
+      C(s, s) = 1
     - a planted wrong T(3,4) fails e-mo at degree 12 at (3, 4), and a product
       of Fraction series that is integral is stored as ints
 """
@@ -79,9 +80,9 @@ try:
 except RuntimeError as exc:
     print("planted walk start raised:", exc)
 # C(10, 0) planted as 2 doubles every value of the walk and keeps each
-# division exact; the walk ends at 504, not at C(10, 5) + 1 = 253
+# division exact; the walk ends at 2, not at C(10, 10) = 1
 try:
-    counting.count_paths_dp(10, 0, 0, 1)
+    counting.count_paths_dp(10, 0, 0, 3)
     print("planted walk multiple passed")
 except RuntimeError as exc:
     print("planted walk multiple raised:", exc)
@@ -108,5 +109,5 @@ def test_checks_survive_optimize_flag():
         "fraction product (1, 3, 2, 0) {'int'}",
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
-        "planted walk multiple raised: the walk along row 10 does not end at C(10, 5)",
+        "planted walk multiple raised: the walk along row 10 does not end at C(10, 10) = 1",
     ]
