@@ -96,7 +96,7 @@ class BijectionTrace:
     output: Path
 
     def to_dict(self) -> dict:
-        """JSON-ready form, consumed by the SVG renderer."""
+        """JSON-ready form: the steps of each path and the marked points."""
         return {
             "pair": {"p": self.pair.p.steps, "q": self.pair.q.steps},
             "intermediate": {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .series import _INTS, TruncSeries, _reciprocal
+from .series import _INTS, TruncSeries, _divide
 
 
 class PolyX:
@@ -193,24 +193,16 @@ class PolyQuotient:
     def expand(self, t_order: int) -> TruncSeries:
         """Series expansion truncated to exactly `t_order`.
 
-        The x-coefficients of num/den follow den's linear recurrence
-        out[k] = (num[k] - sum_{i>=1} den[i] * out[k-i]) / den[0], which costs
+        The x-coefficients of num/den come from den's linear recurrence
+        (`_divide`, the routine behind `TruncSeries.invert`), which costs
         O(N * deg den) and never touches the odd t-powers."""
         if t_order < 0:
             raise ValueError("t_order must be nonnegative")
         if self.is_zero:
             return TruncSeries.zero(t_order)
-        num, den = self.num.coeffs, self.den.coeffs
-        inv0 = _reciprocal(den[0])
-        tail = den[1:]
-        out = []
-        for k in range((t_order - self.t_shift) // 2 + 1):
-            acc = num[k] if k < len(num) else 0
-            for i, d in enumerate(tail[:k], 1):
-                acc -= d * out[k - i]
-            out.append(acc * inv0)
         cs = [0] * (t_order + 1)
-        cs[self.t_shift::2] = out
+        cs[self.t_shift::2] = _divide(self.num.coeffs, self.den.coeffs,
+                                      (t_order - self.t_shift) // 2 + 1)
         return TruncSeries(cs, t_order)
 
     def __repr__(self) -> str:

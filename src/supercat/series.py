@@ -9,9 +9,9 @@ order (raised by the amount of any multiplication by a power of t).
 Coefficients follow one rule: an integral value is stored as a plain int and
 any other value as an exact Fraction; a float, or any other type, raises
 TypeError.  Every series in the identity catalogue has integer coefficients,
-so its arithmetic runs on ints and never boxes them.  An arithmetic result
-whose coefficients are all ints is stored as computed; any other result goes
-through the rule again.
+so its arithmetic runs on ints and never boxes them.  Every series, results
+included, is built by the constructor, which stores an all-int input as it is
+and sends any other input through the rule.
 """
 
 from __future__ import annotations
@@ -55,6 +55,19 @@ def _reciprocal(a0: Scalar) -> Scalar:
     return a0 if a0 in (1, -1) else Fraction(1) / a0
 
 
+def _divide(num: Sequence[Scalar], den: Sequence[Scalar], length: int) -> list:
+    """The first `length` coefficients of num / den (den[0] nonzero, num
+    padded with zeros): out[k] = (num[k] - sum_{i>=1} den[i] out[k-i]) / den[0],
+    one dot product of den's tail with out reversed per coefficient."""
+    inv0 = _reciprocal(den[0])
+    tail = den[1:]
+    out = []
+    for k in range(length):
+        acc = num[k] if k < len(num) else _ZERO
+        out.append((acc - sum(map(mul, tail, reversed(out[-len(tail):])))) * inv0)
+    return out
+
+
 class TruncSeries:
     """Immutable truncated series in t over exact rationals (int when integral)."""
 
@@ -63,21 +76,13 @@ class TruncSeries:
     def __init__(self, coeffs: Iterable[Scalar], order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_frac(c) for c in coeffs][:order + 1]
+        cs = list(coeffs)
+        if not _INTS.issuperset(map(type, cs)):
+            cs = list(map(_frac, cs))
+        del cs[order + 1:]
         cs.extend([_ZERO] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
-
-    @classmethod
-    def _exact(cls, cs: Sequence[Scalar], order: int) -> "TruncSeries":
-        """A kernel output of exactly order + 1 coefficients.  Ints are stored
-        as they are; any other output goes through the coefficient rule."""
-        if set(map(type, cs)) != _INTS:
-            return cls(cs, order)
-        series = object.__new__(cls)
-        series.coeffs = tuple(cs)
-        series.order = order
-        return series
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -116,16 +121,14 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
-        return TruncSeries._exact(
-            list(map(add, self.coeffs[:order + 1], other.coeffs[:order + 1])), order)
+        return TruncSeries(list(map(add, self.coeffs, other.coeffs)), order)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
-        return TruncSeries._exact(
-            list(map(sub, self.coeffs[:order + 1], other.coeffs[:order + 1])), order)
+        return TruncSeries(list(map(sub, self.coeffs, other.coeffs)), order)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._exact([-c for c in self.coeffs], self.order)
+        return TruncSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other) -> "TruncSeries":
         """The truncated product.  Each output coefficient is one dot product
@@ -136,7 +139,7 @@ class TruncSeries:
         output coefficients of the other parity are skipped."""
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
-            return TruncSeries._exact([c * f for c in self.coeffs], self.order)
+            return TruncSeries([c * f for c in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self.order, other.order)
@@ -144,7 +147,7 @@ class TruncSeries:
         out = [_ZERO] * (order + 1)
         span_a, span_b = _span(a), _span(b)
         if span_a is None or span_b is None:
-            return TruncSeries._exact(out, order)
+            return TruncSeries(out, order)
         (lo_a, hi_a, par_a), (lo_b, hi_b, par_b) = span_a, span_b
         step = 2 if par_a is not None and par_b is not None else 1
         rb = b[::-1]  # b[k - i] = rb[order - k + i]
@@ -152,7 +155,7 @@ class TruncSeries:
             i0, i1 = max(lo_a, k - hi_b), min(hi_a, k - lo_b) + 1
             off = order - k
             out[k] = sum(map(mul, a[i0:i1:step], rb[off + i0:off + i1:step]))
-        return TruncSeries._exact(out, order)
+        return TruncSeries(out, order)
 
     __rmul__ = __mul__
 
@@ -161,17 +164,12 @@ class TruncSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv0 = _reciprocal(a0)
-        out = [inv0] + [_ZERO] * self.order
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if i > 0 and c]
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for i, c in nz:
-                if i > k:
-                    break
-                acc += c * out[k - i]
-            out[k] = -inv0 * acc
-        return TruncSeries._exact(out, self.order)
+        # a series on even t-powers alone has an inverse on even t-powers
+        step = 1 if any(self.coeffs[1::2]) else 2
+        den = self.coeffs[::step]
+        out = [_ZERO] * (self.order + 1)
+        out[::step] = _divide((1,), den, len(den))
+        return TruncSeries(out, self.order)
 
     def sqrt(self) -> "TruncSeries":
         """Square root of a series with constant term 1."""
@@ -183,24 +181,24 @@ class TruncSeries:
             for i in range(1, k):
                 acc -= out[i] * out[k - i]
             out[k] = _frac(Fraction(acc, 2))
-        return TruncSeries._exact(out, self.order)
+        return TruncSeries(out, self.order)
 
     def shift(self, s: int) -> "TruncSeries":
         """Multiply by t**s.  The order moves with the shift; a negative shift
         requires the dropped low coefficients to vanish."""
         if s >= 0:
-            return TruncSeries._exact([_ZERO] * s + list(self.coeffs), self.order + s)
+            return TruncSeries([_ZERO] * s + list(self.coeffs), self.order + s)
         if any(self.coeffs[:-s]):
             raise ValueError("cannot divide: low-order coefficients are nonzero")
         if self.order + s < 0:
             raise ValueError("shift would empty the series")
-        return TruncSeries._exact(self.coeffs[-s:], self.order + s)
+        return TruncSeries(self.coeffs[-s:], self.order + s)
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order` (which must not exceed self.order)."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries._exact(self.coeffs[:order + 1], order)
+        return TruncSeries(self.coeffs[:order + 1], order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries)

@@ -7,8 +7,11 @@ Claims covered:
     - a planted wrong inverse core fails the lemma-main round trip, and a
       planted forward core that is not one-to-one fails its image check
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
-      bound fails firstsum, a wrong binomial power e52, a wrong exact-height
-      series t3-main and a wrong p_n p-bridge, each at a stated coefficient
+      bound firstsum and pairsum, a wrong binomial power e52, a wrong
+      exact-height series or constant term t3-main and a wrong p_n p-bridge,
+      each at a stated coefficient
+    - a planted wrong coefficient in the division shared by expand and
+      invert fails g-forms at its path-count check and p-bridge
     - t3-main is cross-checked against path counts at every coefficient
       through its order: a planted wrong table count above x^9 fails it at
       x^10, and the path counts need no series kernel or generating function
@@ -48,7 +51,7 @@ from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
-from supercat import height_gf, identities
+from supercat import height_gf, identities, series
 from supercat.cli import main
 from supercat.identities import _series_mismatch
 
@@ -221,6 +224,18 @@ def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
     assert "pair count disagrees at n=11" in report.notes
 
 
+def test_pairsum_fails_on_a_wrong_height_bound(monkeypatch):
+    # G_4 -> G_5 adds (G_3 - G_2)(G_5 - G_4) to the n = 3 summand and
+    # (G_5 - G_4)(G_5 - G_2) to the n = 4 summand, each starting at 1·x^8;
+    # the n = 5 summand loses (G_5 - G_4)(G_6 - G_3), which starts at x^9
+    _plant(monkeypatch, "dyck_gf", lambda real: lambda k: real(k + (k == 4)))
+    report = verify_pairsum(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(16, super_catalan(2, 8) + 2,
+                                             super_catalan(2, 8))
+    assert report.notes == ("series sum vs 1 + 2C - C^2",)
+
+
 def test_e52():
     _assert_clean_pass(verify_e52(12), "e52")
 
@@ -256,6 +271,17 @@ def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
     assert report.first_mismatch == Mismatch(16, super_catalan(3, 9),
                                              super_catalan(3, 9) + 1)
     assert "main series identity" in report.notes
+
+
+def test_t3_main_fails_on_a_wrong_constant_term(monkeypatch):
+    # the left side's constant term is 1 + T(3, 1), planted as 7 for 6
+    real = identities.super_catalan
+    monkeypatch.setattr(identities, "super_catalan",
+                        lambda m, n: real(m, n) + ((m, n) == (3, 1)))
+    report = verify_t3_main(10)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(0, 7, 6)
+    assert report.notes == ("main series identity",)
 
 
 def test_t3_main_oracle_sees_a_wrong_count_above_x9(monkeypatch):
@@ -372,6 +398,37 @@ def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
     assert report.passed is False
     assert report.first_mismatch == Mismatch(2, -3, -2)
     assert "first failure at n=3" in report.notes
+
+
+def _plant_division_defect(monkeypatch):
+    """One more at output coefficient 12 of every division long enough, so at
+    x^12 = t^24 of an even expansion or inverse at order 12."""
+    real = series._divide
+
+    def wrong(num, den, length):
+        out = real(num, den, length)
+        if length > 12:
+            out[12] += 1
+        return out
+    for module in (series, height_gf):
+        monkeypatch.setattr(module, "_divide", wrong)
+
+
+@pytest.mark.parametrize("verify, note, mismatch", [
+    # G_0 and its C-form 1 / (1 - C^2) times (1 + C)(1 - C) move alike
+    # through t^24, so only the height table sees the extra path
+    (verify_g_closed_forms, "G_0^(0): series vs path count at t^24",
+     Mismatch(24, 1, 0)),
+    # (1 - C) / (1 - C) gains (1 - C) t^24 against p_0 = 1
+    (verify_p_bridge, "first failure at n=0", Mismatch(24, 0, 1)),
+])
+def test_division_defect_fails_g_forms_and_p_bridge(monkeypatch, verify, note,
+                                                    mismatch):
+    _plant_division_defect(monkeypatch)
+    report = verify(12)
+    assert report.passed is False
+    assert report.notes == (note,)
+    assert report.first_mismatch == mismatch
 
 
 def test_lemma_main_count():

@@ -12,7 +12,8 @@ Claims covered:
       the dense inverse equals the dict-scan reference on seeded random
       sparse and dense inputs with int and Fraction entries
     - one coefficient rule: integral values are plain ints (a bool too), the
-      rest exact Fractions, and floats or other types are refused
+      rest exact Fractions, and floats or other types are refused, anywhere
+      in the input, past the truncation order too
 """
 
 import random
@@ -221,6 +222,10 @@ def test_inexact_coefficients_are_refused():
         TruncSeries([0.5], 3)
     with pytest.raises(TypeError):
         TruncSeries(["1"], 3)
+    for bad in (0.5, "1"):  # anywhere, past the truncation order too
+        for coeffs in ([bad, 1, 2], [1, bad, 2], [1, 2, bad], (1, 2, 3, bad)):
+            with pytest.raises(TypeError):
+                TruncSeries(coeffs, 1)
     with pytest.raises(TypeError):
         BiTrunc({(0, 0): 1.0}, 2)
     with pytest.raises(TypeError):
