@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
 from .counting import (CountTable, catalan, count_E_set,
-                       count_pairs_height_diff, super_catalan)
+                       count_pairs_height_diff, exact_div, super_catalan,
+                       super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .lattice_paths import _levels
@@ -123,10 +124,18 @@ def verify_t3_closed_form(n_max: int) -> VerificationReport:
 def verify_e8(order: int) -> VerificationReport:
     """sum_n 2^(p-2n) C(p,2n) T(m,n) = T(m, m+p) for all m, p <= order.
 
-    The m = 0 row is checked in its doubled form, where the summand T(0,n)
-    becomes the middle binomial coefficient and the right side C(2p, p).
-    The weights 2^(p-2n) C(p,2n) are built once, and the values T(m, n) once
-    per m, each from the factorial formula.
+    Checked on the doubled rows 2T(m, n), n <= m + order, of
+    `super_catalan_row`: one small product and one exact division per entry,
+    no factorials.  At m = 0 the doubled identity is the one stated, since
+    T(0, 0) = 1/2: the summand becomes the middle binomial coefficient and
+    the right side C(2p, p).  For m >= 1 a failure reports halved values,
+    T(m, n) and not 2T(m, n).
+
+    The identity is linear in a row, so a row scaled by a wrong start value
+    would still satisfy it.  Each row is therefore anchored: its last entry,
+    2T(m, m + order), is compared with super_catalan once, before the row is
+    used, and a wrong one fails at (m, order) with the row's value on the
+    left.  The weights 2^(p-2n) C(p,2n) are built once.
     """
     def body(notes):
         notes.append(f"checked 0 <= m <= {order}, 0 <= p <= {order}")
@@ -134,16 +143,24 @@ def verify_e8(order: int) -> VerificationReport:
                      "(middle binomial coefficients)")
         weights = [[2 ** (p - 2 * n) * comb(p, 2 * n) for n in range(p // 2 + 1)]
                    for p in range(order + 1)]
-        for m in range(order + 1):
+
+        def mismatch(m, p, lhs, rhs):  # m = 0 keeps the doubled identity
             if m:
-                row = [super_catalan(m, n) for n in range(m + order + 1)]
-            else:
-                row = [comb(2 * n, n) for n in range(order + 1)]
+                lhs, rhs = (exact_div(v, 2, f"half of an e8 side at ({m}, {p})")
+                            for v in (lhs, rhs))
+            return Mismatch((m, p), lhs, rhs)
+
+        for m in range(order + 1):
+            row = super_catalan_row(m, m + order)
+            if m + order:  # at order 0 the row is its start, C(0, 0) = 1
+                anchor = 2 * super_catalan(m, m + order)
+                if row[-1] != anchor:
+                    return mismatch(m, order, row[-1], anchor)
             for p, weight in enumerate(weights):
                 lhs = sum(map(mul, weight, row))  # n <= p // 2, the weights' length
                 rhs = row[m + p]
                 if lhs != rhs:
-                    return Mismatch((m, p), lhs, rhs)
+                    return mismatch(m, p, lhs, rhs)
         return None
     return _run("e8", order, body)
 
@@ -157,16 +174,31 @@ def verify_e_mo(degree: int) -> VerificationReport:
     (A L)[i][j] = A[i][j] + sum_k u[i-k] W[k][j], where W[k] is row k of A
     times u(y).  Every term of A has total degree >= 2, so at the first
     coefficient (by total degree, then i) where L and 1 + A L differ,
-    1 + A L equals the inverse's coefficient."""
+    1 + A L equals the inverse's coefficient.
+
+    Row m of A is read off `super_catalan_row(m, degree - m)`, each entry
+    halved with an exact division.  Each row is anchored as in e8: its last
+    entry is compared with super_catalan once, before any coefficient, and
+    a wrong one fails at (m, degree - m) with the row's value on the left.
+    Here the identity alone would also catch a row scaled by a wrong start
+    value, since L fixes A = 1 - L^(-1), but only at that row's first
+    entry; the anchor ties both checks to super_catalan by the same rule."""
     if degree < 2:
         raise ValueError("degree must be >= 2")
     def body(notes):
         u = [0] + [catalan(n) for n in range(1, degree)]  # u[n], n < degree
         ru = u[::-1]  # u[m] = ru[degree - 1 - m]
-        # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; row 0 is zero
-        a = [[0] * (degree + 1)] + [
-            [0] + [super_catalan(m, n) for n in range(1, degree - m + 1)]
-            for m in range(1, degree + 1)]
+        # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; rows 0 and
+        # degree are zero
+        a = [[0] * (degree + 1)]
+        for m in range(1, degree):
+            row = super_catalan_row(m, degree - m)
+            a.append([0] + [exact_div(value, 2, f"T({m},{n})")
+                            for n, value in enumerate(row[1:], 1)])
+            anchor = super_catalan(m, degree - m)
+            if a[m][-1] != anchor:
+                return Mismatch((m, degree - m), a[m][-1], anchor)
+        a.append([0])
         # w[k][j] = sum_l a[k][l] u[j-l], and w_col[j][k] = w[k][j]
         w = [[sum(map(mul, row[1:j], ru[degree - j:degree - 1]))
               for j in range(len(row))] for row in a]
@@ -389,6 +421,13 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     t^d (1 + C)^(d+1) and sqrt(C)^(d+1) / t, are checked once per power d.
     Coefficient t^n of a product depends only on its operands through t^n,
     so one form per G compares it with all three.
+
+    Each form costs one series product.  With geom[l] = 1 + C + ... + C^l,
+    geom[-1] = 0 and m = k - j + 1, the C-form of G_k^(i,j) is
+    sqrt(C)^(j-i) (1 + C) geom[i] (1 - C^m) / (1 - C^(k+2)), and
+    geom[i] (1 - C^m) = geom[i] - geom[i+m] + geom[m-1].  So the k + 2
+    series geom[l] / (1 - C^(k+2)) are formed once per k, and each form is
+    the prefactor times a sum of three of them.
     """
     def body(notes):
         t_order = 2 * x_order
@@ -419,11 +458,19 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                 return mismatch
             prefactor.append(form)
 
+        zero = TruncSeries.zero(t_base)
         for k in range(-1, _G_FORMS_K_MAX + 1):
             inv_den = (one - c_pow[k + 2]).invert()
-            # tails[j] = (1 - C^(k-j+1)) / (1 - C^(k+2))
-            tails = [(one - c_pow[k - j + 1]) * inv_den for j in range(k + 2)]
-            from_c = (onepC * tails[0]).truncate(t_order)
+            # ig[l] = geom[l] / (1 - C^(k+2)) for l <= k + 1; the zero after
+            # them, read as ig[-1], stands for geom[-1]
+            ig = [g * inv_den for g in geom[:k + 2]] + [zero]
+
+            def tail(i, j):
+                """geom[i] (1 - C^(k-j+1)) / (1 - C^(k+2))."""
+                m = k - j + 1
+                return ig[i] - ig[i + m] + ig[m - 1]
+
+            from_c = (onepC * tail(0, 0)).truncate(t_order)
             from_p = dyck_gf(k).expand(t_order)
             mismatch = _series_mismatch(from_p, from_c)
             if mismatch:
@@ -435,7 +482,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
             for i in range(k + 2):
                 table = CountTable(t_order, k, start_level=i)
                 for j in range(i, k + 2):
-                    form = prefactor[j - i] * (geom[i] * tails[j])
+                    form = prefactor[j - i] * tail(i, j)
                     gfs = [(f"G_{k}^({i},{j})", ballot_between_gf(k, i, j))]
                     if i == 0:  # G_k^(j) = G_k^(0,j), compared first
                         gfs.insert(0, (f"G_{k}^({j})", ballot_end_gf(k, j)))

@@ -18,20 +18,22 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        with height bound <= 6, end level <= 5, steps <= 14           (< 30 s)
     8. ballot counts at the CLI limit of 10000 steps, from no cap to
        cap 0 and one exact-height class, all together                 (< 1 s)
+    9. e8, e-mo and g-forms at the CLI ceiling --order 200, unclamped,
+       all together                                                  (< 20 s)
 """
 
 import time
 from contextlib import redirect_stdout
 from io import StringIO
 
-from supercat import (PathClass, catalan, count_ballot_dp,
+from supercat import (IDENTITIES, PathClass, catalan, count_ballot_dp,
                       count_pairs_height_diff, count_paths_dp, enumerate_ballot,
                       super_catalan, verify_e8, verify_e52, verify_e_mo,
                       verify_firstsum, verify_g_closed_forms,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
-                      verify_t2_closed_form, verify_t3_closed_form,
-                      verify_t3_main)
-from supercat.cli import BALLOT_STEPS_MAX, main
+                      run_identity, verify_t2_closed_form,
+                      verify_t3_closed_form, verify_t3_main)
+from supercat.cli import BALLOT_STEPS_MAX, ORDER_MAX, main
 
 ROW_2 = "3 2 3 6 14 36 99 286 858 2652 8398"
 ROW_3 = "10 5 6 10 20 45 110 286 780 2210 6460"
@@ -185,3 +187,15 @@ def test_criterion_8_ballot_counts_at_the_steps_limit():
               and 0 < exact < counts[6, 2000])
         return ok, f"{len(counts) + 2} strip counts at {steps} steps"
     check("criterion 8 (ballot counts at the --steps limit)", 1.0, body)
+
+
+def test_criterion_9_deep_checks_at_the_order_ceiling():
+    def body():
+        for identity in ("e8", "e-mo", "g-forms"):
+            report = run_identity(identity, ORDER_MAX)
+            clamp_note = IDENTITIES[identity].clamp_note.format(report.order)
+            if (not report.passed or report.order != ORDER_MAX
+                    or clamp_note in report.notes):
+                return False, f"{identity}: {report}"
+        return True, f"e8, e-mo and g-forms at order {ORDER_MAX}"
+    check("criterion 9 (e8, e-mo, g-forms at --order 200)", 20.0, body)

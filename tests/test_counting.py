@@ -4,6 +4,8 @@ Claims covered:
     - catalan and super_catalan reproduce the known value tables exactly
     - super_catalan_row, built by the ratio recurrence, equals the doubled
       factorial values and fails loudly on a wrong start value
+    - both routes to T, the ratio rows and the factorials, equal von Szily's
+      signed sum of binomial products for every m, n <= 40
     - super_catalan is symmetric and errors on the non-integral (0, 0) case
     - count_ballot_dp agrees with exhaustive enumeration for every class
     - count_paths_dp, a signed sum of reflected binomials taken from one
@@ -101,6 +103,21 @@ def test_super_catalan_row_matches_factorials():
         super_catalan_row(-1, 3)
     with pytest.raises(ValueError):
         super_catalan_row(2, -1)
+
+
+def test_both_super_catalan_routes_match_von_szily():
+    # 2T(m, n) = sum_k (-1)^k C(2m, m+k) C(2n, n+k), von Szily's sum as
+    # quoted in Gessel, "Super ballot numbers" (J. Symbolic Comput. 1992);
+    # the sign stays an int, where (-1) ** k is a float for negative k
+    for m in range(41):
+        row = super_catalan_row(m, 40)
+        for n in range(41):
+            k_max = min(m, n)
+            by_sum = sum((-1 if k % 2 else 1) * comb(2 * m, m + k) * comb(2 * n, n + k)
+                         for k in range(-k_max, k_max + 1))
+            assert row[n] == by_sum
+            if m or n:
+                assert by_sum == 2 * super_catalan(m, n)
 
 
 def test_super_catalan_row_refuses_a_wrong_start_value(monkeypatch):

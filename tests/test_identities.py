@@ -15,12 +15,18 @@ Claims covered:
     - t3-main is cross-checked against path counts at every coefficient
       through its order: a planted wrong table count above x^9 fails it at
       x^10, and the path counts need no series kernel or generating function
-    - a planted wrong super Catalan number fails e-mo and e8 at its index, a
-      planted wrong height bound fails g-forms; e-mo and g-forms pass at
-      order 40, and e8, e-mo and lemma-main at order 60
+    - a planted wrong super Catalan number in a row of super_catalan_row
+      fails e-mo and e8 at its index, a planted wrong height bound fails
+      g-forms; e-mo and g-forms pass at order 40, and e8, e-mo and
+      lemma-main at order 60
+    - a row scaled by a wrong start value, every division still exact, fails
+      e8 and e-mo at the row's anchor, with halved values in the report
+    - e8 and e-mo call super_catalan once per row, and g-forms makes one
+      series product per closed form: 324 at order 12
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
-      Catalan and Catalan numbers
+      Catalan and Catalan numbers; a non-integer T planted in a row entry is
+      refused by both routes at its halving
     - a planted wrong end-level series, between-levels series or table count
       fails g-forms with the same note and coefficient as before the closed
       forms shared their factors and each G met one C-form; a planted wrong
@@ -53,6 +59,7 @@ from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
                       verify_t3_main)
 from supercat import height_gf, identities, series
 from supercat.cli import main
+from supercat.counting import exact_div
 from supercat.identities import _series_mismatch
 
 
@@ -95,15 +102,72 @@ def test_e8():
     assert any("doubled" in note for note in report.notes)
 
 
+def _plant_row_entry(monkeypatch, at, wrong):
+    """Make identities.super_catalan_row give 2 * wrong(T(m, n)) at the
+    entry (m, n) = at, whenever a row reaches it: the checks that read T off
+    doubled rows then see wrong(T(m, n))."""
+    real = identities.super_catalan_row
+    m_at, n_at = at
+
+    def planted(m, n_max):
+        row = real(m, n_max)
+        if m == m_at and n_at <= n_max:
+            row[n_at] = 2 * wrong(row[n_at] // 2)
+        return row
+    monkeypatch.setattr(identities, "super_catalan_row", planted)
+
+
 def test_e8_fails_on_a_wrong_super_catalan(monkeypatch):
     # T(2, 5) first appears as the right side T(m, m + p) at (m, p) = (2, 3);
     # on the left it would need n = 5 <= p // 2, past p <= 6
-    real = identities.super_catalan
-    monkeypatch.setattr(identities, "super_catalan",
-                        lambda m, n: real(m, n) + ((m, n) == (2, 5)))
+    _plant_row_entry(monkeypatch, (2, 5), lambda v: v + 1)
     report = verify_e8(6)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch((2, 3), real(2, 5), real(2, 5) + 1)
+    assert report.first_mismatch == Mismatch((2, 3), super_catalan(2, 5),
+                                             super_catalan(2, 5) + 1)
+
+
+def test_a_scaled_row_fails_e8_and_e_mo_at_its_anchor(monkeypatch):
+    # row 3 from the start value 2 * C(6, 3): the ratio recurrence is linear,
+    # so every entry doubles and every division stays exact.  e8 is linear in
+    # a row and passes such a row; only its anchor, the last entry against
+    # super_catalan, sees it.  Both reports carry halved values, 2T against T
+    real = identities.super_catalan_row
+    monkeypatch.setattr(identities, "super_catalan_row", lambda m, n_max: [
+        2 * value if m == 3 else value for value in real(m, n_max)])
+    report = verify_e8(6)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch((3, 6), 2 * super_catalan(3, 9),
+                                             super_catalan(3, 9))
+    report = verify_e_mo(12)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch((3, 9), 2 * super_catalan(3, 9),
+                                             super_catalan(3, 9))
+
+
+def test_row_checks_call_super_catalan_once_per_row(monkeypatch):
+    # the factorial route anchors each row once: rows m = 0..10 of e8 at
+    # order 10, rows m = 1..11 of e-mo at degree 12 (row 12 of A is zero)
+    calls = []
+    real = identities.super_catalan
+    monkeypatch.setattr(identities, "super_catalan",
+                        lambda m, n: calls.append((m, n)) or real(m, n))
+    assert verify_e8(10).passed
+    assert calls == [(m, m + 10) for m in range(11)]
+    calls.clear()
+    assert verify_e_mo(12).passed
+    assert calls == [(m, 12 - m) for m in range(1, 12)]
+
+
+def test_g_closed_forms_make_one_series_product_per_form(monkeypatch):
+    # 40 products build the powers and prefactors, 55 the series
+    # geom[l] / (1 - C^(k+2)), 10 the G_k C-forms and 219 the G_k^(i,j) forms
+    calls = []
+    real = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    assert verify_g_closed_forms(12).passed
+    assert len(calls) == 324
 
 
 @pytest.mark.parametrize("identity", ["e8", "e-mo"])
@@ -118,9 +182,7 @@ def test_e_mo():
 
 
 def test_e_mo_fails_on_a_wrong_super_catalan(monkeypatch):
-    real = identities.super_catalan
-    monkeypatch.setattr(identities, "super_catalan",
-                        lambda m, n: real(m, n) + ((m, n) == (3, 4)))
+    _plant_row_entry(monkeypatch, (3, 4), lambda v: v + 1)
     report = verify_e_mo(20)
     assert report.passed is False
     assert report.first_mismatch.power == (3, 4)
@@ -132,13 +194,15 @@ def test_e_mo_passes_deep():
 
 def _e_mo_by_inverse(degree):
     """(passed, first_mismatch, notes) of e-mo by the dense inverse of 1 - A,
-    reading catalan and super_catalan through the identities module, so a
+    reading catalan and the rows of super_catalan_row through the identities
+    module, each entry halved by exact division as e-mo halves it, so a
     planted defect reaches both routes."""
     one = BiTrunc.one(degree)
     pairs = [(m, n) for m in range(1, degree) for n in range(1, degree - m + 1)]
+    rows = {m: identities.super_catalan_row(m, degree - m) for m in range(1, degree)}
     lhs = one + BiTrunc({(m, n): identities.catalan(m) * identities.catalan(n)
                          for m, n in pairs}, degree)
-    rhs = (one - BiTrunc({(m, n): identities.super_catalan(m, n)
+    rhs = (one - BiTrunc({(m, n): exact_div(rows[m][n], 2, f"T({m},{n})")
                           for m, n in pairs}, degree)).invert()
     for d in range(degree + 1):
         for i in range(d + 1):
@@ -148,8 +212,17 @@ def _e_mo_by_inverse(degree):
 
 
 def _same_as_inverse(degree):
+    """The e-mo report, asserted equal to the dense inverse's; None when the
+    halving of a row refuses a non-integer T, which must then stop both
+    routes with the same error."""
+    try:
+        expected = _e_mo_by_inverse(degree)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            verify_e_mo(degree)
+        return None
     report = verify_e_mo(degree)
-    assert (report.passed, report.first_mismatch, report.notes) == _e_mo_by_inverse(degree)
+    assert (report.passed, report.first_mismatch, report.notes) == expected
     return report
 
 
@@ -172,12 +245,16 @@ def test_e_mo_matches_the_dense_inverse(degree):
     ("catalan", (3,), lambda v: v + Fraction(1, 2)),
 ])
 def test_e_mo_failures_match_the_dense_inverse(monkeypatch, name, at, wrong):
-    real = getattr(identities, name)
-    monkeypatch.setattr(identities, name,
-                        lambda *args: wrong(real(*args)) if args == at else real(*args))
+    # a wrong T is planted in its doubled row entry; T(2,2) + 1/3 makes that
+    # entry a non-integer, which both routes refuse at its halving
+    if name == "super_catalan":
+        _plant_row_entry(monkeypatch, at, wrong)
+    else:
+        _plant(monkeypatch, name, lambda real: lambda *args:
+               wrong(real(*args)) if args == at else real(*args))
     for degree in (8, 12, 20):
         report = _same_as_inverse(degree)
-    assert not report.passed
+    assert report is None or not report.passed
 
 
 @pytest.mark.parametrize("name, at, mismatch", [
@@ -185,9 +262,11 @@ def test_e_mo_failures_match_the_dense_inverse(monkeypatch, name, at, wrong):
     ("catalan", (6,), Mismatch((1, 6), 133, 132)),
 ])
 def test_e_mo_failure_reports(monkeypatch, name, at, mismatch):
-    real = getattr(identities, name)
-    monkeypatch.setattr(identities, name,
-                        lambda *args: real(*args) + (args == at))
+    if name == "super_catalan":
+        _plant_row_entry(monkeypatch, at, lambda v: v + 1)
+    else:
+        _plant(monkeypatch, name,
+               lambda real: lambda *args: real(*args) + (args == at))
     assert verify_e_mo(20).first_mismatch == mismatch
 
 

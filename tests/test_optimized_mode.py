@@ -11,8 +11,9 @@ Claims covered:
       inexact division; a wrong start that is a multiple of the true one,
       which keeps every division exact, raises at the walk's end check
       C(s, s) = 1
-    - a planted wrong T(3,4) fails e-mo at degree 12 at (3, 4), and a product
-      of Fraction series that is integral is stored as ints
+    - a planted wrong T(3,4) in its row of super_catalan_row fails e-mo at
+      degree 12 at (3, 4), and a product of Fraction series that is
+      integral is stored as ints
 """
 
 import os
@@ -60,10 +61,12 @@ try:
     print("planted valuation passed")
 except RuntimeError as exc:
     print("planted valuation raised:", exc)
-real_t = identities.super_catalan
-identities.super_catalan = lambda m, n: real_t(m, n) + ((m, n) == (3, 4))
+# T(3, 4) planted as 71 for 70 in its doubled row entry
+real_row = identities.super_catalan_row
+identities.super_catalan_row = lambda m, n_max: [
+    value + 2 * ((m, n) == (3, 4)) for n, value in enumerate(real_row(m, n_max))]
 print("planted e-mo", identities.verify_e_mo(12).first_mismatch)
-identities.super_catalan = real_t
+identities.super_catalan_row = real_row
 product = (TruncSeries([Fraction(3, 2), Fraction(3, 2)], 3)
            * TruncSeries([Fraction(2, 3), Fraction(4, 3)], 3))
 print("fraction product", product.coeffs, {type(c).__name__ for c in product.coeffs})
