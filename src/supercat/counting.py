@@ -111,8 +111,10 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     j = u (mod h + 2) minus the sum over j = u - end_level - 1 (mod h + 2),
     both from one forward walk along row `steps` of Pascal's triangle.
     Without a cap, or with one no path can reach, only j = u and
-    j = u - end_level - 1 are in range.  Every division is checked exact,
-    and the walk must end at C(steps, steps) = 1."""
+    j = u - end_level - 1 are in range.  The narrowest strips need no walk:
+    a path that takes a step has none under cap 0 and one under cap 1.
+    Every division is checked exact, and the walk must end at
+    C(steps, steps) = 1."""
     for name, value in (("end_level", end_level), ("steps", steps),
                         ("start_level", start_level)):
         if value < 0:
@@ -127,6 +129,10 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
         return comb(steps, up) - (comb(steps, down) if down >= 0 else 0)
     if max_height < max(start_level, end_level):
         return 0
+    if max_height < 2:
+        # every step is forced: no step stays on the single level of cap 0,
+        # and under cap 1 exactly one path zigzags between levels 0 and 1
+        return max_height
     period = max_height + 2
     # the two residues differ, since end_level + 1 lies in [1, period - 1]
     plus, minus = up % period, down % period

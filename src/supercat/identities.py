@@ -483,6 +483,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                 table = CountTable(t_order, k, start_level=i)
                 for j in range(i, k + 2):
                     form = prefactor[j - i] * tail(i, j)
+                    column = table.column(j)
                     gfs = [(f"G_{k}^({i},{j})", ballot_between_gf(k, i, j))]
                     if i == 0:  # G_k^(j) = G_k^(0,j), compared first
                         gfs.insert(0, (f"G_{k}^({j})", ballot_end_gf(k, j)))
@@ -492,7 +493,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                         if mismatch:
                             notes.append(f"{name}: closed forms disagree")
                             return mismatch
-                        mismatch = _first_mismatch(by_p.coeffs, table.column(j))
+                        mismatch = _first_mismatch(by_p.coeffs, column)
                         if mismatch:
                             notes.append(f"{name}: series vs path count "
                                          f"at t^{mismatch.power}")

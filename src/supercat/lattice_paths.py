@@ -2,6 +2,8 @@
 
 Paths take unit steps (1, 1) and (1, -1) and start at level 0.  The canonical
 text encoding is a string over {U, D}; the empty string is the empty path.
+A Path reads its levels off its own steps in one signed-byte pass, keeps its
+height once it is first read, and is nonnegative exactly when no level is -1.
 All values are immutable after construction and every function here is pure.
 """
 
@@ -12,29 +14,39 @@ from itertools import accumulate
 
 UP = "U"
 DOWN = "D"
-_STEP = {UP: 1, DOWN: -1}
+# byte -> signed step as an unsigned byte: U -> 1, D -> -1 (0xff), else 0
+_SIGNED = bytes(1 if b == ord(UP) else 0xFF if b == ord(DOWN) else 0
+                for b in range(256))
 
 
 def _levels(steps: str) -> tuple[int, ...]:
-    """The level at every point of `steps`, starting with 0: one pass."""
-    try:
-        # through a list: a tuple grown from an iterator is resized again and
-        # again, which is slower on long paths and leaves more of the heap
-        # fragmented (peak RSS)
-        return tuple(list(accumulate(map(_STEP.__getitem__, steps), initial=0)))
-    except KeyError as exc:
-        raise ValueError(f"invalid step {exc.args[0]!r}: "
-                         f"steps are {UP!r} or {DOWN!r}") from None
+    """The level at every point of `steps`, starting with 0.
+
+    The steps become signed bytes in one encode and one translate, one byte
+    per character: a character outside ASCII, lone surrogates included,
+    encodes as '?', and every byte but U and D translates to 0.  So one scan
+    for 0 finds the first bad step, and the levels are one accumulate over
+    the bytes read as signed, through a memoryview cast.
+    """
+    signed = steps.encode("ascii", "replace").translate(_SIGNED)
+    if 0 in signed:
+        raise ValueError(f"invalid step {steps[signed.index(0)]!r}: "
+                         f"steps are {UP!r} or {DOWN!r}")
+    # through a list: a tuple grown from an iterator is resized again and
+    # again, which is slower on long paths and leaves more of the heap
+    # fragmented (peak RSS)
+    return tuple(list(accumulate(memoryview(signed).cast("b"), initial=0)))
 
 
 class Path:
     """A path of up/down unit steps starting at level 0.
 
     `levels` holds the level at every point of the path, so it always has one
-    more entry than `steps` and starts with 0.
+    more entry than `steps` and starts with 0.  The height is computed from
+    them the first time it is read and kept.
     """
 
-    __slots__ = ("steps", "levels")
+    __slots__ = ("steps", "levels", "_height")
 
     def __init__(self, steps: str = ""):
         self.levels = _levels(steps)
@@ -43,7 +55,11 @@ class Path:
     @property
     def height(self) -> int:
         """Highest level reached; 0 for the empty path."""
-        return max(self.levels)
+        try:
+            return self._height
+        except AttributeError:
+            self._height = height = max(self.levels)
+            return height
 
     @property
     def end_level(self) -> int:
@@ -51,11 +67,16 @@ class Path:
 
     def is_dyck(self) -> bool:
         """True iff the path never goes below level 0 and ends at level 0."""
-        return self.levels[-1] == 0 and min(self.levels) >= 0
+        return self.levels[-1] == 0 and self.is_ballot()
 
     def is_ballot(self) -> bool:
-        """True iff the path never goes below level 0 (any end level)."""
-        return min(self.levels) >= 0
+        """True iff the path never goes below level 0 (any end level).
+
+        Levels start at 0 and move by one, so a path that goes below 0 first
+        does so at level -1: the floor test is one scan for -1, which stops
+        at the first one.
+        """
+        return -1 not in self.levels
 
     def __len__(self) -> int:
         return len(self.steps)

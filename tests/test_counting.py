@@ -13,6 +13,8 @@ Claims covered:
       and even rows, every cap, start and end level up to 60 steps, and caps
       0 and 1 at 10 000 steps) and the Catalan numbers, and an unreachable
       end level costs nothing
+    - caps 0 and 1 are counted without a walk (0 and 1 once a path takes a
+      step), equal to CountTable up to 300 steps from levels 0 and 1
     - a wrong start value of that walk raises: an inexact one at its first
       inexact division, a multiple of the true one at the end check
       C(s, s) = 1
@@ -221,6 +223,21 @@ def test_trimmed_rows_match_the_full_recurrence():
     assert count_paths_dp(10_000, 1, 1, 1) == count_paths_dp(10_001, 0, 1, 1) == 1
     for n in (*range(61), 1500, 5000):
         assert count_paths_dp(2 * n, 0, 0) == catalan(n)
+
+
+def test_narrowest_strips_take_no_walk(monkeypatch):
+    # caps 0 and 1 force every step, so their counts are 0 and 1 once a
+    # path takes a step, without a walk along the row
+    want = {(cap, start): CountTable(300, cap, start_level=start)
+            for cap in (0, 1) for start in (0, 1)}
+    monkeypatch.setattr(counting, "exact_div", None)
+    for (cap, start), table in want.items():
+        for steps in range(301):
+            for end in (0, 1):
+                assert count_paths_dp(steps, start, end, cap) == \
+                    table.count(steps, end), (steps, start, end, cap)
+    assert count_paths_dp(10_000, 0, 0, 0) == 0
+    assert count_paths_dp(10_000, 1, 1, 1) == count_paths_dp(10_001, 0, 1, 1) == 1
 
 
 def test_a_wrong_walk_start_raises(monkeypatch):

@@ -22,7 +22,8 @@ Claims covered:
     - a row scaled by a wrong start value, every division still exact, fails
       e8 and e-mo at the row's anchor, with halved values in the report
     - e8 and e-mo call super_catalan once per row, and g-forms makes one
-      series product per closed form: 324 at order 12
+      series product per closed form: 324 at order 12, and one table
+      column per (k, i, j): 219
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
       Catalan and Catalan numbers; a non-integer T planted in a row entry is
@@ -168,6 +169,17 @@ def test_g_closed_forms_make_one_series_product_per_form(monkeypatch):
                         lambda self, other: calls.append(1) or real(self, other))
     assert verify_g_closed_forms(12).passed
     assert len(calls) == 324
+
+
+def test_g_closed_forms_build_each_table_column_once(monkeypatch):
+    # one column per (k, i, j) with 0 <= i <= j <= k + 1, for k = 0..8:
+    # G_k^(j) and G_k^(0,j) share the column of level j
+    levels = []
+    real = CountTable.column
+    monkeypatch.setattr(CountTable, "column",
+                        lambda self, level: levels.append(level) or real(self, level))
+    assert verify_g_closed_forms(12).passed
+    assert len(levels) == sum((k + 2) * (k + 3) // 2 for k in range(9)) == 219
 
 
 @pytest.mark.parametrize("identity", ["e8", "e-mo"])

@@ -14,6 +14,9 @@ Claims covered:
     - a planted wrong T(3,4) in its row of super_catalan_row fails e-mo at
       degree 12 at (3, 4), and a product of Fraction series that is
       integral is stored as ints
+    - Path refuses a bad step, inverse refuses a path that dips below 0, and
+      RestrictedPair refuses h(p) > h(q) + 1 when both heights were read,
+      and so kept, before the pair was built
 """
 
 import os
@@ -27,8 +30,8 @@ SCRIPT = """
 import sys
 from fractions import Fraction
 from math import comb
-from supercat import (IDENTITIES, Path, TruncSeries, bijection, counting, enumerate_dyck,
-                      enumerate_restricted_pairs, forward, height_gf,
+from supercat import (IDENTITIES, Path, RestrictedPair, TruncSeries, bijection, counting,
+                      enumerate_dyck, enumerate_restricted_pairs, forward, height_gf,
                       identities, inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
@@ -89,6 +92,23 @@ try:
     print("planted walk multiple passed")
 except RuntimeError as exc:
     print("planted walk multiple raised:", exc)
+try:
+    Path("UxD")
+    print("bad step passed")
+except ValueError as exc:
+    print("bad step raised:", exc)
+try:
+    inverse(Path("DU"))
+    print("inverse of DU passed")
+except ValueError as exc:
+    print("inverse of DU raised:", exc)
+p, q = Path("UUUDDD"), Path("UD")
+print("heights read", p.height, q.height)
+try:
+    RestrictedPair(p, q)
+    print("kept heights passed")
+except ValueError as exc:
+    print("kept heights raised:", exc)
 """
 
 
@@ -113,4 +133,8 @@ def test_checks_survive_optimize_flag():
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
         "planted walk multiple raised: the walk along row 10 does not end at C(10, 10) = 1",
+        "bad step raised: invalid step 'x': steps are 'U' or 'D'",
+        "inverse of DU raised: input is not a Dyck path",
+        "heights read 3 1",
+        "kept heights raised: height condition h(p) <= h(q) + 1 violated",
     ]

@@ -3,9 +3,10 @@
 Claims covered:
     - on a random Dyck path of any semilength up to 40, inverse and forward
       agree with a plain-loop reference of the two surgeries
-    - Path.levels from one accumulate pass, and the height and is_dyck read
-      off it, match a plain loop on any U/D string
-    - a bad step is refused with the same message as before
+    - Path.levels from one signed-byte pass, the height kept from it and
+      the -1 floor test of is_ballot and is_dyck match a plain loop on any
+      U/D string
+    - a bad step is refused with a message that names it
 
 The seeded tests that need no hypothesis are in test_string_cores.py.
 """

@@ -4,6 +4,13 @@ Claims covered:
     - on uniform random Dyck paths of semilength 10^2, 10^3 and 10^4, inverse
       and forward agree with trace(pair).output and with a plain-loop
       reference of the two surgeries, and the round trip returns the path
+    - Path's signed-byte level pass, its kept height and its -1 floor test
+      match a plain loop and a min(levels) >= 0 reference on those Dyck
+      paths, on them with a step added at either end, on strings that first
+      dip to -1 at their last step, and on 20 000 up steps, whose levels no
+      signed byte holds
+    - a bad step is named in the error, whether it is a NUL, a character
+      outside ASCII, a lone surrogate or the step after 10^4 valid ones
 
 The property tests, which need hypothesis, are in test_path_properties.py;
 the sampler and the plain-loop references here are shared with them.
@@ -76,3 +83,43 @@ def test_cores_match_trace_and_reference(semilength, count):
         image = forward(pair)
         assert image == trace(pair).output
         assert image.steps == reference_forward(pair.p.steps, pair.q.steps) == d
+
+
+def _assert_levels_match_a_loop(steps: str) -> Path:
+    p = Path(steps)
+    levels = loop_levels(steps)
+    assert p.levels == tuple(levels)
+    for _ in range(2):  # the second read is the kept height
+        assert p.height == max(levels)
+    assert p.is_ballot() == (min(levels) >= 0)
+    assert p.is_dyck() == (min(levels) >= 0 and levels[-1] == 0)
+    return p
+
+
+@pytest.mark.parametrize("semilength, count", [(100, 20), (1000, 5), (10_000, 2)])
+def test_level_pass_matches_a_plain_loop(semilength, count):
+    rng = random.Random(semilength)
+    for _ in range(count):
+        d = random_dyck(rng, semilength)
+        for steps in (d, UP + d, DOWN + d, d + UP, d + DOWN):
+            _assert_levels_match_a_loop(steps)
+
+
+def test_level_pass_on_long_climbs_and_late_dips():
+    _assert_levels_match_a_loop(UP * 20_000)
+    # a first dip to -1 at the last step, after staying at 0..1 or climbing
+    for steps in (DOWN, UP + DOWN * 2, (UP + DOWN) * 5000 + DOWN,
+                  UP * 300 + DOWN * 301):
+        p = _assert_levels_match_a_loop(steps)
+        assert p.levels[-1] == -1 and not p.is_ballot() and not p.is_dyck()
+
+
+@pytest.mark.parametrize("steps, bad", [
+    ("\x00", "\x00"), ("é", "é"), ("\ud800", "\ud800"), ("UD\udfffD", "\udfff"),
+    ("UDé\x00", "é"), ((UP + DOWN) * 5000 + "u", "u"), (UP * 10_000 + "\x00D", "\x00"),
+], ids=["nul", "non-ascii", "lone-surrogate", "late-surrogate", "first-of-two",
+        "after-10^4-steps", "nul-after-10^4-steps"])
+def test_bad_step_is_named(steps, bad):
+    with pytest.raises(ValueError) as info:
+        Path(steps)
+    assert str(info.value) == f"invalid step {bad!r}: steps are 'U' or 'D'"
