@@ -72,7 +72,8 @@ class IntermediatePath:
             raise ValueError("boundary index outside path")
         if f.levels[self.boundary] != 2:
             raise ValueError("boundary point must have level 2")
-        if max(f.levels[:self.boundary]) >= max(f.levels[self.boundary:]):
+        # F1 stays strictly below F2 exactly when F's leftmost top is in F2
+        if f.levels.index(f.height) < self.boundary:
             raise ValueError("first portion must stay strictly below the second")
 
 

@@ -1,12 +1,11 @@
-"""Exact integer counting: Catalan and super Catalan numbers, path tables and
-pair counts from one transfer recurrence (de Bruijn, Knuth and Rice 1972),
-and single path counts by the reflection principle."""
+"""Exact integer counting: Catalan and super Catalan numbers, path tables from
+one transfer recurrence, and single path counts and the height table of pair
+counts by the reflection principle (André; de Bruijn, Knuth and Rice 1972)."""
 
 from __future__ import annotations
 
-from itertools import islice
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, inf
+from operator import add, mul
 
 from .lattice_paths import PathClass
 
@@ -58,25 +57,6 @@ def super_catalan_row(m: int, n_max: int) -> list[int]:
     return row
 
 
-def _rows(steps: int, start_level: int, max_height: int | None):
-    """Yield rows 0..steps of the step recurrence: row s, index j, is the
-    number of paths with s steps from start_level to level j that never leave
-    [0, max_height] (no cap when max_height is None)."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if start_level < 0:
-        raise ValueError("start_level must be nonnegative")
-    cap = max_height if max_height is not None else start_level + steps
-    row = [0] * max(cap + 1, 0)
-    if start_level < len(row):
-        row[start_level] = 1
-    yield row
-    for _ in range(steps):
-        if row:
-            row = list(map(add, [0] + row[:-1], row[1:] + [0]))
-        yield row
-
-
 class CountTable:
     """Step-by-step counts of nonnegative paths under a height cap.
 
@@ -85,9 +65,21 @@ class CountTable:
     """
 
     def __init__(self, steps: int, max_height: int | None = None, start_level: int = 0):
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
+        if start_level < 0:
+            raise ValueError("start_level must be nonnegative")
         self.max_height = max_height
         self.start_level = start_level
-        self.rows = list(_rows(steps, start_level, max_height))
+        cap = max_height if max_height is not None else start_level + steps
+        row = [0] * max(cap + 1, 0)
+        if start_level < len(row):
+            row[start_level] = 1
+        self.rows = [row]
+        for _ in range(steps):
+            if row:
+                row = list(map(add, [0] + row[:-1], row[1:] + [0]))
+            self.rows.append(row)
 
     def count(self, step: int, level: int) -> int:
         if not 0 <= step < len(self.rows):
@@ -168,35 +160,42 @@ def count_ballot_dp(path_class: PathClass, steps: int) -> int:
 
 def _height_table(n: int) -> list[list[int]]:
     """B[a][h + 1] = Dyck paths of semilength a and height at most h, for a <= n
-    and -1 <= h <= n: the level-0 entries of every other row under the cap h."""
-    within = [[row[0] for row in islice(_rows(2 * n, 0, h), 0, None, 2)]
-              for h in range(n + 1)]
-    return [[0] + [within[h][a] for h in range(n + 1)] for a in range(n + 1)]
-
-
-_heights: list[list[int]] = []
-
-
-def _pair_count(n: int, band) -> int:
-    """Ordered pairs (P, Q) of Dyck paths of total semilength n with
-    lo <= h(Q) <= hi for (lo, hi) = band(h(P)), where hi >= lo - 1.
-
-    Sums D(a, hP) * D(n - a, hQ), where D(a, h) = B[a][h + 1] - B[a][h] counts
-    height exactly h.  The table is kept between calls and rebuilt only for a
-    larger n, so a caller counting many n asks for the largest first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(_heights) <= n:
-        _heights[:] = _height_table(n)
-    # the Q-height window [lo, hi] of each P height, as indices into a row
-    bands = [(max(lo, 0), min(hi, n) + 1) for lo, hi in map(band, range(n + 1))]
-    total = 0
+    and -1 <= h <= n, by reflection at both walls of the strip [0, h]: the sum
+    of C(2a, j) over j = a (mod h + 2) minus the sum over j = a + h + 1
+    (mod h + 2), on row 2a of Pascal's triangle, built by addition alone."""
+    table, row = [], [1]
     for a in range(n + 1):
-        p_row, q_row = _heights[a], _heights[n - a]
-        for hp in range(a + 1):
-            lo, hi = bands[hp]
-            total += (p_row[hp + 1] - p_row[hp]) * (q_row[hi] - q_row[lo])
-    return total
+        table.append([0] + [sum(row[a % (h + 2)::h + 2])
+                            - sum(row[(a + h + 1) % (h + 2)::h + 2]) for h in range(n + 1)])
+        for _ in range(2):
+            row = list(map(add, [0] + row, row + [0]))
+    return table
+
+
+def _pair_counts(n_max: int, band) -> list[int]:
+    """Entry n, for every n <= n_max, counts the ordered pairs (P, Q) of Dyck
+    paths of total semilength n with lo <= h(Q) <= hi, (lo, hi) = band(h(P)),
+    where hi >= lo - 1 and hi may be inf.
+
+    For each h(P), the exact-height column B[a][h(P) + 1] - B[a][h(P)] from
+    a = h(P) meets the Q-height window column B[b][hi + 1] - B[b][lo] from
+    b = lo, reversed, in one dot product per n over a + b = n."""
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    table = _height_table(n_max)
+    counts = [0] * (n_max + 1)
+    for hp in range(n_max + 1):
+        lo, hi = band(hp)
+        lo, hi = max(lo, 0), min(hi, n_max) + 1  # as indices into a row of B
+        exact = [row[hp + 1] - row[hp] for row in table[hp:]]
+        window = [row[hi] - row[lo] for row in reversed(table[lo:])]  # j: b = n_max - j
+        for n in range(hp + lo, n_max + 1):
+            counts[n] += sum(map(mul, exact, window[n_max - n + hp:]))
+    return counts
+
+
+def _e_band(hp: int) -> tuple[int, float]:  # E has no pair with P empty
+    return (hp - 1, inf) if hp else (0, -1)
 
 
 def count_pairs_height_diff(n: int, d: int) -> int:
@@ -204,15 +203,15 @@ def count_pairs_height_diff(n: int, d: int) -> int:
     |h(P) - h(Q)| <= d."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _pair_count(n, lambda hp: (hp - d, hp + d))
+    return _pair_counts(n, lambda hp: (hp - d, hp + d))[n]
 
 
 def count_E_set(n: int) -> int:
     """Pairs (P, Q) of Dyck paths of total semilength n with P nonempty (the
     empty path is the only one of height 0) and h(P) <= h(Q) + 1."""
-    return _pair_count(n, lambda hp: (hp - 1, n) if hp else (0, -1))
+    return _pair_counts(n, _e_band)[n]
 
 
 def count_F_set(n: int) -> int:
     """Like count_E_set but P may be empty."""
-    return _pair_count(n, lambda hp: (hp - 1, n))
+    return _pair_counts(n, lambda hp: (hp - 1, inf))[n]

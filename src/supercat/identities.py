@@ -20,9 +20,8 @@ from typing import Callable, NamedTuple
 
 from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
-from .counting import (CountTable, catalan, count_E_set,
-                       count_pairs_height_diff, exact_div, super_catalan,
-                       super_catalan_row)
+from .counting import (CountTable, _e_band, _pair_counts, catalan, exact_div,
+                       super_catalan, super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .lattice_paths import _levels
@@ -244,7 +243,8 @@ def verify_pairsum(x_order: int) -> VerificationReport:
 
     Summed by `_height_sum`: truncated products of the expanded G_k, the
     n-th starting at x^(2n-1), so past n = (x_order + 1) / 2 each product
-    computes no coefficient."""
+    computes no coefficient.  One `_pair_counts` pass, sharing nothing with
+    the series, counts the pairs of height gap at most 1 for every n."""
     def body(notes):
         t_order = 2 * x_order
         total = _height_sum(x_order, lambda n: n - 2)
@@ -261,12 +261,11 @@ def verify_pairsum(x_order: int) -> VerificationReport:
         if mismatch:
             notes.append("series sum vs 1 + sum T(2,n) x^n")
             return mismatch
-        # largest n first, so the height table is built once
-        counts = [count_pairs_height_diff(n, 1) for n in range(x_order, 0, -1)]
-        for n, counted in enumerate(reversed(counts), 1):
-            if total.coeffs[2 * n] != counted:
+        counts = _pair_counts(x_order, lambda hp: (hp - 1, hp + 1))
+        for n in range(1, x_order + 1):
+            if total.coeffs[2 * n] != counts[n]:
                 notes.append(f"pair count disagrees at n={n}")
-                return Mismatch(2 * n, total.coeffs[2 * n], counted)
+                return Mismatch(2 * n, total.coeffs[2 * n], counts[n])
         notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
                      "pair counts from the height table")
         return None
@@ -533,7 +532,8 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
 
     E_n is the set of pairs (P, Q) of Dyck paths of total semilength n with P
     nonempty and h(P) <= h(Q) + 1.  For 1 <= n <= n_max this checks the count
-    against the height table and the enumeration, that forward maps E_n onto
+    against the enumeration and against one `_pair_counts` pass over the
+    height table, which counts every n at once, that forward maps E_n onto
     the full set D_n of Dyck paths, and that inverse(forward(pair)) == pair on
     E_n.  The reverse round trip follows and is not run: every d in D_n is
     forward(pair) for some pair, so inverse(d) = pair and forward(inverse(d))
@@ -548,12 +548,12 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     """
     def body(notes):
         words = _dyck_words(n_max)
+        counts = _pair_counts(n_max, _e_band)
         for n in range(1, n_max + 1):
             expected = catalan(n)
-            counted = count_E_set(n)
-            if counted != expected:
+            if counts[n] != expected:
                 notes.append(f"|E_{n}| != C_{n}")
-                return Mismatch(n, counted, expected)
+                return Mismatch(n, counts[n], expected)
             dyck_n = {d for d, _, _ in words[n]}
             pairs = failures = 0
             images = set()

@@ -39,6 +39,9 @@ def test_intermediate_path_validation():
     with pytest.raises(ValueError, match="strictly below"):
         # first portion reaches the global maximum
         IntermediatePath(Path("UUUDDUUD"), 6)
+    with pytest.raises(ValueError, match="strictly below"):
+        # F1 ties F2's top only at its last point before the boundary
+        IntermediatePath(Path("UUUDUD"), 4)
     with pytest.raises(ValueError, match="end at level 2"):
         IntermediatePath(Path("UD"), 1)
 

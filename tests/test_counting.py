@@ -22,12 +22,15 @@ Claims covered:
       inclusion-exclusion relations
     - pair counts from the height table equal exhaustive pair enumeration
       for n <= 9 and keep their closed forms far beyond it
+    - the reflection height table equals the transfer recurrence's counts
+      for every n <= 40, one pass of pair counts gives the closed form at
+      every n <= 30, and no count depends on the calls made before it
 """
 
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 
@@ -320,9 +323,43 @@ def test_pair_counts_beyond_enumeration():
         assert count_pairs_height_diff(n, n) == catalan(n + 1)
         assert count_E_set(n) == catalan(n)
         assert count_F_set(n) == 2 * catalan(n)
-    # a count for a smaller n after a larger one reads the same table
+    # a count for a smaller n after a larger one
     assert count_pairs_height_diff(11, 1) == 27132
     assert count_pairs_height_diff(11, 11) == 208012
+
+
+def test_height_table_matches_the_transfer_recurrence():
+    # B[a][h + 1] = CountTable(2a, h).count(2a, 0), read off one table per
+    # cap h = -1..40 at 80 steps; h >= a gives C_a and h = -1 gives 0
+    n_max = 40
+    tables = [CountTable(2 * n_max, h) for h in range(-1, n_max + 1)]
+    reference = [[table.count(2 * a, 0) for table in tables] for a in range(n_max + 1)]
+    assert reference[0] == [0] + [1] * (n_max + 1)
+    assert all(row[a + 1:] == [catalan(a)] * (n_max + 1 - a)
+               for a, row in enumerate(reference))
+    for n in range(n_max + 1):
+        assert counting._height_table(n) == [row[:n + 2] for row in reference[:n + 1]]
+
+
+def test_one_pass_counts_every_n():
+    n_max = 30
+    gap_1 = counting._pair_counts(n_max, lambda hp: (hp - 1, hp + 1))
+    gap_30 = counting._pair_counts(n_max, lambda hp: (hp - 30, hp + 30))
+    e_set = counting._pair_counts(n_max, counting._e_band)
+    f_set = counting._pair_counts(n_max, lambda hp: (hp - 1, inf))
+    n_all = range(1, n_max + 1)
+    # n = 0: the one pair (empty, empty) of height 0, outside E
+    assert [gap_1[0], gap_30[0], e_set[0], f_set[0]] == [1, 1, 0, 1]
+    assert gap_1[1:] == [super_catalan(2, n) for n in n_all]
+    assert gap_30 == [catalan(n + 1) for n in range(n_max + 1)]
+    assert e_set[1:] == [catalan(n) for n in n_all]
+    assert f_set[1:] == [2 * catalan(n) for n in n_all]
+
+
+def test_pair_counts_do_not_depend_on_call_order():
+    before = count_E_set(5)
+    assert count_pairs_height_diff(40, 1) == super_catalan(2, 40)
+    assert count_E_set(5) == before == catalan(5)
 
 
 def test_count_E_set_values():

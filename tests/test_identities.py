@@ -3,7 +3,8 @@
 Claims covered:
     - every registered verifier passes and reports structured results
     - the mismatch machinery pinpoints the first differing coefficient
-    - a planted wrong pair count fails pairsum and lemma-main at that n
+    - a planted wrong pair count fails pairsum and lemma-main at that n, and
+      so does a planted wrong entry of the height table behind both
     - a planted wrong inverse core fails the lemma-main round trip, and a
       planted forward core that is not one-to-one fails its image check
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
@@ -58,7 +59,7 @@ from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       verify_t2_closed_form, verify_t3_closed_form,
                       verify_t3_main)
-from supercat import height_gf, identities, series
+from supercat import counting, height_gf, identities, series
 from supercat.cli import main
 from supercat.counting import exact_div
 from supercat.identities import _series_mismatch
@@ -305,14 +306,38 @@ def test_pairsum():
 
 def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
     # n = 11 lies past the old enumeration cap of 9
-    real = identities.count_pairs_height_diff
-    monkeypatch.setattr(identities, "count_pairs_height_diff",
-                        lambda n, d: real(n, d) + (n == 11))
+    real = identities._pair_counts
+    monkeypatch.setattr(identities, "_pair_counts", lambda n_max, band: [
+        count + (n == 11) for n, count in enumerate(real(n_max, band))])
     report = verify_pairsum(12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(22, super_catalan(2, 11),
                                              super_catalan(2, 11) + 1)
     assert "pair count disagrees at n=11" in report.notes
+
+
+def _plant_height_table_defect(monkeypatch):
+    """B[6][3], the Dyck paths of semilength 6 and height at most 2, one too
+    many: a path of height 3 counted as one of height 2."""
+    real = counting._height_table
+
+    def wrong(n):
+        table = real(n)
+        if n >= 6:
+            table[6][3] += 1
+        return table
+    monkeypatch.setattr(counting, "_height_table", wrong)
+
+
+def test_pairsum_fails_on_a_wrong_height_table_entry(monkeypatch):
+    # the extra height-2 path of semilength 6 gains a partner within height
+    # gap 1 only at n = 7: UD, on either side of the pair.  At n = 6 its one
+    # partner is the empty path, two heights below it
+    _plant_height_table_defect(monkeypatch)
+    report = verify_pairsum(30)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(14, 286, 288)  # T(2, 7) = 286
+    assert "pair count disagrees at n=7" in report.notes
 
 
 def test_pairsum_fails_on_a_wrong_height_bound(monkeypatch):
@@ -529,12 +554,21 @@ def test_lemma_main_count():
 
 
 def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
-    real = identities.count_E_set
-    monkeypatch.setattr(identities, "count_E_set", lambda n: real(n) + (n == 4))
+    real = identities._pair_counts
+    monkeypatch.setattr(identities, "_pair_counts", lambda n_max, band: [
+        count + (n == 4) for n, count in enumerate(real(n_max, band))])
     report = verify_lemma_main_count(5)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, catalan(4) + 1, catalan(4))
     assert "|E_4| != C_4" in report.notes
+
+
+def test_lemma_main_fails_on_a_wrong_height_table_entry(monkeypatch):
+    _plant_height_table_defect(monkeypatch)
+    report = verify_lemma_main_count(8)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(7, 430, 429)
+    assert "|E_7| != C_7" in report.notes
 
 
 def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):

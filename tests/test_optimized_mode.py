@@ -16,7 +16,8 @@ Claims covered:
       integral is stored as ints
     - Path refuses a bad step, inverse refuses a path that dips below 0, and
       RestrictedPair refuses h(p) > h(q) + 1 when both heights were read,
-      and so kept, before the pair was built
+      and so kept, before the pair was built, and IntermediatePath refuses
+      a first portion that reaches the top of the second
 """
 
 import os
@@ -30,9 +31,9 @@ SCRIPT = """
 import sys
 from fractions import Fraction
 from math import comb
-from supercat import (IDENTITIES, Path, RestrictedPair, TruncSeries, bijection, counting,
-                      enumerate_dyck, enumerate_restricted_pairs, forward, height_gf,
-                      identities, inverse, run_identity)
+from supercat import (IDENTITIES, IntermediatePath, Path, RestrictedPair, TruncSeries,
+                      bijection, counting, enumerate_dyck, enumerate_restricted_pairs,
+                      forward, height_gf, identities, inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
 print("order 2", [i for i in IDENTITIES if not run_identity(i, 2).passed])
@@ -109,6 +110,12 @@ try:
     print("kept heights passed")
 except ValueError as exc:
     print("kept heights raised:", exc)
+# F1, the points before index 6, reaches level 3, the top of F2
+try:
+    IntermediatePath(Path("UUUDDUUD"), 6)
+    print("high F1 passed")
+except ValueError as exc:
+    print("high F1 raised:", exc)
 """
 
 
@@ -137,4 +144,5 @@ def test_checks_survive_optimize_flag():
         "inverse of DU raised: input is not a Dyck path",
         "heights read 3 1",
         "kept heights raised: height condition h(p) <= h(q) + 1 violated",
+        "high F1 raised: first portion must stay strictly below the second",
     ]
