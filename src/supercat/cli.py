@@ -20,8 +20,9 @@ from .svg import render_trace
 ORDER_MIN = 1
 ORDER_MAX = 200
 ORDER_ENV = "SUPERCAT_ORDER"
-# `count pairs` sums O(n^3) big-integer products over its height table, 1.2-2.5 s
-# per process at this limit; past it a count is refused before it starts
+# `count pairs` builds a height table of O(n^2 log n) big-integer sums and makes
+# O(n^2) products for its one n, 0.3-0.5 s per process at this limit; past it a
+# count is refused before it starts.  A higher limit needs its own time and RSS
 PAIRS_N_MAX = 400
 # `count ballot` walks at most one row of Pascal's triangle, 27-42 ms in process at
 # this limit for a count of at most 3010 digits; Python's 4300-digit limit on printing

@@ -172,25 +172,38 @@ def _height_table(n: int) -> list[list[int]]:
     return table
 
 
-def _pair_counts(n_max: int, band) -> list[int]:
-    """Entry n, for every n <= n_max, counts the ordered pairs (P, Q) of Dyck
-    paths of total semilength n with lo <= h(Q) <= hi, (lo, hi) = band(h(P)),
-    where hi >= lo - 1 and hi may be inf.
+def _convolve(a: list[int], b: list[int], ks: range) -> list[int]:
+    """Terms k in ks of the product of the int polynomials a and b, each one
+    dot product of a with b reversed from b[k] down to b[0].  a may be
+    shorter or longer than b, but every k must index b."""
+    if max(ks, default=-1) >= len(b):
+        raise ValueError(f"term {max(ks)} is past the {len(b)} coefficients of b")
+    reverse, last = b[::-1], len(b) - 1
+    return [sum(map(mul, a, reverse[last - k:])) for k in ks]
+
+
+def _pair_counts(ns: range, band) -> list[int]:
+    """Entry n, for every n in the range ns, counts the ordered pairs (P, Q)
+    of Dyck paths of total semilength n with lo <= h(Q) <= hi,
+    (lo, hi) = band(h(P)), where hi >= lo - 1 and hi may be inf.  Entries
+    below ns.start are 0: a range of one n counts no other n.
 
     For each h(P), the exact-height column B[a][h(P) + 1] - B[a][h(P)] from
     a = h(P) meets the Q-height window column B[b][hi + 1] - B[b][lo] from
-    b = lo, reversed, in one dot product per n over a + b = n."""
-    if n_max < 0:
+    b = lo in one `_convolve`, whose term k counts the pairs at
+    n = h(P) + lo + k: one dot product per height of P and per n in ns."""
+    if ns.start < 0:
         raise ValueError("n must be nonnegative")
-    table = _height_table(n_max)
-    counts = [0] * (n_max + 1)
-    for hp in range(n_max + 1):
+    table = _height_table(ns.stop - 1)
+    counts = [0] * ns.stop
+    for hp in range(ns.stop):
         lo, hi = band(hp)
-        lo, hi = max(lo, 0), min(hi, n_max) + 1  # as indices into a row of B
+        lo, hi = max(lo, 0), min(hi + 1, ns.stop)  # as indices into a row of B
         exact = [row[hp + 1] - row[hp] for row in table[hp:]]
-        window = [row[hi] - row[lo] for row in reversed(table[lo:])]  # j: b = n_max - j
-        for n in range(hp + lo, n_max + 1):
-            counts[n] += sum(map(mul, exact, window[n_max - n + hp:]))
+        window = [row[hi] - row[lo] for row in table[lo:]]
+        first = max(ns.start, hp + lo)  # no pair at this h(P) below hp + lo
+        terms = _convolve(exact, window, range(first - hp - lo, ns.stop - hp - lo))
+        counts[first:] = map(add, counts[first:], terms)
     return counts
 
 
@@ -203,15 +216,15 @@ def count_pairs_height_diff(n: int, d: int) -> int:
     |h(P) - h(Q)| <= d."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _pair_counts(n, lambda hp: (hp - d, hp + d))[n]
+    return _pair_counts(range(n, n + 1), lambda hp: (hp - d, hp + d))[n]
 
 
 def count_E_set(n: int) -> int:
     """Pairs (P, Q) of Dyck paths of total semilength n with P nonempty (the
     empty path is the only one of height 0) and h(P) <= h(Q) + 1."""
-    return _pair_counts(n, _e_band)[n]
+    return _pair_counts(range(n, n + 1), _e_band)[n]
 
 
 def count_F_set(n: int) -> int:
     """Like count_E_set but P may be empty."""
-    return _pair_counts(n, lambda hp: (hp - 1, inf))[n]
+    return _pair_counts(range(n, n + 1), lambda hp: (hp - 1, inf))[n]

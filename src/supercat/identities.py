@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from operator import mul, sub
+from operator import add, mul, sub
 from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
-from .counting import (CountTable, _e_band, _pair_counts, catalan, exact_div,
-                       super_catalan, super_catalan_row)
+from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
+                       exact_div, super_catalan, super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .lattice_paths import _levels
@@ -170,10 +170,11 @@ def verify_e_mo(degree: int) -> VerificationReport:
 
     The left side is L = 1 + u(x) u(y) with u = c - 1, so the check runs as
     L = 1 + A L with A = sum T(m,n) x^m y^n, and needs no inverse:
-    (A L)[i][j] = A[i][j] + sum_k u[i-k] W[k][j], where W[k] is row k of A
-    times u(y).  Every term of A has total degree >= 2, so at the first
-    coefficient (by total degree, then i) where L and 1 + A L differ,
-    1 + A L equals the inverse's coefficient.
+    A L - A = u(x) W with W = A u(y), two integer convolutions by
+    `_convolve`, each row of A by u(y) and then each column of W by u(x).
+    Every term of A has total degree >= 2, so at the first coefficient (by
+    total degree, then i) where L and 1 + A L differ, 1 + A L equals the
+    inverse's coefficient.
 
     Row m of A is read off `super_catalan_row(m, degree - m)`, each entry
     halved with an exact division.  Each row is anchored as in e8: its last
@@ -185,8 +186,7 @@ def verify_e_mo(degree: int) -> VerificationReport:
     if degree < 2:
         raise ValueError("degree must be >= 2")
     def body(notes):
-        u = [0] + [catalan(n) for n in range(1, degree)]  # u[n], n < degree
-        ru = u[::-1]  # u[m] = ru[degree - 1 - m]
+        u = [0] + [catalan(n) for n in range(1, degree + 1)]  # u[n], n <= degree
         # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; rows 0 and
         # degree are zero
         a = [[0] * (degree + 1)]
@@ -198,15 +198,16 @@ def verify_e_mo(degree: int) -> VerificationReport:
             if a[m][-1] != anchor:
                 return Mismatch((m, degree - m), a[m][-1], anchor)
         a.append([0])
-        # w[k][j] = sum_l a[k][l] u[j-l], and w_col[j][k] = w[k][j]
-        w = [[sum(map(mul, row[1:j], ru[degree - j:degree - 1]))
-              for j in range(len(row))] for row in a]
-        w_col = [[w[k][j] for k in range(degree - j + 1)] for j in range(degree + 1)]
+        # w[k][j] = sum_l a[k][l] u[j-l], and al[j][i] = (A L - A)[i][j]
+        # = sum_k u[i-k] w[k][j], over the column j of w, k <= degree - j
+        w = [_convolve(row, u, range(len(row))) for row in a]
+        al = [_convolve([w[k][j] for k in range(degree - j + 1)], u,
+                        range(degree - j + 1)) for j in range(degree + 1)]
         for d in range(1, degree + 1):  # at (0, 0) both sides are 1
             for i in range(d + 1):
                 j = d - i
-                lhs = u[i] * u[j] if i and j else 0
-                rhs = a[i][j] + sum(map(mul, w_col[j][1:i], ru[degree - i:degree - 1]))
+                lhs = u[i] * u[j]  # u[0] = 0
+                rhs = a[i][j] + al[j][i]
                 if lhs != rhs:
                     return Mismatch((i, j), lhs, rhs)
         return None
@@ -261,7 +262,7 @@ def verify_pairsum(x_order: int) -> VerificationReport:
         if mismatch:
             notes.append("series sum vs 1 + sum T(2,n) x^n")
             return mismatch
-        counts = _pair_counts(x_order, lambda hp: (hp - 1, hp + 1))
+        counts = _pair_counts(range(x_order + 1), lambda hp: (hp - 1, hp + 1))
         for n in range(1, x_order + 1):
             if total.coeffs[2 * n] != counts[n]:
                 notes.append(f"pair count disagrees at n={n}")
@@ -336,34 +337,33 @@ def _t3_path_counts(x_order: int) -> list[int]:
     plus height-bounded Dyck paths with multiplicities 2, 2, 1, 1.
 
     Every count is read off one CountTable per height bound, exact height h
-    being the cap-h count minus the cap-(h-1) count, and the triples are
-    convolved by plain loops, so no series kernel or generating function
-    is involved."""
-    steps = 2 * x_order
-    last = steps - 1  # the longest triple, at x^x_order
+    being the cap-h count minus the cap-(h-1) count.  Each exact-height
+    column is read from its shortest length at every second step, and the
+    three are multiplied by two integer convolutions (`_convolve`): the
+    triple of lengths 2k-4+2a, 2k-7+2b and 2k-10+2c lands at
+    x^(3k-10+a+b+c).  No series kernel or generating function is
+    involved."""
     # k runs while its shortest triple, (2k - 4) + (2k - 7) + (2k - 10)
-    # = 6k - 21 steps, fits
-    heights = range(6, (last + 21) // 6 + 1)
+    # = 6k - 21 steps, fits: while it lands at x^(3k - 10) <= x^x_order
+    heights = range(6, (x_order + 10) // 3 + 1)
     columns = {}  # cap h -> its columns at levels 0..4
     for h in range(1, max(heights, default=5) + 1):
-        table = CountTable(steps, h)
+        table = CountTable(2 * x_order, h)
         columns[h] = [table.column(level) for level in range(5)]
 
     def exact(h: int, level: int) -> list[int]:
-        return list(map(sub, columns[h][level], columns[h - 1][level]))
+        # from the shortest length, 2h - level steps: up to h, down to level
+        shortest = 2 * h - level
+        return list(map(sub, columns[h][level][shortest::2],
+                        columns[h - 1][level][shortest::2]))
 
     counts = [2 * g1 + 2 * g2 + g3 + g5 for g1, g2, g3, g5
               in zip(*(columns[cap][0][::2] for cap in (1, 2, 3, 5)))]
     for k in heights:
-        first, second, third = exact(k, 4), exact(k - 2, 3), exact(k - 4, 2)
-        shortest_third = 2 * k - 10
-        pairs = [0] * (last + 1)
-        for s1 in range(2 * k - 4, last + 1, 2):
-            for s2 in range(2 * k - 7, last - s1 - shortest_third + 1, 2):
-                pairs[s1 + s2] += first[s1] * second[s2]
-        for s12 in range(4 * k - 11, last + 1, 2):
-            for s3 in range(shortest_third, last - s12 + 1, 2):
-                counts[(s12 + s3 + 1) // 2] += pairs[s12] * third[s3]
+        low = 3 * k - 10
+        ks = range(x_order - low + 1)
+        pairs = _convolve(exact(k, 4), exact(k - 2, 3), ks)
+        counts[low:] = map(add, counts[low:], _convolve(pairs, exact(k - 4, 2), ks))
     return counts
 
 
@@ -548,7 +548,7 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     """
     def body(notes):
         words = _dyck_words(n_max)
-        counts = _pair_counts(n_max, _e_band)
+        counts = _pair_counts(range(n_max + 1), _e_band)
         for n in range(1, n_max + 1):
             expected = catalan(n)
             if counts[n] != expected:

@@ -20,6 +20,8 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        cap 0 and one exact-height class, all together                 (< 1 s)
     9. e8, e-mo and g-forms at the CLI ceiling --order 200, unclamped,
        all together                                                  (< 20 s)
+   10. pair counts at the CLI limit n = 400, height gap 1 (T(2, 400)) and
+       gap 400 (every pair, C_401), through the CLI, both together     (< 2 s)
 """
 
 import time
@@ -33,7 +35,7 @@ from supercat import (IDENTITIES, PathClass, catalan, count_ballot_dp,
                       verify_lemma_main_count, verify_p_bridge, verify_pairsum,
                       run_identity, verify_t2_closed_form,
                       verify_t3_closed_form, verify_t3_main)
-from supercat.cli import BALLOT_STEPS_MAX, ORDER_MAX, main
+from supercat.cli import BALLOT_STEPS_MAX, ORDER_MAX, PAIRS_N_MAX, main
 
 ROW_2 = "3 2 3 6 14 36 99 286 858 2652 8398"
 ROW_3 = "10 5 6 10 20 45 110 286 780 2210 6460"
@@ -199,3 +201,13 @@ def test_criterion_9_deep_checks_at_the_order_ceiling():
                 return False, f"{identity}: {report}"
         return True, f"e8, e-mo and g-forms at order {ORDER_MAX}"
     check("criterion 9 (e8, e-mo, g-forms at --order 200)", 20.0, body)
+
+
+def test_criterion_10_pair_counts_at_the_n_limit():
+    def body():
+        n = PAIRS_N_MAX
+        counts = {d: int(_cli_line(["count", "pairs", "--n", str(n), "--diff", str(d)]))
+                  for d in (1, n)}
+        ok = counts[1] == super_catalan(2, n) and counts[n] == catalan(n + 1)
+        return ok, f"height gaps 1 and {n} at n = {n}"
+    check(f"criterion 10 (count pairs at the --n limit {PAIRS_N_MAX})", 2.0, body)

@@ -25,8 +25,13 @@ Claims covered:
     - the reflection height table equals the transfer recurrence's counts
       for every n <= 40, one pass of pair counts gives the closed form at
       every n <= 30, and no count depends on the calls made before it
+    - a pass over one semilength n gives the count of the pass over every
+      n <= 40, for each band of that pass, and 0 below n
+    - _convolve equals a naive double loop on random integer lists of any
+      pair of lengths and any range of terms, and refuses a term past b
 """
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -343,10 +348,10 @@ def test_height_table_matches_the_transfer_recurrence():
 
 def test_one_pass_counts_every_n():
     n_max = 30
-    gap_1 = counting._pair_counts(n_max, lambda hp: (hp - 1, hp + 1))
-    gap_30 = counting._pair_counts(n_max, lambda hp: (hp - 30, hp + 30))
-    e_set = counting._pair_counts(n_max, counting._e_band)
-    f_set = counting._pair_counts(n_max, lambda hp: (hp - 1, inf))
+    gap_1 = counting._pair_counts(range(n_max + 1), lambda hp: (hp - 1, hp + 1))
+    gap_30 = counting._pair_counts(range(n_max + 1), lambda hp: (hp - 30, hp + 30))
+    e_set = counting._pair_counts(range(n_max + 1), counting._e_band)
+    f_set = counting._pair_counts(range(n_max + 1), lambda hp: (hp - 1, inf))
     n_all = range(1, n_max + 1)
     # n = 0: the one pair (empty, empty) of height 0, outside E
     assert [gap_1[0], gap_30[0], e_set[0], f_set[0]] == [1, 1, 0, 1]
@@ -354,6 +359,52 @@ def test_one_pass_counts_every_n():
     assert gap_30 == [catalan(n + 1) for n in range(n_max + 1)]
     assert e_set[1:] == [catalan(n) for n in n_all]
     assert f_set[1:] == [2 * catalan(n) for n in n_all]
+
+
+BANDS = (lambda hp: (hp - 1, hp + 1), lambda hp: (hp - 30, hp + 30),
+         counting._e_band, lambda hp: (hp - 1, inf))
+
+
+def test_a_range_of_semilengths_counts_only_those():
+    full = [counting._pair_counts(range(41), band) for band in BANDS]
+    for n in range(41):
+        for band, every_n in zip(BANDS, full):
+            one = counting._pair_counts(range(n, n + 1), band)
+            assert one == [0] * n + [every_n[n]]
+    some = counting._pair_counts(range(12, 20), BANDS[0])
+    assert some == [0] * 12 + full[0][12:20]
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        counting._pair_counts(range(-1, 3), BANDS[0])
+
+
+def _naive_product(a, b, ks):
+    terms = []
+    for k in ks:
+        term = 0
+        for i in range(len(a)):
+            for j in range(len(b)):
+                if i + j == k:
+                    term += a[i] * b[j]
+        terms.append(term)
+    return terms
+
+
+def test_convolve_equals_a_double_loop():
+    rng = random.Random(19)
+    for len_a, len_b in ((1, 1), (3, 9), (9, 3), (7, 7), (0, 4), (12, 5)):
+        a = [rng.randint(-10**30, 10**30) for _ in range(len_a)]
+        b = [rng.randint(-10**30, 10**30) for _ in range(len_b)]
+        for ks in (range(0), range(len_b), range(2, len_b), range(len_b - 1, len_b),
+                   range(3, 3), range(0, len_b, 2)):
+            assert counting._convolve(a, b, ks) == _naive_product(a, b, ks)
+
+
+def test_convolve_refuses_a_term_past_b():
+    with pytest.raises(ValueError, match="term 3 is past the 3 coefficients of b"):
+        counting._convolve([1, 2, 3, 4], [1, 1, 1], range(4))
+    with pytest.raises(ValueError, match="term 5 is past"):
+        counting._convolve([1], [1, 1, 1], range(5, 6))
+    assert counting._convolve([1, 2, 3, 4], [1, 1, 1], range(3)) == [1, 3, 6]
 
 
 def test_pair_counts_do_not_depend_on_call_order():

@@ -33,6 +33,12 @@ Claims covered:
       fails g-forms with the same note and coefficient as before the closed
       forms shared their factors and each G met one C-form; a planted wrong
       square root fails the g-forms prefactor check at sqrt(C)^0
+    - a planted wrong T(2, 5) fails pairsum's table-row comparison, a
+      planted wrong displayed tail t3-main's k-sum closed form, and a pair
+      missing from the stream of E_4 lemma-main's enumeration count, each
+      with its full report pinned
+    - every term of the integer convolution planted one too large fails
+      e-mo, lemma-main, pairsum and t3-main at their default orders
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - the registry's default orders are the README values, and `verify all`
@@ -45,6 +51,7 @@ Claims covered:
 
 import json
 import re
+from itertools import islice
 from fractions import Fraction
 from pathlib import Path
 
@@ -316,6 +323,17 @@ def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
     assert "pair count disagrees at n=11" in report.notes
 
 
+def test_pairsum_fails_on_a_wrong_t2(monkeypatch):
+    # T(2, 5) planted as 37 for 36: the series sum still equals 1 + 2C - C^2
+    # and meets the table row at x^5
+    _plant(monkeypatch, "super_catalan",
+           lambda real: lambda m, n: real(m, n) + ((m, n) == (2, 5)))
+    report = verify_pairsum(12)
+    assert (report.identity, report.order, report.passed) == ("pairsum", 12, False)
+    assert report.first_mismatch == Mismatch(10, 36, 37)
+    assert report.notes == ("series sum vs 1 + sum T(2,n) x^n",)
+
+
 def _plant_height_table_defect(monkeypatch):
     """B[6][3], the Dyck paths of semilength 6 and height at most 2, one too
     many: a path of height 3 counted as one of height 2."""
@@ -398,6 +416,17 @@ def test_t3_main_fails_on_a_wrong_constant_term(monkeypatch):
     assert report.passed is False
     assert report.first_mismatch == Mismatch(0, 7, 6)
     assert report.notes == ("main series identity",)
+
+
+def test_t3_main_fails_on_a_wrong_displayed_tail(monkeypatch):
+    # one more t^6 in the displayed tail, doubled and shifted by t^8, leaves
+    # the main identity standing and fails the k-sum's closed form at t^14
+    _plant(monkeypatch, "_displayed_t3_tail", lambda real: lambda t_order: (
+        real(t_order) + TruncSeries([0] * 6 + [1], t_order)))
+    report = verify_t3_main(20)
+    assert (report.identity, report.order, report.passed) == ("t3-main", 20, False)
+    assert report.first_mismatch == Mismatch(14, 0, 2)
+    assert report.notes == ("k-sum vs displayed closed rational expression",)
 
 
 def test_t3_main_oracle_sees_a_wrong_count_above_x9(monkeypatch):
@@ -569,6 +598,36 @@ def test_lemma_main_fails_on_a_wrong_height_table_entry(monkeypatch):
     assert report.passed is False
     assert report.first_mismatch == Mismatch(7, 430, 429)
     assert "|E_7| != C_7" in report.notes
+
+
+def test_lemma_main_fails_on_a_missing_pair(monkeypatch):
+    # the first pair of E_4 never streams: 13 pairs against |E_4| = 14
+    _plant(monkeypatch, "_restricted_words", lambda real: lambda n, words: (
+        islice(real(n, words), n == 4, None)))
+    report = verify_lemma_main_count(5)
+    assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
+    assert report.first_mismatch == Mismatch(4, 13, 14)
+    assert report.notes == ("pair enumeration at n=4 disagrees with count",)
+
+
+@pytest.mark.parametrize("identity, mismatch, note", [
+    ("e-mo", Mismatch((0, 1), 0, 1), None),  # (A L - A)[0][1] is 1, not 0
+    ("lemma-main", Mismatch(1, 3, 1), "|E_1| != C_1"),
+    ("pairsum", Mismatch(2, 2, 4), "pair count disagrees at n=1"),
+    ("t3-main", Mismatch(16, 2210, 2212), "triple path counts disagree at n=8"),
+])
+def test_a_wrong_convolution_fails_each_count_check(monkeypatch, identity,
+                                                     mismatch, note):
+    # every term of every integer convolution one too large, in both modules
+    # that call it; each check runs at its default order
+    real = counting._convolve
+    for module in (counting, identities):
+        monkeypatch.setattr(module, "_convolve",
+                            lambda a, b, ks: [term + 1 for term in real(a, b, ks)])
+    report = run_identity(identity)
+    assert report.passed is False
+    assert report.first_mismatch == mismatch
+    assert note is None or note in report.notes
 
 
 def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):

@@ -11,6 +11,8 @@ Claims covered:
       inexact division; a wrong start that is a multiple of the true one,
       which keeps every division exact, raises at the walk's end check
       C(s, s) = 1
+    - the integer convolution behind the count cross-checks refuses a term
+      past the end of its second operand
     - a planted wrong T(3,4) in its row of super_catalan_row fails e-mo at
       degree 12 at (3, 4), and a product of Fraction series that is
       integral is stored as ints
@@ -94,6 +96,11 @@ try:
 except RuntimeError as exc:
     print("planted walk multiple raised:", exc)
 try:
+    counting._convolve([1, 2], [1, 1], range(3))
+    print("term past b passed")
+except ValueError as exc:
+    print("term past b raised:", exc)
+try:
     Path("UxD")
     print("bad step passed")
 except ValueError as exc:
@@ -140,6 +147,7 @@ def test_checks_survive_optimize_flag():
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
         "planted walk multiple raised: the walk along row 10 does not end at C(10, 10) = 1",
+        "term past b raised: term 2 is past the 2 coefficients of b",
         "bad step raised: invalid step 'x': steps are 'U' or 'D'",
         "inverse of DU raised: input is not a Dyck path",
         "heights read 3 1",
