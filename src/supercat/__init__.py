@@ -9,7 +9,7 @@ from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        count_F_set, count_pairs_height_diff, count_paths_dp,
                        super_catalan, super_catalan_row)
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
-                        ballot_exact_gf, dyck_gf, p_poly, p_poly_explicit)
+                        ballot_exact_gf, dyck_gf, p_poly)
 from .identities import (IDENTITIES, Mismatch, VerificationReport,
                          report_to_dict, run_identity, verify_e8, verify_e52,
                          verify_e_mo, verify_firstsum, verify_g_closed_forms,
@@ -32,7 +32,7 @@ __all__ = [
     "catalan", "catalan_series", "count_E_set", "count_F_set", "count_ballot_dp", "count_pairs_height_diff",
     "count_paths_dp", "dyck_gf", "enumerate_ballot", "enumerate_dyck",
     "enumerate_restricted_pairs", "factor_dyck", "forward", "inverse",
-    "p_poly", "p_poly_explicit", "render_trace", "report_to_dict",
+    "p_poly", "render_trace", "report_to_dict",
     "run_identity", "shifted_catalan_series", "super_catalan",
     "super_catalan_row", "trace",
     "verify_e8", "verify_e52", "verify_e_mo", "verify_firstsum",

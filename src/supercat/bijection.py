@@ -161,12 +161,18 @@ def _forward_path(pair: RestrictedPair) -> tuple[Path, int]:
     return output, q_peak
 
 
-def inverse(d: Path) -> RestrictedPair:
-    """Recover the unique restricted pair that maps to the Dyck path `d`."""
+def _check_preimage(d: Path) -> None:
+    """Refuse a path with no restricted pair mapping to it: the empty path
+    and any path that is not Dyck."""
     if len(d) == 0:
         raise ValueError("the empty path has no preimage")
     if not d.is_dyck():
         raise ValueError("input is not a Dyck path")
+
+
+def inverse(d: Path) -> RestrictedPair:
+    """Recover the unique restricted pair that maps to the Dyck path `d`."""
+    _check_preimage(d)
     p, q = _inverse_core(d.steps, d.levels, d.height)
     return RestrictedPair(Path(p), Path(q))
 

@@ -9,7 +9,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .bijection import RestrictedPair, inverse, trace
+from .bijection import RestrictedPair, _check_preimage, inverse, trace
 from .counting import (catalan, count_ballot_dp, count_pairs_height_diff,
                        exact_div, super_catalan, super_catalan_row)
 from .identities import (IDENTITIES, VerificationReport, report_to_dict,
@@ -25,8 +25,8 @@ ORDER_ENV = "SUPERCAT_ORDER"
 # count is refused before it starts.  A higher limit needs its own time and RSS
 PAIRS_N_MAX = 400
 # `count ballot` walks at most one row of Pascal's triangle, 27-42 ms in process at
-# this limit for a count of at most 3010 digits; Python's 4300-digit limit on printing
-# an int would bind near 14300 steps
+# this limit for a count of at most 3010 digits, and keeps the row it walks, about
+# 9 MB of ints; Python's 4300-digit limit on printing an int would bind near 14300 steps
 BALLOT_STEPS_MAX = 10_000
 # C_n <= 4^n and T(m, n) <= 4^(m+n) / 2 have at most 4215 digits up to this
 # n or m + n, inside Python's 4300-digit limit on printing an int, so
@@ -219,6 +219,7 @@ def _cmd_bijection(args) -> int:
         pair = RestrictedPair(Path(args.forward[0]), Path(args.forward[1]))
     else:
         dyck = Path(args.inverse)
+        _check_preimage(dyck)  # before the output file is opened and emptied
     with _open_output(args.svg) as svg:
         if args.forward is not None:
             record = trace(pair)

@@ -25,9 +25,7 @@ def super_catalan(m: int, n: int) -> int:
         raise ValueError("value at (0, 0) is 1/2, not an integer")
     num = factorial(2 * m) * factorial(2 * n)
     den = 2 * factorial(m) * factorial(n) * factorial(m + n)
-    if num % den:
-        raise RuntimeError(f"T({m},{n}) is not an integer")
-    return num // den
+    return exact_div(num, den, f"T({m},{n})")
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -92,6 +90,15 @@ class CountTable:
         return tuple(row[level] if 0 <= level < len(row) else 0 for row in self.rows)
 
 
+def _strip_sum(row: list[int], up: int, down: int, period: int) -> int:
+    """The sum of row[j] over j = up (mod period) minus the sum over
+    j = down (mod period).  On a row of Pascal's triangle, whose entry j
+    counts the free paths with j up steps, this is the reflection principle
+    at both walls of a strip of period - 1 levels: the two classes hold the
+    free paths reflected an even and an odd number of times."""
+    return sum(row[up % period::period]) - sum(row[down % period::period])
+
+
 def count_paths_dp(steps: int, start_level: int, end_level: int,
                    max_height: int | None = None) -> int:
     """Paths of `steps` up/down steps from start_level to end_level that never
@@ -99,11 +106,12 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
 
     Counted by the reflection principle (André), applied again at each wall
     of the strip: with u = (steps + end_level - start_level) / 2 up steps
-    and h = max_height, the count is the sum of C(steps, j) over
-    j = u (mod h + 2) minus the sum over j = u - end_level - 1 (mod h + 2),
-    both from one forward walk along row `steps` of Pascal's triangle.
-    Without a cap, or with one no path can reach, only j = u and
-    j = u - end_level - 1 are in range.  The narrowest strips need no walk:
+    and h = max_height, the count is `_strip_sum` of row `steps` of Pascal's
+    triangle with residues u and u - end_level - 1 (mod h + 2).  One forward
+    walk takes the row from C(steps, first), first the lower of the two
+    residues, since no entry before it is summed.  Without a cap, or with
+    one no path can reach, only j = u and j = u - end_level - 1 are in
+    range.  The narrowest strips need no walk:
     a path that takes a step has none under cap 0 and one under cap 1.
     Every division is checked exact, and the walk must end at
     C(steps, steps) = 1."""
@@ -126,24 +134,19 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
         # and under cap 1 exactly one path zigzags between levels 0 and 1
         return max_height
     period = max_height + 2
-    # the two residues differ, since end_level + 1 lies in [1, period - 1]
-    plus, minus = up % period, down % period
-    sign = [0] * period
-    sign[plus], sign[minus] = 1, -1
-    first = min(plus, minus)
+    first = min(up % period, down % period)
     what = f"a binomial coefficient of row {steps}"
-    value, total = comb(steps, first), 0
+    value, row = comb(steps, first), []
     for j in range(first, steps):
-        weight = sign[j % period]
-        if weight:
-            total += weight * value
+        row.append(value)
         value = exact_div(value * (steps - j), j + 1, what)
     # a wrong start value that is a multiple of C(steps, first) keeps every
     # division exact, so the walk's last value is checked on its own
     if value != 1:
         raise RuntimeError(f"the walk along row {steps} does not end at "
                            f"C({steps}, {steps}) = 1")
-    return total + sign[steps % period]  # the last term, C(steps, steps) = 1
+    row.append(value)
+    return _strip_sum(row, up - first, down - first, period)
 
 
 def count_ballot_dp(path_class: PathClass, steps: int) -> int:
@@ -160,13 +163,12 @@ def count_ballot_dp(path_class: PathClass, steps: int) -> int:
 
 def _height_table(n: int) -> list[list[int]]:
     """B[a][h + 1] = Dyck paths of semilength a and height at most h, for a <= n
-    and -1 <= h <= n, by reflection at both walls of the strip [0, h]: the sum
-    of C(2a, j) over j = a (mod h + 2) minus the sum over j = a + h + 1
-    (mod h + 2), on row 2a of Pascal's triangle, built by addition alone."""
+    and -1 <= h <= n, by reflection at both walls of the strip [0, h]:
+    `_strip_sum` of row 2a of Pascal's triangle, built by addition alone,
+    with residues a and a - 1 (mod h + 2)."""
     table, row = [], [1]
     for a in range(n + 1):
-        table.append([0] + [sum(row[a % (h + 2)::h + 2])
-                            - sum(row[(a + h + 1) % (h + 2)::h + 2]) for h in range(n + 1)])
+        table.append([0] + [_strip_sum(row, a, a - 1, h + 2) for h in range(n + 1)])
         for _ in range(2):
             row = list(map(add, [0] + row, row + [0]))
     return table

@@ -9,8 +9,6 @@ so that boundary cases vanish from the same formulas.
 
 from __future__ import annotations
 
-from math import comb
-
 from .series import _INTS, TruncSeries, _divide
 
 
@@ -109,15 +107,6 @@ def p_poly(n: int) -> PolyX:
     return _P_CACHE[n]
 
 
-def p_poly_explicit(n: int) -> PolyX:
-    """p_n from the alternating binomial sum over k <= n/2 of (-1)^k C(n-k, k) x^k."""
-    if n < -1:
-        raise ValueError("defined for n >= -1")
-    if n == -1:
-        return PolyX()
-    return PolyX([(-1) ** k * comb(n - k, k) for k in range(n // 2 + 1)])
-
-
 class PolyQuotient:
     """t**t_shift * num(x) / den(x), expandable as a t-series.
 
@@ -214,7 +203,8 @@ _ZERO_Q = PolyQuotient(PolyX())
 
 
 def dyck_gf(k: int) -> PolyQuotient:
-    """Dyck paths of height <= k, weight x per semilength.
+    """Dyck paths of height <= k, weight x per semilength: G_k = G_k^(0,0)
+    = p_k / p_{k+1}, from `ballot_between_gf`.
 
     k = -1 and k = -2 denote the empty class (the zero quotient).
     """
@@ -222,14 +212,14 @@ def dyck_gf(k: int) -> PolyQuotient:
         raise ValueError("height bound must be >= -2")
     if k < 0:
         return _ZERO_Q
-    return PolyQuotient(p_poly(k), p_poly(k + 1))
+    return ballot_between_gf(k, 0, 0)
 
 
 def ballot_end_gf(k: int, j: int) -> PolyQuotient:
-    """Ballot paths of height <= k ending at level j, weight t per step.
+    """Ballot paths of height <= k ending at level j, weight t per step:
+    G_k^(j) = G_k^(0,j) = t**j * p_{k-j} / p_{k+1}, from `ballot_between_gf`.
 
-    Equals t**j * p_{k-j} / p_{k+1}; vanishes for j > k + 1, and for j = k + 1
-    through p_{-1} = 0.
+    Vanishes for j > k + 1, and for j = k + 1 through p_{-1} = 0.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
@@ -237,14 +227,15 @@ def ballot_end_gf(k: int, j: int) -> PolyQuotient:
         raise ValueError("end level must be >= 0")
     if j > k + 1:
         return _ZERO_Q
-    return PolyQuotient(p_poly(k - j), p_poly(k + 1), j)
+    return ballot_between_gf(k, 0, j)
 
 
 def ballot_between_gf(k: int, i: int, j: int) -> PolyQuotient:
     """Nonnegative paths from level i to level j of height <= k.
 
     Equals t**(j-i) * p_i * p_{k-j} / p_{k+1} for i <= j, and is symmetric in
-    (i, j).
+    (i, j).  The one builder of this quotient: dyck_gf and ballot_end_gf
+    are its cases i = 0, where p_0 = 1.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")

@@ -415,9 +415,10 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     transfer-table counts.
 
     Covers G_k (-1 <= k <= 8) and G_k^(i,j) (0 <= i <= j <= k+1), each
-    against its C-form and the table; G_k^(j) = G_k^(0,j) is compared first
-    at i = 0.  The three forms of the prefactor, sqrt(C)^d (1 + C),
-    t^d (1 + C)^(d+1) and sqrt(C)^(d+1) / t, are checked once per power d.
+    against its C-form and the table.  At i = 0 the one quotient is
+    G_k^(j) = G_k^(0,j), expanded once and reported under that name.  The
+    three forms of the prefactor, sqrt(C)^d (1 + C), t^d (1 + C)^(d+1) and
+    sqrt(C)^(d+1) / t, are checked once per power d.
     Coefficient t^n of a product depends only on its operands through t^n,
     so one form per G compares it with all three.
 
@@ -482,21 +483,20 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                 table = CountTable(t_order, k, start_level=i)
                 for j in range(i, k + 2):
                     form = prefactor[j - i] * tail(i, j)
-                    column = table.column(j)
-                    gfs = [(f"G_{k}^({i},{j})", ballot_between_gf(k, i, j))]
-                    if i == 0:  # G_k^(j) = G_k^(0,j), compared first
-                        gfs.insert(0, (f"G_{k}^({j})", ballot_end_gf(k, j)))
-                    for name, gf in gfs:
-                        by_p = gf.expand(t_order)
-                        mismatch = _series_mismatch(by_p, form)
-                        if mismatch:
-                            notes.append(f"{name}: closed forms disagree")
-                            return mismatch
-                        mismatch = _first_mismatch(by_p.coeffs, column)
-                        if mismatch:
-                            notes.append(f"{name}: series vs path count "
-                                         f"at t^{mismatch.power}")
-                            return mismatch
+                    if i == 0:  # G_k^(j) = G_k^(0,j), the same quotient
+                        name, gf = f"G_{k}^({j})", ballot_end_gf(k, j)
+                    else:
+                        name, gf = f"G_{k}^({i},{j})", ballot_between_gf(k, i, j)
+                    by_p = gf.expand(t_order)
+                    mismatch = _series_mismatch(by_p, form)
+                    if mismatch:
+                        notes.append(f"{name}: closed forms disagree")
+                        return mismatch
+                    mismatch = _first_mismatch(by_p.coeffs, table.column(j))
+                    if mismatch:
+                        notes.append(f"{name}: series vs path count "
+                                     f"at t^{mismatch.power}")
+                        return mismatch
         return None
     return _run("g-forms", x_order, body)
 

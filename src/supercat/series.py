@@ -93,13 +93,6 @@ class TruncSeries:
         return cls((1,), order)
 
     @classmethod
-    def t_power(cls, s: int, order: int) -> "TruncSeries":
-        """The monomial t**s."""
-        if s < 0:
-            raise ValueError("power must be nonnegative")
-        return cls([0] * s + [1], order)
-
-    @classmethod
     def from_x_coeffs(cls, x_coeffs: Iterable[Scalar], order: int) -> "TruncSeries":
         """Series with the k-th given coefficient attached to x**k = t**(2k)."""
         cs = [_ZERO] * (order + 1)

@@ -8,7 +8,8 @@ Claims covered:
       writes deterministic SVG traces, each the renderer's string unmodified
     - an unwritable --out or --svg path is an error message and exit 1,
       not a traceback, given before any check or bijection runs and with
-      nothing on stdout
+      nothing on stdout; an input path that `--inverse` refuses leaves an
+      existing --svg file as it was
     - malformed invocations are usage errors (exit code 2)
     - `count pairs --n` and `count ballot --steps` above their limits are
       refused before any counting starts
@@ -289,6 +290,20 @@ def test_unwritable_output_path_is_an_error(capsys, monkeypatch, tmp_path, argv)
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "the empty path has no preimage"),
+    ("DU", "input is not a Dyck path"),
+    ("UUD", "input is not a Dyck path"),
+])
+def test_refused_inverse_input_leaves_the_svg_file(capsys, tmp_path, path, message):
+    target = tmp_path / "keep.svg"
+    target.write_bytes(b"keep\n")
+    code, out, err = run_cli(capsys, ["bijection", "--inverse", path,
+                                      "--svg", str(target)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert target.read_bytes() == b"keep\n"
 
 
 def test_usage_error_on_missing_required_flag(capsys):

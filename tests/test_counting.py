@@ -6,7 +6,8 @@ Claims covered:
       factorial values and fails loudly on a wrong start value
     - both routes to T, the ratio rows and the factorials, equal von Szily's
       signed sum of binomial products for every m, n <= 40
-    - super_catalan is symmetric and errors on the non-integral (0, 0) case
+    - super_catalan is symmetric and errors on the non-integral (0, 0) case,
+      and a planted wrong factorial that leaves its quotient inexact raises
     - count_ballot_dp agrees with exhaustive enumeration for every class
     - count_paths_dp, a signed sum of reflected binomials taken from one
       forward walk along a row, equals the full rows of CountTable (odd
@@ -15,6 +16,9 @@ Claims covered:
       end level costs nothing
     - caps 0 and 1 are counted without a walk (0 and 1 once a path takes a
       step), equal to CountTable up to 300 steps from levels 0 and 1
+    - a planted wrong reflection sum, the one statement behind count_paths_dp
+      and the height table, disagrees with CountTable and fails pairsum and
+      lemma-main
     - a wrong start value of that walk raises: an inexact one at its first
       inexact division, a multiple of the true one at the end check
       C(s, s) = 1
@@ -39,11 +43,12 @@ from math import comb, factorial, inf
 
 import pytest
 
-from supercat import (CountTable, Path, PathClass, catalan, count_ballot_dp,
-                      count_E_set, count_F_set, count_pairs_height_diff,
-                      count_paths_dp, enumerate_ballot, enumerate_dyck,
-                      enumerate_restricted_pairs, factor_dyck, super_catalan,
-                      super_catalan_row)
+from supercat import (CountTable, Mismatch, Path, PathClass, catalan,
+                      count_ballot_dp, count_E_set, count_F_set,
+                      count_pairs_height_diff, count_paths_dp, enumerate_ballot,
+                      enumerate_dyck, enumerate_restricted_pairs, factor_dyck,
+                      super_catalan, super_catalan_row, verify_lemma_main_count,
+                      verify_pairsum)
 from supercat import counting
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -100,6 +105,13 @@ def test_super_catalan_errors():
         super_catalan(0, 0)
     with pytest.raises(ValueError):
         super_catalan(-1, 2)
+
+
+def test_super_catalan_refuses_a_non_integer_quotient(monkeypatch):
+    # 4! planted as 25: (4! 10!) / (2 * 2! 5! 7!) reads 37.5 for T(2,5) = 18
+    monkeypatch.setattr(counting, "factorial", lambda n: factorial(n) + (n == 4))
+    with pytest.raises(RuntimeError, match=r"^T\(2,5\) is not an integer$"):
+        super_catalan(2, 5)
 
 
 def test_super_catalan_row_matches_factorials():
@@ -246,6 +258,23 @@ def test_narrowest_strips_take_no_walk(monkeypatch):
                     table.count(steps, end), (steps, start, end, cap)
     assert count_paths_dp(10_000, 0, 0, 0) == 0
     assert count_paths_dp(10_000, 1, 1, 1) == count_paths_dp(10_001, 0, 1, 1) == 1
+
+
+def test_a_wrong_reflection_sum_fails_every_route_through_it(monkeypatch):
+    # _strip_sum is the one statement of the reflection sum behind both
+    # count_paths_dp and the height table of pair counts; CountTable and the
+    # checks' other sides share nothing with it
+    real = counting._strip_sum
+    monkeypatch.setattr(counting, "_strip_sum", lambda *args: real(*args) + 1)
+    assert count_paths_dp(10, 0, 2, 3) == CountTable(10, 3).count(10, 2) + 1
+    report = verify_pairsum(12)
+    assert report.passed is False
+    assert report.notes == ("pair count disagrees at n=1",)
+    assert report.first_mismatch == Mismatch(2, 2, 8)
+    report = verify_lemma_main_count(5)
+    assert report.passed is False
+    assert report.notes == ("|E_1| != C_1",)
+    assert report.first_mismatch == Mismatch(1, 2, 1)
 
 
 def test_a_wrong_walk_start_raises(monkeypatch):

@@ -17,12 +17,24 @@ Claims covered:
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from supercat import (PathClass, PolyQuotient, PolyX, ballot_between_gf,
                       ballot_end_gf, ballot_exact_gf, count_ballot_dp,
-                      count_paths_dp, dyck_gf, p_poly, p_poly_explicit)
+                      count_paths_dp, dyck_gf, p_poly)
+
+
+def p_poly_explicit(n: int) -> PolyX:
+    """p_n from the alternating binomial sum over k <= n/2 of (-1)^k C(n-k, k) x^k,
+    the reference for p_poly's recurrence."""
+    if n < -1:
+        raise ValueError("defined for n >= -1")
+    if n == -1:
+        return PolyX()
+    return PolyX([(-1) ** k * comb(n - k, k) for k in range(n // 2 + 1)])
+
 
 P_FIRST = [(1,), (1,), (1, -1), (1, -2), (1, -3, 1), (1, -4, 3), (1, -5, 6, -1)]
 

@@ -23,8 +23,8 @@ Claims covered:
     - a row scaled by a wrong start value, every division still exact, fails
       e8 and e-mo at the row's anchor, with halved values in the report
     - e8 and e-mo call super_catalan once per row, and g-forms makes one
-      series product per closed form: 324 at order 12, and one table
-      column per (k, i, j): 219
+      series product per closed form: 324 at order 12, one table column
+      per (k, i, j): 219, and one quotient expansion per G: 229
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
       Catalan and Catalan numbers; a non-integer T planted in a row entry is
@@ -32,7 +32,10 @@ Claims covered:
     - a planted wrong end-level series, between-levels series or table count
       fails g-forms with the same note and coefficient as before the closed
       forms shared their factors and each G met one C-form; a planted wrong
-      square root fails the g-forms prefactor check at sqrt(C)^0
+      quotient in ballot_between_gf, the one builder behind dyck_gf and
+      ballot_end_gf, fails g-forms as G_k^(j) at i = 0 and firstsum at G_3;
+      a planted wrong square root fails the g-forms prefactor check at
+      sqrt(C)^0
     - a planted wrong T(2, 5) fails pairsum's table-row comparison, a
       planted wrong displayed tail t3-main's k-sum closed form, and a pair
       missing from the stream of E_4 lemma-main's enumeration count, each
@@ -70,6 +73,11 @@ from supercat import counting, height_gf, identities, series
 from supercat.cli import main
 from supercat.counting import exact_div
 from supercat.identities import _series_mismatch
+
+
+def t_power(s: int, order: int) -> TruncSeries:
+    """The monomial t**s, truncated at `order`."""
+    return TruncSeries([0] * s + [1], order)
 
 
 def _assert_clean_pass(report, identity):
@@ -177,6 +185,16 @@ def test_g_closed_forms_make_one_series_product_per_form(monkeypatch):
                         lambda self, other: calls.append(1) or real(self, other))
     assert verify_g_closed_forms(12).passed
     assert len(calls) == 324
+
+
+def test_g_closed_forms_expand_each_quotient_once(monkeypatch):
+    # 10 G_k and 219 G_k^(i,j); at i = 0, G_k^(j) is G_k^(0,j), one quotient
+    calls = []
+    real = PolyQuotient.expand
+    monkeypatch.setattr(PolyQuotient, "expand",
+                        lambda self, t_order: calls.append(1) or real(self, t_order))
+    assert verify_g_closed_forms(12).passed
+    assert len(calls) == 10 + 219 == 229
 
 
 def test_g_closed_forms_build_each_table_column_once(monkeypatch):
@@ -514,10 +532,35 @@ def test_g_closed_forms_failure_reports(monkeypatch, plant, expected):
     assert report.first_mismatch == Mismatch(power, lhs, rhs)
 
 
+def _plant_between(monkeypatch, at, power):
+    """height_gf.ballot_between_gf, the one builder of the quotient, one more
+    at t^power for the levels `at` = (k, i, j)."""
+    real = height_gf.ballot_between_gf
+    monkeypatch.setattr(height_gf, "ballot_between_gf", lambda *args: real(*args)
+                        + _bump(power, int(args == at)))
+
+
+def test_g_closed_forms_fail_on_a_wrong_shared_quotient(monkeypatch):
+    # ballot_end_gf(4, 2) is ballot_between_gf(4, 0, 2), reported as G_4^(2)
+    _plant_between(monkeypatch, (4, 0, 2), 6)
+    report = verify_g_closed_forms(12)
+    assert report.passed is False
+    assert report.notes == ("G_4^(2): closed forms disagree",)
+    assert report.first_mismatch == Mismatch(6, 10, 9)
+
+
+def test_firstsum_fails_on_a_wrong_shared_quotient(monkeypatch):
+    # dyck_gf(3) is ballot_between_gf(3, 0, 0)
+    _plant_between(monkeypatch, (3, 0, 0), 8)
+    report = verify_firstsum(30)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(12, 265, 264)
+
+
 def test_g_closed_forms_fail_on_a_wrong_square_root(monkeypatch):
     real = TruncSeries.sqrt
     monkeypatch.setattr(TruncSeries, "sqrt", lambda self: real(self)
-                        + TruncSeries.t_power(4, self.order))
+                        + t_power(4, self.order))
     report = verify_g_closed_forms(12)
     assert report.passed is False
     assert report.notes == ("sqrt(C)^0 (1 + C): prefactor forms disagree",)

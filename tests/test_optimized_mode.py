@@ -6,6 +6,8 @@ Claims covered:
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
     - a planted drift in the t3-main triple-product valuation still raises
+    - a planted wrong factorial that leaves super_catalan's quotient inexact
+      still raises
     - a planted wrong start value of super_catalan_row, or of the walk along
       a row of Pascal's triangle in count_paths_dp, still raises at its first
       inexact division; a wrong start that is a multiple of the true one,
@@ -154,3 +156,24 @@ def test_checks_survive_optimize_flag():
         "kept heights raised: height condition h(p) <= h(q) + 1 violated",
         "high F1 raised: first portion must stay strictly below the second",
     ]
+
+
+def test_super_catalan_guard_survives_optimize_flag():
+    # 4! planted as 25 leaves (4! 10!) / (2 * 2! 5! 7!) inexact for T(2,5)
+    script = """
+from math import factorial
+from supercat import counting
+counting.factorial = lambda n: factorial(n) + (n == 4)
+try:
+    counting.super_catalan(2, 5)
+    print("planted factorial passed")
+except RuntimeError as exc:
+    print("planted factorial raised:", exc)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "planted factorial raised: T(2,5) is not an integer\n"

@@ -27,6 +27,11 @@ from supercat import (BiTrunc, TruncSeries, binomial_pow, catalan,
                       super_catalan)
 
 
+def t_power(s: int, order: int) -> TruncSeries:
+    """The monomial t**s, truncated at `order`."""
+    return TruncSeries([0] * s + [1], order)
+
+
 def test_construction_pads_and_truncates():
     s = TruncSeries([1, 2], 4)
     assert s.coeffs == (1, 2, 0, 0, 0)
@@ -36,7 +41,7 @@ def test_construction_pads_and_truncates():
 
 
 def test_monomials_and_coefficient_access():
-    x = TruncSeries.t_power(2, 6)
+    x = t_power(2, 6)
     assert x.coefficient(2) == 1 and x.coefficient(3) == 0
     assert x.x_coefficient(1) == 1
     with pytest.raises(ValueError):
@@ -44,10 +49,10 @@ def test_monomials_and_coefficient_access():
 
 
 def test_basic_products():
-    t = TruncSeries.t_power(1, 8)
-    assert t * t == TruncSeries.t_power(2, 8)
+    t = t_power(1, 8)
+    assert t * t == t_power(2, 8)
     one = TruncSeries.one(8)
-    assert (one + t) * (one - t) == one - TruncSeries.t_power(2, 8)
+    assert (one + t) * (one - t) == one - t_power(2, 8)
 
 
 def test_order_bookkeeping():
@@ -63,7 +68,7 @@ def test_order_bookkeeping():
 
 
 def test_shift_down_requires_zero_low_terms():
-    x = TruncSeries.t_power(2, 6)
+    x = t_power(2, 6)
     assert x.shift(-2) == TruncSeries.one(4)
     with pytest.raises(ValueError):
         TruncSeries.one(6).shift(-1)
@@ -71,7 +76,7 @@ def test_shift_down_requires_zero_low_terms():
 
 def test_invert_geometric():
     one = TruncSeries.one(6)
-    t = TruncSeries.t_power(1, 6)
+    t = t_power(1, 6)
     assert (one - t).invert() == TruncSeries([1] * 7, 6)
     with pytest.raises(ZeroDivisionError):
         t.invert()
@@ -79,7 +84,7 @@ def test_invert_geometric():
 
 def test_catalan_series_functional_equation():
     c = catalan_series(15)
-    x = TruncSeries.t_power(2, 30)
+    x = t_power(2, 30)
     assert x * c * c + TruncSeries.one(30) == c
     assert c * c.invert() == TruncSeries.one(30)
 
@@ -128,7 +133,7 @@ def test_substitution_identities():
     order = 12
     C = shifted_catalan_series(order)
     one = TruncSeries.one(2 * order)
-    x = TruncSeries.t_power(2, 2 * order)
+    x = t_power(2, 2 * order)
     one_plus = one + C
     assert x == C * (one_plus * one_plus).invert()
     # sqrt(C)/t has constant term 1 and equals 1 + C
