@@ -5,7 +5,7 @@ counts by the reflection principle (André; de Bruijn, Knuth and Rice 1972)."""
 from __future__ import annotations
 
 from math import comb, factorial, inf
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .lattice_paths import PathClass
 
@@ -86,8 +86,11 @@ class CountTable:
         return row[level] if 0 <= level < len(row) else 0
 
     def column(self, level: int) -> tuple[int, ...]:
-        """count(s, level) for every step s of the table."""
-        return tuple(row[level] if 0 <= level < len(row) else 0 for row in self.rows)
+        """count(s, level) for every step s of the table.  Every row has
+        the length of the first."""
+        if 0 <= level < len(self.rows[0]):
+            return tuple(map(itemgetter(level), self.rows))
+        return (0,) * len(self.rows)
 
 
 def _strip_sum(row: list[int], up: int, down: int, period: int) -> int:
@@ -109,7 +112,8 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     and h = max_height, the count is `_strip_sum` of row `steps` of Pascal's
     triangle with residues u and u - end_level - 1 (mod h + 2).  One forward
     walk takes the row from C(steps, first), first the lower of the two
-    residues, since no entry before it is summed.  Without a cap, or with
+    residues, since no entry before it is summed, and keeps only the entries
+    of the two summed residue classes.  Without a cap, or with
     one no path can reach, only j = u and j = u - end_level - 1 are in
     range.  The narrowest strips need no walk:
     a path that takes a step has none under cap 0 and one under cap 1.
@@ -135,10 +139,11 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
         return max_height
     period = max_height + 2
     first = min(up % period, down % period)
+    summed = {up % period, down % period}
     what = f"a binomial coefficient of row {steps}"
     value, row = comb(steps, first), []
     for j in range(first, steps):
-        row.append(value)
+        row.append(value if j % period in summed else 0)
         value = exact_div(value * (steps - j), j + 1, what)
     # a wrong start value that is a multiple of C(steps, first) keeps every
     # division exact, so the walk's last value is checked on its own

@@ -3,10 +3,12 @@
 Every check runs in exact arithmetic and produces a VerificationReport: the
 identity id, the order it was checked to, pass/fail, and the first mismatching
 coefficient on failure.  Series checks compare coefficients of the half-step
-variable t (x = t**2); `first_mismatch.power` is the t-exponent there, and an
-index (or index tuple) for integer and bivariate checks.  Identities with a
-combinatorial meaning are additionally cross-checked against path counts or
-path enumeration, so a defect on either route fails the report.
+variable t (x = t**2); `first_mismatch.power` is the t-exponent there, the
+C-exponent for the polynomial identities in C of g-forms and p-bridge (whose
+note says so), and an index (or index tuple) for integer and bivariate
+checks.  Identities with a combinatorial meaning are additionally
+cross-checked against path counts or path enumeration, so a defect on either
+route fails the report.
 """
 
 from __future__ import annotations
@@ -93,8 +95,12 @@ def _first_mismatch(lhs: tuple, rhs: tuple) -> Mismatch | None:
 
 
 def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries) -> Mismatch | None:
-    limit = min(lhs.order, rhs.order)
-    return _first_mismatch(lhs.coeffs[:limit + 1], rhs.coeffs[:limit + 1])
+    """The first t-power where two series of one order differ.  Series of
+    unequal orders are refused: a comparison never shortens itself."""
+    if lhs.order != rhs.order:
+        raise RuntimeError(f"cannot compare series of orders {lhs.order} "
+                           f"and {rhs.order}")
+    return _first_mismatch(lhs.coeffs, rhs.coeffs)
 
 
 def _closed_form_row(identity: str, m: int, n_max: int, closed) -> VerificationReport:
@@ -409,120 +415,162 @@ def verify_t3_main(x_order: int) -> VerificationReport:
     return _run("t3-main", x_order, body)
 
 
+def _in_c(poly: PolyX, degree: int) -> list[int]:
+    """poly(x) (1 + C)^degree under x = C / (1 + C)^2, as the coefficients of
+    a polynomial in C when degree >= 2 deg poly: the term a x^e becomes
+    a C^e (1 + C)^(degree - 2e)."""
+    out = [0] * (degree + 1)
+    for e, a in enumerate(poly.coeffs):
+        n = degree - 2 * e
+        out[e:e + n + 1] = map(add, out[e:e + n + 1],
+                               [a * comb(n, r) for r in range(n + 1)])
+    return out
+
+
+def _times_one_minus(cs: list[int], ms: tuple[int, ...]) -> list[int]:
+    """cs times (1 - C^m) for each m in ms; m = 0 gives zeros."""
+    for m in ms:
+        cs = list(map(sub, cs + [0] * m, [0] * m + cs))
+    return cs
+
+
+def _c_mismatch(num: PolyX, den: PolyX, degrees: tuple[int, int],
+                left: tuple[int, ...], right: tuple[int, ...],
+                e: int = 0) -> Mismatch | None:
+    """The first C-power at which num(x) / den(x) = (1 + C)^(dd - dn) C^e
+    R / L fails under x = C / (1 + C)^2, with (dn, dd) = degrees and L and R
+    the products of 1 - C^m over m in left and right.  It is checked
+    cross-multiplied, num(x) (1 + C)^dn L = C^e R den(x) (1 + C)^dd, as
+    polynomials in C.  Both sides are raised together by the least power of
+    (1 + C) that makes them polynomials, which only a quotient of too high a
+    degree needs."""
+    dn, dd = degrees
+    lift = max(0, 2 * num.degree - dn, 2 * den.degree - dd)
+    lhs = _times_one_minus(_in_c(num, dn + lift), left)
+    rhs = [0] * e + _times_one_minus(_in_c(den, dd + lift), right)
+    width = max(len(lhs), len(rhs))
+    return _first_mismatch(tuple(lhs + [0] * (width - len(lhs))),
+                           tuple(rhs + [0] * (width - len(rhs))))
+
+
+def _catalan_tie(C: TruncSeries) -> Mismatch | None:
+    """C = x (1 + C)^2 through the order of C, one series product.  Only one
+    series solves it to that order, and it has no constant term: the
+    coefficient of t^m on the right reads C only below t^m."""
+    one_plus_c = TruncSeries.one(C.order) + C
+    return _series_mismatch(C, (one_plus_c * one_plus_c).shift(2).truncate(C.order))
+
+
+def _g_cases():
+    """(k, i, j, name, quotient) for every G that g-forms covers: G_-1 = 0,
+    the empty class, and for 0 <= k <= 8 each G_k^(i,j), 0 <= i <= j <= k + 1.
+    At i = 0 the one quotient is G_k^(j) = G_k^(0,j), and G_k = G_k^(0)."""
+    yield -1, 0, 0, "G_-1", dyck_gf(-1)
+    for k in range(_G_FORMS_K_MAX + 1):
+        for i in range(k + 2):
+            for j in range(i, k + 2):
+                if i == 0:
+                    yield k, i, j, f"G_{k}^({j})", ballot_end_gf(k, j)
+                else:
+                    yield k, i, j, f"G_{k}^({i},{j})", ballot_between_gf(k, i, j)
+
+
 def verify_g_closed_forms(x_order: int) -> VerificationReport:
     """All closed forms for height-bounded path generating functions agree:
-    the C-substitution forms, the polynomial quotients, and the
-    transfer-table counts.
+    the polynomial quotients, their forms in C, and the transfer-table
+    counts, for G_-1 = 0 and G_k^(i,j), 0 <= i <= j <= k + 1, k <= 8.
 
-    Covers G_k (-1 <= k <= 8) and G_k^(i,j) (0 <= i <= j <= k+1), each
-    against its C-form and the table.  At i = 0 the one quotient is
-    G_k^(j) = G_k^(0,j), expanded once and reported under that name.  The
-    three forms of the prefactor, sqrt(C)^d (1 + C), t^d (1 + C)^(d+1) and
-    sqrt(C)^(d+1) / t, are checked once per power d.
-    Coefficient t^n of a product depends only on its operands through t^n,
-    so one form per G compares it with all three.
+    The C-form of G_k^(i,j) = t^s num(x) / den(x), s in {0, 1}, is
+    sqrt(C)^(j-i) (1 + C) (1 - C^(i+1)) (1 - C^(k-j+1)) / ((1 - C)(1 - C^(k+2))).
+    Under x = C / (1 + C)^2 and t = sqrt(C) / (1 + C) it is the polynomial
+    identity in C
+        num(x) (1 + C)^(k-s) (1 - C)(1 - C^(k+2))
+            = C^e (1 - C^(i+1)) (1 - C^(k-j+1)) den(x) (1 + C)^(k+1),
+    e = (j - i) // 2, which is P_i P_(k-j) (1 - C)(1 - C^(k+2)) =
+    (1 - C^(i+1)) (1 - C^(k-j+1)) P_(k+1) times C^e, the x^e folded into num,
+    with P_n = p_n(x) (1 + C)^n.  It is checked exactly, with num, den and s
+    read off the very quotient that is expanded below; (1 + C) is not a
+    rational function of x, so a quotient of the wrong t-parity fails too.
+    A mismatch there reports a C-exponent.
 
-    Each form costs one series product.  With geom[l] = 1 + C + ... + C^l,
-    geom[-1] = 0 and m = k - j + 1, the C-form of G_k^(i,j) is
-    sqrt(C)^(j-i) (1 + C) geom[i] (1 - C^m) / (1 - C^(k+2)), and
-    geom[i] (1 - C^m) = geom[i] - geom[i+m] + geom[m-1].  So the k + 2
-    series geom[l] / (1 - C^(k+2)) are formed once per k, and each form is
-    the prefactor times a sum of three of them.
+    Two series comparisons through t^(2 x_order) tie C to x:
+    C = x (1 + C)^2, with the series of `shifted_catalan_series`, and
+    sqrt(C) = t (1 + C), with `TruncSeries.sqrt`.  The first makes that
+    series the one solution with no constant term, so both substitutions
+    hold through t^(2 x_order), and the polynomial identities then give every
+    C-form as a series identity through that order.  The square root reads
+    C through x^(x_order + 1), the order it needs to reach t^(2 x_order).
+
+    Each quotient expansion, G_-1 = 0 aside, is also compared with its
+    transfer-table column: the path counts, which share nothing with the
+    C route.
     """
     def body(notes):
         t_order = 2 * x_order
-        t_base = t_order + 2
-        one = TruncSeries.one(t_base)
-        C = shifted_catalan_series(x_order + 1)
-        onepC = one + C
-        sqrtC = C.shift(-2).sqrt().shift(1)
+        c_ext = shifted_catalan_series(x_order + 1)
+        C = c_ext.truncate(t_order)
+        mismatch = _catalan_tie(C)
+        if mismatch:
+            notes.append("C vs x (1 + C)^2")
+            return mismatch
+        sqrt_c = c_ext.shift(-2).sqrt().shift(1).truncate(t_order)
+        one_plus_c = TruncSeries.one(t_order) + C
+        mismatch = _series_mismatch(sqrt_c, one_plus_c.shift(1).truncate(t_order))
+        if mismatch:
+            notes.append("sqrt(C) vs t (1 + C)")
+            return mismatch
 
-        max_pow = _G_FORMS_K_MAX + 2
-        c_pow = [one]
-        onepc_pow = [one]
-        sqrtc_pow = [TruncSeries.one(sqrtC.order)]
-        geom = [one]  # geom[i] = 1 + C + ... + C^i = (1 - C^(i+1)) / (1 - C)
-        for _ in range(max_pow):
-            c_pow.append(c_pow[-1] * C)
-            onepc_pow.append(onepc_pow[-1] * onepC)
-            sqrtc_pow.append(sqrtc_pow[-1] * sqrtC)
-            geom.append(geom[-1] + c_pow[-1])
-
-        prefactor = []  # prefactor[d] = sqrt(C)^d (1 + C)
-        for d in range(max_pow):
-            form = sqrtc_pow[d] * onepC
-            mismatch = (_series_mismatch(form, onepc_pow[d + 1].shift(d))
-                        or _series_mismatch(form, sqrtc_pow[d + 1].shift(-1)))
+        forms = columns = 0
+        for k, i, j, name, gf in _g_cases():
+            mismatch = _c_mismatch(gf.num, gf.den, (k - gf.t_shift, k + 1),
+                                   (1, k + 2), (i + 1, k - j + 1), (j - i) // 2)
             if mismatch:
-                notes.append(f"sqrt(C)^{d} (1 + C): prefactor forms disagree")
+                notes.append(f"{name}: polynomial identity fails, "
+                             "power is the C-exponent")
                 return mismatch
-            prefactor.append(form)
-
-        zero = TruncSeries.zero(t_base)
-        for k in range(-1, _G_FORMS_K_MAX + 1):
-            inv_den = (one - c_pow[k + 2]).invert()
-            # ig[l] = geom[l] / (1 - C^(k+2)) for l <= k + 1; the zero after
-            # them, read as ig[-1], stands for geom[-1]
-            ig = [g * inv_den for g in geom[:k + 2]] + [zero]
-
-            def tail(i, j):
-                """geom[i] (1 - C^(k-j+1)) / (1 - C^(k+2))."""
-                m = k - j + 1
-                return ig[i] - ig[i + m] + ig[m - 1]
-
-            from_c = (onepC * tail(0, 0)).truncate(t_order)
-            from_p = dyck_gf(k).expand(t_order)
-            mismatch = _series_mismatch(from_p, from_c)
-            if mismatch:
-                notes.append(f"G_{k}: polynomial form vs C-form")
-                return mismatch
-            if k < 0:
+            forms += 1
+            if k < 0:  # no path has height -1
                 continue
-
-            for i in range(k + 2):
+            if j == i:
                 table = CountTable(t_order, k, start_level=i)
-                for j in range(i, k + 2):
-                    form = prefactor[j - i] * tail(i, j)
-                    if i == 0:  # G_k^(j) = G_k^(0,j), the same quotient
-                        name, gf = f"G_{k}^({j})", ballot_end_gf(k, j)
-                    else:
-                        name, gf = f"G_{k}^({i},{j})", ballot_between_gf(k, i, j)
-                    by_p = gf.expand(t_order)
-                    mismatch = _series_mismatch(by_p, form)
-                    if mismatch:
-                        notes.append(f"{name}: closed forms disagree")
-                        return mismatch
-                    mismatch = _first_mismatch(by_p.coeffs, table.column(j))
-                    if mismatch:
-                        notes.append(f"{name}: series vs path count "
-                                     f"at t^{mismatch.power}")
-                        return mismatch
+            mismatch = _first_mismatch(gf.expand(t_order).coeffs, table.column(j))
+            if mismatch:
+                notes.append(f"{name}: series vs path count at t^{mismatch.power}")
+                return mismatch
+            columns += 1
+        notes.append(f"C = x (1 + C)^2 and sqrt(C) = t (1 + C) through t^{t_order}")
+        notes.append(f"{forms} closed forms, k <= {_G_FORMS_K_MAX}, checked as "
+                     "polynomial identities in C")
+        notes.append(f"{columns} quotient expansions cross-checked against path "
+                     f"counts through t^{t_order}")
         return None
     return _run("g-forms", x_order, body)
 
 
 def verify_p_bridge(x_order: int) -> VerificationReport:
-    """p_n = (1 - C^{n+1}) / ((1 - C)(1 + C)^n) as t-series for
-    n <= min(12, x_order)."""
+    """p_n = (1 - C^(n+1)) / ((1 - C)(1 + C)^n) for n <= min(12, x_order).
+
+    Under x = C / (1 + C)^2 this is the polynomial identity
+    P_n (1 - C) = 1 - C^(n+1), P_n = p_n(x) (1 + C)^n, checked exactly; a
+    mismatch there reports a C-exponent.  One series comparison,
+    C = x (1 + C)^2 through t^(2 x_order), ties the series of
+    `shifted_catalan_series` to x, and with it each polynomial identity
+    gives the series identity through that order."""
     def body(notes):
         n_max = min(_P_BRIDGE_N_MAX, x_order)
         t_order = 2 * x_order
-        one = TruncSeries.one(t_order)
-        C = shifted_catalan_series(x_order)
-        inv_1m = (one - C).invert()
-        inv_1p = (one + C).invert()
-        c_power = C  # C^(n+1) maintained incrementally
-        denominator = inv_1m  # 1 / ((1-C)(1+C)^n)
+        mismatch = _catalan_tie(shifted_catalan_series(x_order))
+        if mismatch:
+            notes.append("C vs x (1 + C)^2")
+            return mismatch
         for n in range(n_max + 1):
-            lhs = p_poly(n).to_series(t_order)
-            rhs = (one - c_power) * denominator
-            mismatch = _series_mismatch(lhs, rhs)
+            mismatch = _c_mismatch(p_poly(n), PolyX((1,)), (n, 0), (1,), (n + 1,))
             if mismatch:
-                notes.append(f"first failure at n={n}")
+                notes.append(f"first failure at n={n}, power is the C-exponent")
                 return mismatch
-            c_power = c_power * C
-            denominator = denominator * inv_1p
-        notes.append(f"checked n = 0..{n_max}")
+        notes.append(f"C = x (1 + C)^2 through t^{t_order}")
+        notes.append(f"checked n = 0..{n_max} as P_n (1 - C) = 1 - C^(n+1), "
+                     "P_n = p_n (1 + C)^n")
         return None
     return _run("p-bridge", x_order, body)
 
@@ -543,8 +591,8 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     (steps, height, first peak) words and shared by every n.  The pairs of
     each n stream from `_restricted_words`, the generator behind
     `enumerate_restricted_pairs`, through the bijection's string cores, so
-    no Path is built; an image outside D_n counts as a round-trip failure
-    without an inverse.
+    no Path is built; an image outside D_n is not inverted, since the image
+    check, which runs first, reports it.
     """
     def body(notes):
         words = _dyck_words(n_max)
@@ -561,8 +609,7 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
                 pairs += 1
                 image = _forward_core(p, q, hp, hq, q_peak)
                 images.add(image)
-                if image not in dyck_n:
-                    failures += 1
+                if image not in dyck_n:  # the image check below reports it
                     continue
                 levels = _levels(image)
                 if _inverse_core(image, levels, max(levels)) != (p, q):

@@ -19,6 +19,8 @@ Claims covered:
     - a planted wrong reflection sum, the one statement behind count_paths_dp
       and the height table, disagrees with CountTable and fails pairsum and
       lemma-main
+    - the walk along a row of 10 000 steps keeps only the two summed
+      residue classes: its traced peak stays under 1 MB
     - a wrong start value of that walk raises: an inexact one at its first
       inexact division, a multiple of the true one at the end check
       C(s, s) = 1
@@ -161,6 +163,17 @@ def test_count_table_basics():
         CountTable(-1)
 
 
+def test_count_table_of_zero_steps():
+    # the start row alone: one path of no steps, at the start level
+    for cap, start in ((None, 0), (None, 3), (2, 1), (0, 0)):
+        table = CountTable(0, cap, start_level=start)
+        assert len(table.rows) == 1
+        assert table.count(0, start) == 1
+        assert table.column(start) == (1,)
+        assert sum(table.rows[0]) == 1
+    assert CountTable(0, 1, start_level=2).rows == [[0, 0]]
+
+
 def test_count_ballot_dp_examples():
     assert count_ballot_dp(PathClass(end_level=0, max_height=2), 8) == 8
     assert count_ballot_dp(PathClass(end_level=0, max_height=0), 0) == 1
@@ -275,6 +288,22 @@ def test_a_wrong_reflection_sum_fails_every_route_through_it(monkeypatch):
     assert report.passed is False
     assert report.notes == ("|E_1| != C_1",)
     assert report.first_mismatch == Mismatch(1, 2, 1)
+
+
+def test_a_long_walk_keeps_only_the_summed_classes():
+    # 10 000 steps under cap 2000: the walk keeps the entries of two residue
+    # classes mod 2002, about ten big integers, where the whole row of
+    # binomials would peak at about 9 MB
+    tracemalloc.start()
+    try:
+        count = count_paths_dp(10_000, 0, 0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reflected at both walls: 5000 up steps, 4999 once reflected at -1
+    assert count == (sum(comb(10_000, j) for j in range(5000 % 2002, 10_001, 2002))
+                     - sum(comb(10_000, j) for j in range(4999 % 2002, 10_001, 2002)))
+    assert peak < 1_000_000
 
 
 def test_a_wrong_walk_start_raises(monkeypatch):

@@ -12,7 +12,9 @@ Claims covered:
       exact-height series or constant term t3-main and a wrong p_n p-bridge,
       each at a stated coefficient
     - a planted wrong coefficient in the division shared by expand and
-      invert fails g-forms at its path-count check and p-bridge
+      invert fails g-forms at its path-count check; p-bridge divides
+      nothing, and a planted wrong Catalan number fails it, and g-forms, at
+      the tie C = x (1 + C)^2
     - t3-main is cross-checked against path counts at every coefficient
       through its order: a planted wrong table count above x^9 fails it at
       x^10, and the path counts need no series kernel or generating function
@@ -22,26 +24,31 @@ Claims covered:
       lemma-main at order 60
     - a row scaled by a wrong start value, every division still exact, fails
       e8 and e-mo at the row's anchor, with halved values in the report
-    - e8 and e-mo call super_catalan once per row, and g-forms makes one
-      series product per closed form: 324 at order 12, one table column
-      per (k, i, j): 219, and one quotient expansion per G: 229
+    - e8 and e-mo call super_catalan once per row; g-forms and p-bridge
+      each make one series product, the (1 + C)^2 of the C tie, and g-forms
+      builds one table column per (k, i, j) and expands each of those
+      quotients once: 219 of each
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
       Catalan and Catalan numbers; a non-integer T planted in a row entry is
       refused by both routes at its halving
-    - a planted wrong end-level series, between-levels series or table count
-      fails g-forms with the same note and coefficient as before the closed
-      forms shared their factors and each G met one C-form; a planted wrong
+    - a planted wrong end-level or between-levels quotient, a wrong height
+      bound, or a quotient of the wrong t-parity fails its g-forms
+      polynomial identity in C, reported at a C-exponent; a planted wrong
+      table count fails g-forms with the same note and coefficient as before
+      the closed forms became polynomial identities; a planted wrong
       quotient in ballot_between_gf, the one builder behind dyck_gf and
       ballot_end_gf, fails g-forms as G_k^(j) at i = 0 and firstsum at G_3;
-      a planted wrong square root fails the g-forms prefactor check at
-      sqrt(C)^0
+      a planted wrong square root fails the g-forms tie sqrt(C) = t (1 + C)
+    - _series_mismatch refuses series of unequal orders, so t3-main refuses
+      a displayed tail built one t-power short
     - a planted wrong T(2, 5) fails pairsum's table-row comparison, a
       planted wrong displayed tail t3-main's k-sum closed form, and a pair
       missing from the stream of E_4 lemma-main's enumeration count, each
       with its full report pinned
     - every term of the integer convolution planted one too large fails
       e-mo, lemma-main, pairsum and t3-main at their default orders
+    - a report's elapsed_ms lies within the time its call took
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
     - the registry's default orders are the README values, and `verify all`
@@ -57,6 +64,7 @@ import re
 from itertools import islice
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -176,25 +184,29 @@ def test_row_checks_call_super_catalan_once_per_row(monkeypatch):
     assert calls == [(m, 12 - m) for m in range(1, 12)]
 
 
-def test_g_closed_forms_make_one_series_product_per_form(monkeypatch):
-    # 40 products build the powers and prefactors, 55 the series
-    # geom[l] / (1 - C^(k+2)), 10 the G_k C-forms and 219 the G_k^(i,j) forms
+def test_g_closed_forms_make_one_series_product(monkeypatch):
+    # (1 + C)^2 in the C tie; the closed forms are polynomial identities in
+    # C, which take no series product at all
     calls = []
     real = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda self, other: calls.append(1) or real(self, other))
     assert verify_g_closed_forms(12).passed
-    assert len(calls) == 324
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_p_bridge(12).passed
+    assert len(calls) == 1
 
 
 def test_g_closed_forms_expand_each_quotient_once(monkeypatch):
-    # 10 G_k and 219 G_k^(i,j); at i = 0, G_k^(j) is G_k^(0,j), one quotient
+    # the 219 G_k^(i,j), each against its table column; at i = 0, G_k^(j) is
+    # G_k^(0,j), and G_k is G_k^(0), one quotient.  G_-1 = 0 has no column
     calls = []
     real = PolyQuotient.expand
     monkeypatch.setattr(PolyQuotient, "expand",
                         lambda self, t_order: calls.append(1) or real(self, t_order))
     assert verify_g_closed_forms(12).passed
-    assert len(calls) == 10 + 219 == 229
+    assert len(calls) == 219
 
 
 def test_g_closed_forms_build_each_table_column_once(monkeypatch):
@@ -474,15 +486,27 @@ def test_t3_path_counts_use_no_series_route(monkeypatch):
 
 
 def test_g_closed_forms():
-    _assert_clean_pass(verify_g_closed_forms(10), "g-forms")
+    report = verify_g_closed_forms(10)
+    _assert_clean_pass(report, "g-forms")
+    assert report.notes == (
+        "C = x (1 + C)^2 and sqrt(C) = t (1 + C) through t^20",
+        "220 closed forms, k <= 8, checked as polynomial identities in C",
+        "219 quotient expansions cross-checked against path counts through t^20")
 
 
 def test_g_closed_forms_fail_on_a_wrong_height_bound(monkeypatch):
-    real = identities.dyck_gf
-    monkeypatch.setattr(identities, "dyck_gf", lambda k: real(k + (k == 2)))
+    # G_2 = G_2^(0) built as G_3^(0): p_3 / p_4 against the C-form of height 2
+    real = identities.ballot_end_gf
+    monkeypatch.setattr(identities, "ballot_end_gf", lambda k, j: real(k + (k == 2), j))
     report = verify_g_closed_forms(12)
     assert report.passed is False
-    assert "G_2: polynomial form vs C-form" in report.notes
+    assert report.notes == (
+        "G_2^(0): polynomial identity fails, power is the C-exponent",)
+    assert report.first_mismatch == Mismatch(3, 0, -1)
+
+
+def _with_t_parity_flipped(quotient):
+    return PolyQuotient(quotient.num, quotient.den, 1 - quotient.t_shift)
 
 
 def _bump(k, delta):
@@ -503,21 +527,33 @@ class _TableWithOneWrongCount(CountTable):
             self.rows[s][level] += 1
 
 
-# reports recorded before the closed forms shared their factors and the
-# table comparison read whole columns: (note, power, lhs, rhs)
+# (note, power, lhs, rhs).  A wrong quotient fails its polynomial identity in
+# C, where the power is a C-exponent; the table reports are the ones recorded
+# before the closed forms shared their factors and the table comparison read
+# whole columns
+_POLYNOMIAL = ": polynomial identity fails, power is the C-exponent"
+
+
 @pytest.mark.parametrize("plant, expected", [
-    (("ballot_end_gf", (4, 2), 6), ("G_4^(2): closed forms disagree", 6, 10, 9)),
-    (("ballot_end_gf", (2, 1), 5), ("G_2^(1): closed forms disagree", 5, 5, 4)),
-    (("ballot_between_gf", (5, 1, 3), 8),
-     ("G_5^(1,3): closed forms disagree", 8, 48, 47)),
+    (("ballot_end_gf", (4, 2), 6), ("G_4^(2)" + _POLYNOMIAL, 3, 16, 15)),
+    (("ballot_end_gf", (2, 1), 5), ("G_2^(1)" + _POLYNOMIAL, 2, 10, 9)),
+    (("ballot_between_gf", (5, 1, 3), 8), ("G_5^(1,3)" + _POLYNOMIAL, 4, 120, 119)),
     ((3, 0, 7, 3), ("G_3^(3): series vs path count at t^7", 7, 8, 9)),
     ((6, 2, 10, 4), ("G_6^(2,4): series vs path count at t^10", 10, 190, 191)),
     ((8, 0, 24, 0), ("G_8^(0): series vs path count at t^24", 24, 206516, 206517)),
     ((8, 3, 24, 5), ("G_8^(3,5): series vs path count at t^24", 24, 1805984, 1805985)),
     ((1, 1, 0, 1), ("G_1^(1,1): series vs path count at t^0", 0, 1, 2)),
+    # G_5^(1,3) = t^2 p_1 p_2 / p_6 with its t-power made odd: (1 + C) is not
+    # a rational function of x, so no quotient of that parity meets the C-form
+    (("ballot_between_gf", (5, 1, 3), None), ("G_5^(1,3)" + _POLYNOMIAL, 2, 0, 1)),
 ])
 def test_g_closed_forms_failure_reports(monkeypatch, plant, expected):
-    if isinstance(plant[0], str):
+    if plant[2] is None:
+        name, at, _ = plant
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args: real(*args) if args != at
+                            else _with_t_parity_flipped(real(*args)))
+    elif isinstance(plant[0], str):
         name, at, power = plant
         real = getattr(identities, name)
         monkeypatch.setattr(identities, name, lambda *args: real(*args) + _bump(
@@ -545,8 +581,8 @@ def test_g_closed_forms_fail_on_a_wrong_shared_quotient(monkeypatch):
     _plant_between(monkeypatch, (4, 0, 2), 6)
     report = verify_g_closed_forms(12)
     assert report.passed is False
-    assert report.notes == ("G_4^(2): closed forms disagree",)
-    assert report.first_mismatch == Mismatch(6, 10, 9)
+    assert report.notes == ("G_4^(2)" + _POLYNOMIAL,)
+    assert report.first_mismatch == Mismatch(3, 16, 15)
 
 
 def test_firstsum_fails_on_a_wrong_shared_quotient(monkeypatch):
@@ -558,13 +594,24 @@ def test_firstsum_fails_on_a_wrong_shared_quotient(monkeypatch):
 
 
 def test_g_closed_forms_fail_on_a_wrong_square_root(monkeypatch):
+    # one more t^4 in sqrt(C / x) = 1 + C is one more t^5 in sqrt(C), whose
+    # coefficient there is C_2 = 2
     real = TruncSeries.sqrt
     monkeypatch.setattr(TruncSeries, "sqrt", lambda self: real(self)
                         + t_power(4, self.order))
     report = verify_g_closed_forms(12)
     assert report.passed is False
-    assert report.notes == ("sqrt(C)^0 (1 + C): prefactor forms disagree",)
-    assert report.first_mismatch == Mismatch(4, 2, 3)
+    assert report.notes == ("sqrt(C) vs t (1 + C)",)
+    assert report.first_mismatch == Mismatch(5, 3, 2)
+
+
+def test_g_closed_forms_fail_on_a_wrong_catalan(monkeypatch):
+    # the C tie comes before every closed form and table column
+    _plant_wrong_c12(monkeypatch)
+    report = verify_g_closed_forms(12)
+    assert report.passed is False
+    assert report.notes == ("C vs x (1 + C)^2",)
+    assert report.first_mismatch == Mismatch(24, 208013, 208012)
 
 
 def test_g_closed_forms_pass_deep():
@@ -574,18 +621,24 @@ def test_g_closed_forms_pass_deep():
 def test_p_bridge():
     report = verify_p_bridge(12)
     _assert_clean_pass(report, "p-bridge")
-    assert "checked n = 0..12" in report.notes
-    # n stops at the x-order below 12
-    assert "checked n = 0..5" in verify_p_bridge(5).notes
+    assert report.notes == (
+        "C = x (1 + C)^2 through t^24",
+        "checked n = 0..12 as P_n (1 - C) = 1 - C^(n+1), P_n = p_n (1 + C)^n")
+    # n stops at the x-order below 12, and at 12 above it
+    for order, n_max in ((5, 5), (30, 12)):
+        assert (f"checked n = 0..{n_max} as P_n (1 - C) = 1 - C^(n+1), "
+                "P_n = p_n (1 + C)^n") in verify_p_bridge(order).notes
 
 
 def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
-    # p_4 = 1 - 3x + x^2 in place of p_3 = 1 - 2x
+    # p_4 = 1 - 3x + x^2 in place of p_3 = 1 - 2x: P_4 = 1 + C + ... + C^4,
+    # homogenised one degree past 3, so P_4 (1 - C) = 1 - C^5 meets
+    # (1 - C^4)(1 + C) = 1 + C - C^4 - C^5
     _plant(monkeypatch, "p_poly", lambda real: lambda n: real(n + (n == 3)))
     report = verify_p_bridge(12)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch(2, -3, -2)
-    assert "first failure at n=3" in report.notes
+    assert report.first_mismatch == Mismatch(1, 0, 1)
+    assert report.notes == ("first failure at n=3, power is the C-exponent",)
 
 
 def _plant_division_defect(monkeypatch):
@@ -602,17 +655,27 @@ def _plant_division_defect(monkeypatch):
         monkeypatch.setattr(module, "_divide", wrong)
 
 
+def _plant_wrong_c12(monkeypatch):
+    """C_12 one too many in the Catalan series, so at x^12 = t^24 of C."""
+    real = series.catalan
+    monkeypatch.setattr(series, "catalan", lambda n: real(n) + (n == 12))
+
+
 @pytest.mark.parametrize("verify, note, mismatch", [
-    # G_0 and its C-form 1 / (1 - C^2) times (1 + C)(1 - C) move alike
-    # through t^24, so only the height table sees the extra path
+    # the closed forms are polynomial identities in C, which divide nothing,
+    # so only the height table sees the extra path of G_0 = 1 at t^24
     (verify_g_closed_forms, "G_0^(0): series vs path count at t^24",
      Mismatch(24, 1, 0)),
-    # (1 - C) / (1 - C) gains (1 - C) t^24 against p_0 = 1
-    (verify_p_bridge, "first failure at n=0", Mismatch(24, 0, 1)),
+    # p-bridge no longer divides: its case is a wrong C_12, which its tie
+    # C = x (1 + C)^2 sees at x^12, where the right side reads C below x^12
+    (verify_p_bridge, "C vs x (1 + C)^2", Mismatch(24, 208013, 208012)),
 ])
 def test_division_defect_fails_g_forms_and_p_bridge(monkeypatch, verify, note,
                                                     mismatch):
-    _plant_division_defect(monkeypatch)
+    if verify is verify_p_bridge:
+        _plant_wrong_c12(monkeypatch)
+    else:
+        _plant_division_defect(monkeypatch)
     report = verify(12)
     assert report.passed is False
     assert report.notes == (note,)
@@ -711,6 +774,24 @@ def test_series_mismatch_locates_first_difference():
     assert _series_mismatch(lhs, lhs) is None
 
 
+def test_series_mismatch_refuses_unequal_orders():
+    # a comparison through the lower order would pass a shortened side
+    one = TruncSeries.one(10)
+    with pytest.raises(RuntimeError, match="cannot compare series of orders 10 and 9"):
+        _series_mismatch(one, one.truncate(9))
+    with pytest.raises(RuntimeError, match="orders 9 and 10"):
+        _series_mismatch(one.truncate(9), one)
+
+
+def test_t3_main_refuses_a_shortened_displayed_tail(monkeypatch):
+    # the tail built one t-power short leaves the sub-identity's right side
+    # at order t2 - 1; it is refused, not compared through t2 - 1
+    _plant(monkeypatch, "_displayed_t3_tail",
+           lambda real: lambda t_order: real(t_order - 1))
+    with pytest.raises(RuntimeError, match="cannot compare series of orders 48 and 47"):
+        verify_t3_main(20)
+
+
 # the default orders of the README catalogue
 README_DEFAULT_ORDERS = {
     "e-mo": 12, "e2": 30, "e52": 30, "e8": 10, "firstsum": 30, "g-forms": 30,
@@ -755,6 +836,13 @@ def test_run_identity_raises_tiny_e_mo_degree():
     report = run_identity("e-mo", 1)
     assert report.passed and report.order == 2
     assert any("raised" in note for note in report.notes)
+
+
+def test_elapsed_ms_is_the_time_the_check_took():
+    start = perf_counter()
+    report = run_identity("t3-main", 10)
+    outside_ms = (perf_counter() - start) * 1000
+    assert 0 <= report.elapsed_ms <= outside_ms
 
 
 def test_report_to_dict_schema():

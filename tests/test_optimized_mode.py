@@ -6,6 +6,8 @@ Claims covered:
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
     - a planted drift in the t3-main triple-product valuation still raises
+    - a comparison of series of unequal orders still raises, here t3-main's
+      sub-identity against a displayed tail built one t-power short
     - a planted wrong factorial that leaves super_catalan's quotient inexact
       still raises
     - a planted wrong start value of super_catalan_row, or of the walk along
@@ -69,12 +71,21 @@ try:
     print("planted valuation passed")
 except RuntimeError as exc:
     print("planted valuation raised:", exc)
+height_gf.PolyQuotient.min_t_degree = real
 # T(3, 4) planted as 71 for 70 in its doubled row entry
 real_row = identities.super_catalan_row
 identities.super_catalan_row = lambda m, n_max: [
     value + 2 * ((m, n) == (3, 4)) for n, value in enumerate(real_row(m, n_max))]
 print("planted e-mo", identities.verify_e_mo(12).first_mismatch)
 identities.super_catalan_row = real_row
+real_tail = identities._displayed_t3_tail
+identities._displayed_t3_tail = lambda t_order: real_tail(t_order - 1)
+try:
+    identities.verify_t3_main(6)
+    print("short tail passed")
+except RuntimeError as exc:
+    print("short tail raised:", exc)
+identities._displayed_t3_tail = real_tail
 product = (TruncSeries([Fraction(3, 2), Fraction(3, 2)], 3)
            * TruncSeries([Fraction(2, 3), Fraction(4, 3)], 3))
 print("fraction product", product.coeffs, {type(c).__name__ for c in product.coeffs})
@@ -145,6 +156,7 @@ def test_checks_survive_optimize_flag():
         "planted y raised: leftmost highest point of F must follow an up step",
         "planted valuation raised: triple-product valuation drifted",
         "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
+        "short tail raised: cannot compare series of orders 20 and 19",
         "fraction product (1, 3, 2, 0) {'int'}",
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
