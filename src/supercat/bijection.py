@@ -25,35 +25,39 @@ intermediate object around it, for diagrams and debugging.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice_paths import DOWN, UP, Path, PathClass, _ballot_words
 
 
-@dataclass(frozen=True)
-class RestrictedPair:
+class RestrictedPair(NamedTuple("RestrictedPair", [("p", Path), ("q", Path)])):
     """A pair (p, q) of Dyck paths with p nonempty and h(p) <= h(q) + 1."""
 
-    p: Path
-    q: Path
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.p) == 0:
+    def __new__(cls, p: Path, q: Path):
+        if len(p) == 0:
             raise ValueError("p must be nonempty")
-        if not self.p.is_dyck():
+        if not p.is_dyck():
             raise ValueError("p is not a Dyck path")
-        if not self.q.is_dyck():
+        if not q.is_dyck():
             raise ValueError("q is not a Dyck path")
-        if self.p.height > self.q.height + 1:
+        if p.height > q.height + 1:
             raise ValueError("height condition h(p) <= h(q) + 1 violated")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and so _replace, would skip the checks above
+        return cls(*iterable)
 
     @property
     def total_semilength(self) -> int:
         return (len(self.p) + len(self.q)) // 2
 
 
-@dataclass(frozen=True)
-class IntermediatePath:
+class IntermediatePath(NamedTuple("IntermediatePath",
+                                  [("path", Path), ("boundary", int)])):
     """F = F1·F2 with an explicit index for the first point of F2.
 
     The boundary point has level 2 and belongs to F2, so the F1 portion is the
@@ -61,24 +65,27 @@ class IntermediatePath:
     case where F2 has no steps.
     """
 
-    path: Path
-    boundary: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.path
-        if not f.is_ballot() or f.end_level != 2:
+    def __new__(cls, path: Path, boundary: int):
+        if not path.is_ballot() or path.end_level != 2:
             raise ValueError("intermediate path must be nonnegative and end at level 2")
-        if not 1 <= self.boundary <= len(f):
+        if not 1 <= boundary <= len(path):
             raise ValueError("boundary index outside path")
-        if f.levels[self.boundary] != 2:
+        if path.levels[boundary] != 2:
             raise ValueError("boundary point must have level 2")
         # F1 stays strictly below F2 exactly when F's leftmost top is in F2
-        if f.levels.index(f.height) < self.boundary:
+        if path.levels.index(path.height) < boundary:
             raise ValueError("first portion must stay strictly below the second")
+        return super().__new__(cls, path, boundary)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and so _replace, would skip the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(NamedTuple):
     """Full record of one application of the map, for diagrams and debugging.
 
     Point indices: u and v live in pair.p (u also indexes the same point of F);

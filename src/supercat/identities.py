@@ -13,7 +13,6 @@ route fails the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from operator import add, mul, sub
@@ -34,15 +33,13 @@ _G_FORMS_K_MAX = 8
 _P_BRIDGE_N_MAX = 12
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     power: int | tuple[int, ...]
     lhs: int | Fraction
     rhs: int | Fraction
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     order: int
     passed: bool
@@ -678,5 +675,5 @@ def run_identity(identity: str, order: int | None = None) -> VerificationReport:
     report = check.verify(effective)
     if effective != order:
         note = check.clamp_note.format(effective)
-        report = replace(report, notes=report.notes + (note,))
+        report = report._replace(notes=report.notes + (note,))
     return report

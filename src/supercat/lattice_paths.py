@@ -9,8 +9,8 @@ All values are immutable after construction and every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 UP = "U"
 DOWN = "D"
@@ -100,8 +100,9 @@ class Path:
         return f"Path({self.steps!r})"
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(NamedTuple("PathClass", [("end_level", int),
+                                          ("max_height", int | None),
+                                          ("exact_height", int | None)])):
     """Constraint descriptor for nonnegative paths.
 
     Combines a required end level with an optional height bound.  `max_height`
@@ -111,15 +112,20 @@ class PathClass:
     enumerate to nothing.
     """
 
-    end_level: int = 0
-    max_height: int | None = None
-    exact_height: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.end_level < 0:
+    def __new__(cls, end_level: int = 0, max_height: int | None = None,
+                exact_height: int | None = None):
+        if end_level < 0:
             raise ValueError("end_level must be nonnegative")
-        if self.max_height is not None and self.exact_height is not None:
+        if max_height is not None and exact_height is not None:
             raise ValueError("max_height and exact_height are mutually exclusive")
+        return super().__new__(cls, end_level, max_height, exact_height)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, and so _replace, would skip the checks above
+        return cls(*iterable)
 
     @property
     def height_bound(self) -> int | None:

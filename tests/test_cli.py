@@ -19,6 +19,9 @@ Claims covered:
     - `table` rows from the ratio recurrence equal super_catalan, and a
       wrong start value fails the halving check
     - `python -m supercat.cli` runs the same CLI with the same exit codes
+    - `main` runs one command after another in one process, usage errors
+      included, with the parser it keeps
+    - importing the CLI loads neither `dataclasses` nor `inspect`
 """
 
 import json
@@ -311,15 +314,31 @@ def test_usage_error_on_missing_required_flag(capsys):
     assert code == 2
 
 
-def run_module(args, **env_updates):
+def test_main_runs_command_after_command(capsys):
+    # main keeps one parser per process; build_parser still makes a new one
+    assert build_parser() is not build_parser()
+    assert run_cli(capsys, ["count", "catalan", "--n", "5"]) == (0, "42\n", "")
+    assert run_cli(capsys, ["count", "super", "--m", "2"])[0] == 2
+    code, out, _ = run_cli(capsys, ["verify", "e2", "--order", "3", "--format", "json"])
+    assert code == 0 and json.loads(out)["order"] == 3
+    assert run_cli(capsys, ["table", "--m", "2", "--nmax", "3"]) == (0, "3 2 3 6\n", "")
+    code, out, _ = run_cli(capsys, ["verify", "e2", "--order", "4"])
+    assert code == 0 and out.startswith("e2: PASS (order 4,")
+
+
+def run_python(args, **env_updates):
     env = dict(os.environ)
     env.pop("SUPERCAT_ORDER", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.update(env_updates)
-    return subprocess.run([sys.executable, "-m", "supercat.cli", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_module(args, **env_updates):
+    return run_python(["-m", "supercat.cli", *args], **env_updates)
 
 
 def test_module_invocation_runs_the_cli():
@@ -333,3 +352,13 @@ def test_module_invocation_fails_on_bad_env_order():
     assert result.returncode == 1
     assert result.stdout == ""
     assert "SUPERCAT_ORDER" in result.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both are slow to import (inspect pulls in ast, dis and tokenize), and
+    # every command pays for what importing the CLI loads
+    result = run_python(["-c", "import sys; before = set(sys.modules); "
+                         "import supercat.cli; "
+                         "print(sorted({'dataclasses', 'inspect'} & "
+                         "(set(sys.modules) - before)))"])
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

@@ -24,6 +24,8 @@ Claims covered:
       RestrictedPair refuses h(p) > h(q) + 1 when both heights were read,
       and so kept, before the pair was built, and IntermediatePath refuses
       a first portion that reaches the top of the second
+    - RestrictedPair and PathClass refuse invalid fields through `_replace`,
+      and IntermediatePath through `_make`
 """
 
 import os
@@ -37,9 +39,10 @@ SCRIPT = """
 import sys
 from fractions import Fraction
 from math import comb
-from supercat import (IDENTITIES, IntermediatePath, Path, RestrictedPair, TruncSeries,
-                      bijection, counting, enumerate_dyck, enumerate_restricted_pairs,
-                      forward, height_gf, identities, inverse, run_identity)
+from supercat import (IDENTITIES, IntermediatePath, Path, PathClass, RestrictedPair,
+                      TruncSeries, bijection, counting, enumerate_dyck,
+                      enumerate_restricted_pairs, forward, height_gf, identities,
+                      inverse, run_identity)
 
 print("optimize", sys.flags.optimize)
 print("order 2", [i for i in IDENTITIES if not run_identity(i, 2).passed])
@@ -136,6 +139,14 @@ try:
     print("high F1 passed")
 except ValueError as exc:
     print("high F1 raised:", exc)
+for build in (lambda: RestrictedPair(Path("UD"), Path(""))._replace(p=Path("DU")),
+              lambda: IntermediatePath._make((Path("UUUD"), 3)),
+              lambda: PathClass(max_height=1)._replace(exact_height=1)):
+    try:
+        build()
+        print("invalid record passed")
+    except ValueError as exc:
+        print("invalid record raised:", exc)
 """
 
 
@@ -167,6 +178,9 @@ def test_checks_survive_optimize_flag():
         "heights read 3 1",
         "kept heights raised: height condition h(p) <= h(q) + 1 violated",
         "high F1 raised: first portion must stay strictly below the second",
+        "invalid record raised: p is not a Dyck path",
+        "invalid record raised: boundary point must have level 2",
+        "invalid record raised: max_height and exact_height are mutually exclusive",
     ]
 
 
