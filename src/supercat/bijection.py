@@ -234,7 +234,11 @@ def enumerate_restricted_pairs(n: int) -> list[RestrictedPair]:
 
 
 def _dyck_words(n_max: int) -> list[list[tuple[str, int, int]]]:
-    """The Dyck words of semilengths 0..n_max as (steps, height, first peak)."""
+    """The Dyck words of semilengths 0..n_max as (steps, height, first peak).
+
+    The words of semilength a all have 2a steps and start and end at level
+    0, so lemma-main reads the levels of many of them from one level pass
+    over their joined steps."""
     return [_ballot_words(PathClass(end_level=0), 2 * a) for a in range(n_max + 1)]
 
 

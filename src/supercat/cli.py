@@ -26,10 +26,10 @@ ORDER_ENV = "SUPERCAT_ORDER"
 # count is refused before it starts.  A higher limit needs its own time and RSS
 PAIRS_N_MAX = 400
 # `count ballot` walks at most one row of Pascal's triangle, 27-42 ms in process at
-# this limit for a count of at most 3010 digits, and keeps only the entries of the
-# two residue classes it sums: a traced peak of 0.09 MB under --max-height 2000, and
-# about 5 MB under cap 2, where half the row is summed.  Python's 4300-digit limit
-# on printing an int would bind near 14300 steps
+# this limit for a count of at most 3010 digits, and keeps one running sum for each
+# of the two residue classes it sums: a traced peak of 0.02 MB under
+# --max-height 2000 and 0.01 MB under cap 2.  Python's 4300-digit limit on
+# printing an int would bind near 14300 steps
 BALLOT_STEPS_MAX = 10_000
 # C_n <= 4^n and T(m, n) <= 4^(m+n) / 2 have at most 4215 digits up to this
 # n or m + n, inside Python's 4300-digit limit on printing an int, so

@@ -112,8 +112,9 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     and h = max_height, the count is `_strip_sum` of row `steps` of Pascal's
     triangle with residues u and u - end_level - 1 (mod h + 2).  One forward
     walk takes the row from C(steps, first), first the lower of the two
-    residues, since no entry before it is summed, and keeps only the entries
-    of the two summed residue classes.  Without a cap, or with
+    residues, since no entry before it is summed, and adds each entry of the
+    two summed residue classes into a running sum for its class, so that
+    `_strip_sum` reads a row of one sum per residue.  Without a cap, or with
     one no path can reach, only j = u and j = u - end_level - 1 are in
     range.  The narrowest strips need no walk:
     a path that takes a step has none under cap 0 and one under cap 1.
@@ -141,17 +142,18 @@ def count_paths_dp(steps: int, start_level: int, end_level: int,
     first = min(up % period, down % period)
     summed = {up % period, down % period}
     what = f"a binomial coefficient of row {steps}"
-    value, row = comb(steps, first), []
+    value, sums = comb(steps, first), [0] * period
     for j in range(first, steps):
-        row.append(value if j % period in summed else 0)
+        if j % period in summed:
+            sums[j % period] += value
         value = exact_div(value * (steps - j), j + 1, what)
     # a wrong start value that is a multiple of C(steps, first) keeps every
     # division exact, so the walk's last value is checked on its own
     if value != 1:
         raise RuntimeError(f"the walk along row {steps} does not end at "
                            f"C({steps}, {steps}) = 1")
-    row.append(value)
-    return _strip_sum(row, up - first, down - first, period)
+    sums[steps % period] += value
+    return _strip_sum(sums, up, down, period)
 
 
 def count_ballot_dp(path_class: PathClass, steps: int) -> int:

@@ -31,6 +31,9 @@ from .series import TruncSeries, binomial_pow, shifted_catalan_series
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
 _P_BRIDGE_N_MAX = 12
+# lemma-main inverts the Dyck words of each D_n with one level pass per chunk
+# of this many words
+_INVERSE_CHUNK = 1024
 
 
 class Mismatch(NamedTuple):
@@ -585,11 +588,19 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     = forward(pair) = d.
 
     The Dyck paths of each semilength are enumerated once per check as
-    (steps, height, first peak) words and shared by every n.  The pairs of
-    each n stream from `_restricted_words`, the generator behind
-    `enumerate_restricted_pairs`, through the bijection's string cores, so
-    no Path is built; an image outside D_n is not inverted, since the image
-    check, which runs first, reports it.
+    (steps, height, first peak) words and shared by every n; no Path is
+    built.  Each n takes two passes.  The forward pass streams the pairs
+    from `_restricted_words`, the generator behind
+    `enumerate_restricted_pairs`, through the forward string core into a map
+    from image to pair.  Once the image check has found the keys of that map
+    to be D_n, each word d of D_n is inverted once, in enumeration order,
+    against the pair that maps to it; since forward maps E_n onto D_n, this
+    is inverse(forward(pair)) == pair on E_n.  The words go to the inverse
+    core in chunks of `_INVERSE_CHUNK`, with one level pass over each chunk
+    joined into one word: every word starts and ends at level 0, so word i
+    of a chunk has the levels at points 2n i to 2n (i + 1).  The core gets
+    the height the enumeration carries, as `_restricted_words` does; an
+    error the core raises on a word counts as a round-trip failure.
     """
     def body(notes):
         words = _dyck_words(n_max)
@@ -599,25 +610,34 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
             if counts[n] != expected:
                 notes.append(f"|E_{n}| != C_{n}")
                 return Mismatch(n, counts[n], expected)
-            dyck_n = {d for d, _, _ in words[n]}
-            pairs = failures = 0
-            images = set()
+            dyck_n = words[n]
+            pairs = 0
+            preimage = {}
             for p, q, hp, hq, q_peak in _restricted_words(n, words):
                 pairs += 1
-                image = _forward_core(p, q, hp, hq, q_peak)
-                images.add(image)
-                if image not in dyck_n:  # the image check below reports it
-                    continue
-                levels = _levels(image)
-                if _inverse_core(image, levels, max(levels)) != (p, q):
-                    failures += 1
+                preimage[_forward_core(p, q, hp, hq, q_peak)] = (p, q)
             if pairs != expected:
                 notes.append(f"pair enumeration at n={n} disagrees with count")
                 return Mismatch(n, pairs, expected)
             # with |E_n| = |D_n|, equal sets also make forward one-to-one
-            if images != dyck_n:
+            ds = [d for d, _, _ in dyck_n]
+            if (len(preimage) != len(ds)
+                    or not all(map(preimage.__contains__, ds))):
                 notes.append(f"image of E_{n} is not all of D_{n}")
-                return Mismatch(n, len(images), len(dyck_n))
+                return Mismatch(n, len(preimage), len(dyck_n))
+            failures = 0
+            for start in range(0, len(ds), _INVERSE_CHUNK):
+                chunk = dyck_n[start:start + _INVERSE_CHUNK]
+                levels = _levels("".join(ds[start:start + _INVERSE_CHUNK]))
+                for lo, (d, h, _) in zip(range(0, len(levels), 2 * n), chunk):
+                    try:
+                        pair = _inverse_core(d, levels[lo:lo + 2 * n + 1], h)
+                    except (ValueError, IndexError, RuntimeError):
+                        failures += 1  # the core refused a word of D_n
+                        continue
+                    # popped, so a word listed twice finds no pair again
+                    if pair != preimage.pop(d, None):
+                        failures += 1
             if failures:
                 notes.append(f"{failures} roundtrip failures at n={n}")
                 return Mismatch(n, failures, 0)

@@ -19,8 +19,9 @@ Claims covered:
     - a planted wrong reflection sum, the one statement behind count_paths_dp
       and the height table, disagrees with CountTable and fails pairsum and
       lemma-main
-    - the walk along a row of 10 000 steps keeps only the two summed
-      residue classes: its traced peak stays under 1 MB
+    - the walk along a row of 10 000 steps keeps one running sum for each
+      of the two summed residue classes: its traced peak stays under 1 MB
+      under caps 2, 3 and 2000
     - a wrong start value of that walk raises: an inexact one at its first
       inexact division, a multiple of the true one at the end check
       C(s, s) = 1
@@ -291,19 +292,29 @@ def test_a_wrong_reflection_sum_fails_every_route_through_it(monkeypatch):
 
 
 def test_a_long_walk_keeps_only_the_summed_classes():
-    # 10 000 steps under cap 2000: the walk keeps the entries of two residue
-    # classes mod 2002, about ten big integers, where the whole row of
-    # binomials would peak at about 9 MB
-    tracemalloc.start()
-    try:
-        count = count_paths_dp(10_000, 0, 0, 2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # reflected at both walls: 5000 up steps, 4999 once reflected at -1
-    assert count == (sum(comb(10_000, j) for j in range(5000 % 2002, 10_001, 2002))
-                     - sum(comb(10_000, j) for j in range(4999 % 2002, 10_001, 2002)))
-    assert peak < 1_000_000
+    # 10 000 steps: the walk keeps one running sum for each of two residue
+    # classes mod cap + 2, where the whole row of binomials would peak at
+    # about 9 MB, and the entries of both classes at about 5 MB under cap 2
+    fib = [0, 1]  # the Dyck paths of semilength n under cap 3: F(2n - 1)
+    while len(fib) < 10_000:
+        fib.append(fib[-1] + fib[-2])
+    # under cap 2 a path is a run of blocks U (UD)^k D, one run for each
+    # composition of its semilength, 2^(n - 1); under cap 2000, reflected at
+    # both walls: 5000 up steps, 4999 once reflected at -1
+    expected = {
+        2: 2 ** 4999,
+        3: fib[9999],
+        2000: (sum(comb(10_000, j) for j in range(5000 % 2002, 10_001, 2002))
+               - sum(comb(10_000, j) for j in range(4999 % 2002, 10_001, 2002))),
+    }
+    for cap, count in expected.items():
+        tracemalloc.start()
+        try:
+            assert count_paths_dp(10_000, 0, 0, cap) == count, cap
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (cap, peak)
 
 
 def test_a_wrong_walk_start_raises(monkeypatch):

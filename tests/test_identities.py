@@ -5,8 +5,13 @@ Claims covered:
     - the mismatch machinery pinpoints the first differing coefficient
     - a planted wrong pair count fails pairsum and lemma-main at that n, and
       so does a planted wrong entry of the height table behind both
-    - a planted wrong inverse core fails the lemma-main round trip, and a
-      planted forward core that is not one-to-one fails its image check
+    - a planted wrong inverse core fails the lemma-main round trip, on the
+      last word of D_8 and on the first of its second chunk too, and a
+      planted forward core that is not one-to-one fails its image check;
+      lemma-main makes one level pass per chunk of words, 31 at order 10
+    - a height off by one on the first, sixth or last enumerated word of
+      D_4 fails lemma-main at n = 4, as a report even where the inverse
+      core raises on it
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
       bound firstsum and pairsum, a wrong binomial power e52, a wrong
       exact-height series or constant term t3-main and a wrong p_n p-bridge,
@@ -747,6 +752,60 @@ def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, 1, 0)
     assert "1 roundtrip failures at n=4" in report.notes
+
+
+@pytest.mark.parametrize("index", [
+    # the last word of D_8, and the first of its second chunk of words
+    -1, identities._INVERSE_CHUNK])
+def test_lemma_main_inverts_every_chunk_of_words(monkeypatch, index):
+    # C_8 = 1430 words: one full chunk of 1024, then 406
+    real = identities._inverse_core
+    dyck = enumerate_dyck(8)
+    d, wrong = dyck[index], inverse(dyck[0])
+    monkeypatch.setattr(identities, "_inverse_core",
+                        lambda word, levels, h: (wrong.p.steps, wrong.q.steps)
+                        if word == d.steps else real(word, levels, h))
+    report = verify_lemma_main_count(8)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(8, 1, 0)
+    assert "1 roundtrip failures at n=8" in report.notes
+
+
+def test_lemma_main_makes_one_level_pass_per_chunk(monkeypatch):
+    # ceil(C_n / 1024) chunks: one for each n <= 7, then 2, 5 and 17
+    calls = []
+    _plant(monkeypatch, "_levels",
+           lambda real: lambda steps: calls.append(1) or real(steps))
+    assert verify_lemma_main_count(10).passed
+    assert len(calls) == 7 + 2 + 5 + 17 == 31
+
+
+@pytest.mark.parametrize("index, delta, mismatch, note", [
+    # the inverse core trusts the enumerated height, and raises or returns
+    # another pair on a wrong one; a wrong height can also move the word
+    # into or out of E_4 as P, with Q empty
+    (0, -1, Mismatch(4, 1, 0), "1 roundtrip failures at n=4"),
+    (0, 1, Mismatch(4, 1, 0), "1 roundtrip failures at n=4"),
+    (5, -1, Mismatch(4, 15, 14), "pair enumeration at n=4 disagrees with count"),
+    (5, 1, Mismatch(4, 1, 0), "1 roundtrip failures at n=4"),
+    (-1, -1, Mismatch(4, 1, 0), "1 roundtrip failures at n=4"),
+    (-1, 1, Mismatch(4, 13, 14), "pair enumeration at n=4 disagrees with count"),
+])
+def test_lemma_main_fails_on_a_wrong_enumerated_height(monkeypatch, index, delta,
+                                                       mismatch, note):
+    # the first, sixth or last word of D_4 carries its height off by one
+    def plant(real):
+        def words(n_max):
+            out = real(n_max)
+            d, h, peak = out[4][index]
+            out[4][index] = (d, h + delta, peak)
+            return out
+        return words
+    _plant(monkeypatch, "_dyck_words", plant)
+    report = verify_lemma_main_count(5)
+    assert report.passed is False
+    assert report.first_mismatch == mismatch
+    assert report.notes == (note,)
 
 
 def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
