@@ -2,8 +2,9 @@
 
 Paths take unit steps (1, 1) and (1, -1) and start at level 0.  The canonical
 text encoding is a string over {U, D}; the empty string is the empty path.
-A Path reads its levels off its own steps in one signed-byte pass, keeps its
-height once it is first read, and is nonnegative exactly when no level is -1.
+A Path reads its levels off its own steps in one signed-byte pass; one range
+pass over those levels, made when first needed and kept, gives both its
+height and its floor, and it is nonnegative exactly when its floor is 0.
 All values are immutable after construction and every function here is pure.
 """
 
@@ -38,28 +39,44 @@ def _levels(steps: str) -> tuple[int, ...]:
     return tuple(list(accumulate(memoryview(signed).cast("b"), initial=0)))
 
 
+def _level_range(levels: tuple[int, ...]) -> tuple[int, int]:
+    """(lowest, highest) of `levels`, from one pass that gathers them in a set.
+
+    Levels move by one, so the set holds at most height - floor + 1 small
+    ints and min and max over it cost next to nothing; one pass over the
+    levels gives both ends, where a max scan and a floor scan took two.
+    """
+    seen = set(levels)
+    return min(seen), max(seen)
+
+
 class Path:
     """A path of up/down unit steps starting at level 0.
 
     `levels` holds the level at every point of the path, so it always has one
-    more entry than `steps` and starts with 0.  The height is computed from
-    them the first time it is read and kept.
+    more entry than `steps` and starts with 0.  The lowest and highest levels
+    come from one range pass over them, made the first time the height or
+    either floor test is read and kept for the others.
     """
 
-    __slots__ = ("steps", "levels", "_height")
+    __slots__ = ("steps", "levels", "_range")
 
     def __init__(self, steps: str = ""):
         self.levels = _levels(steps)
         self.steps = steps
+        self._range = None
+
+    def _bounds(self) -> tuple[int, int]:
+        """(lowest, highest) level, from the kept range pass."""
+        bounds = self._range
+        if bounds is None:
+            bounds = self._range = _level_range(self.levels)
+        return bounds
 
     @property
     def height(self) -> int:
         """Highest level reached; 0 for the empty path."""
-        try:
-            return self._height
-        except AttributeError:
-            self._height = height = max(self.levels)
-            return height
+        return self._bounds()[1]
 
     @property
     def end_level(self) -> int:
@@ -72,11 +89,10 @@ class Path:
     def is_ballot(self) -> bool:
         """True iff the path never goes below level 0 (any end level).
 
-        Levels start at 0 and move by one, so a path that goes below 0 first
-        does so at level -1: the floor test is one scan for -1, which stops
-        at the first one.
+        The floor test reads the lowest level of the range pass, which scans
+        every level, so a path that dips below 0 is scanned in full too.
         """
-        return -1 not in self.levels
+        return self._bounds()[0] >= 0
 
     def __len__(self) -> int:
         return len(self.steps)

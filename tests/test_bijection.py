@@ -10,13 +10,15 @@ Claims covered:
       intermediate path and landmarks accept every pair and give forward's image
     - traces expose the boundary and marked points, including the edge case
       where the second portion carries no steps
+    - a round trip forward(inverse(Path(d))) builds four Paths, d, p, q and
+      the output, and makes one level pass and one range pass for each
 """
 
 import pytest
 
 from supercat import (IntermediatePath, Path, RestrictedPair,
                       enumerate_dyck, enumerate_restricted_pairs, forward,
-                      inverse, trace)
+                      inverse, lattice_paths, trace)
 
 
 def test_restricted_pair_validation():
@@ -109,6 +111,21 @@ def test_exhaustive_roundtrips():
         assert images == set(dycks)
         for d in dycks:
             assert forward(inverse(d)) == d
+
+
+def test_roundtrip_makes_one_level_and_one_range_pass_per_path(monkeypatch):
+    calls = {"_levels": 0, "_level_range": 0}
+    for name in calls:
+        def counted(arg, real=getattr(lattice_paths, name), name=name):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(lattice_paths, name, counted)
+    # q is empty for UD and UDUD and not for the others; the last is 1000 steps
+    for d in ["UD", "UUDD", "UDUD", "UUDUDD", "UUUDDUDDUD", "U" * 500 + "D" * 500]:
+        for name in calls:
+            calls[name] = 0
+        assert forward(inverse(Path(d))).steps == d
+        assert calls == {"_levels": 4, "_level_range": 4}, d
 
 
 def test_enumerate_restricted_pairs_rejects_negative():

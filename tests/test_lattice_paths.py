@@ -86,7 +86,8 @@ def test_factor_dyck_examples():
 
 @pytest.mark.parametrize("bad", ["", "UU", "UDDU"])
 def test_factor_dyck_rejects_non_dyck(bad):
-    with pytest.raises(ValueError):
+    # the empty path is Dyck, so the length check must name it too
+    with pytest.raises(ValueError, match="^factorization requires a nonempty Dyck path$"):
         factor_dyck(Path(bad))
 
 

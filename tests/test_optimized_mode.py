@@ -24,6 +24,8 @@ Claims covered:
       RestrictedPair refuses h(p) > h(q) + 1 when both heights were read,
       and so kept, before the pair was built, and IntermediatePath refuses
       a first portion that reaches the top of the second
+    - RestrictedPair refuses a q that dips below 0 whose floor was read,
+      and so kept, before its height
     - RestrictedPair and PathClass refuse invalid fields through `_replace`,
       and IntermediatePath through `_make`
 """
@@ -133,6 +135,14 @@ try:
     print("kept heights passed")
 except ValueError as exc:
     print("kept heights raised:", exc)
+# UDD's floor is read first; the range pass it makes is the one the pair reads
+q = Path("UDD")
+print("floor read", q.is_ballot())
+try:
+    RestrictedPair(Path("UD"), q)
+    print("kept floor passed")
+except ValueError as exc:
+    print("kept floor raised:", exc)
 # F1, the points before index 6, reaches level 3, the top of F2
 try:
     IntermediatePath(Path("UUUDDUUD"), 6)
@@ -177,6 +187,8 @@ def test_checks_survive_optimize_flag():
         "inverse of DU raised: input is not a Dyck path",
         "heights read 3 1",
         "kept heights raised: height condition h(p) <= h(q) + 1 violated",
+        "floor read False",
+        "kept floor raised: q is not a Dyck path",
         "high F1 raised: first portion must stay strictly below the second",
         "invalid record raised: p is not a Dyck path",
         "invalid record raised: boundary point must have level 2",

@@ -4,11 +4,11 @@ Claims covered:
     - on uniform random Dyck paths of semilength 10^2, 10^3 and 10^4, inverse
       and forward agree with trace(pair).output and with a plain-loop
       reference of the two surgeries, and the round trip returns the path
-    - Path's signed-byte level pass, its kept height and its -1 floor test
-      match a plain loop and a min(levels) >= 0 reference on those Dyck
-      paths, on them with a step added at either end, on strings that first
-      dip to -1 at their last step, and on 20 000 up steps, whose levels no
-      signed byte holds
+    - Path's signed-byte level pass, and the height and floor tests read
+      off its one kept range pass, match a plain loop and a min(levels) >= 0
+      reference on those Dyck paths, on them with a step added at either
+      end, on strings that first dip to -1 at their last step, and on 20 000
+      up steps, whose levels no signed byte holds
     - a bad step is named in the error, whether it is a NUL, a character
       outside ASCII, a lone surrogate or the step after 10^4 valid ones
 
@@ -89,7 +89,7 @@ def _assert_levels_match_a_loop(steps: str) -> Path:
     p = Path(steps)
     levels = loop_levels(steps)
     assert p.levels == tuple(levels)
-    for _ in range(2):  # the second read is the kept height
+    for _ in range(2):  # the second read is the kept range
         assert p.height == max(levels)
     assert p.is_ballot() == (min(levels) >= 0)
     assert p.is_dyck() == (min(levels) >= 0 and levels[-1] == 0)

@@ -3,7 +3,8 @@
     python3 tools/mutate.py
 
 Stdlib only, and not part of the test suite.  It makes one mutant per site
-in src/supercat/counting.py and src/supercat/identities.py:
+in src/supercat/counting.py, src/supercat/identities.py and
+src/supercat/lattice_paths.py:
 
   - a `+` or `-` swapped for the other, `+=` and `-=` included;
   - a comparison made strict or loose: `<` and `<=`, `>` and `>=`;
@@ -40,11 +41,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py")
+TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py",
+           "src/supercat/lattice_paths.py")
 TESTS = ("tests/test_check_orders.py", "tests/test_identities.py",
          "tests/test_counting.py", "tests/test_height_gf.py",
          "tests/test_optimized_mode.py", "tests/test_cli.py",
-         "tests/test_acceptance.py", "perfbench/test_oracles.py")
+         "tests/test_acceptance.py", "perfbench/test_oracles.py",
+         "tests/test_lattice_paths.py", "tests/test_path_properties.py",
+         "tests/test_string_cores.py", "tests/test_bijection.py")
 EQUIVALENT = ROOT / "tools" / "mutate_equivalent.txt"
 WORKERS = 2
 MEMORY_LIMIT = 2 << 30
