@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
-from .lattice_paths import DOWN, UP, Path, PathClass, _ballot_words
+from .lattice_paths import (DOWN, UP, Path, PathClass, _ballot_words,
+                            _checked_make)
 
 
 class RestrictedPair(NamedTuple("RestrictedPair", [("p", Path), ("q", Path)])):
@@ -46,10 +47,7 @@ class RestrictedPair(NamedTuple("RestrictedPair", [("p", Path), ("q", Path)])):
             raise ValueError("height condition h(p) <= h(q) + 1 violated")
         return super().__new__(cls, p, q)
 
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make, and so _replace, would skip the checks above
-        return cls(*iterable)
+    _make = _checked_make
 
     @property
     def total_semilength(self) -> int:
@@ -79,10 +77,7 @@ class IntermediatePath(NamedTuple("IntermediatePath",
             raise ValueError("first portion must stay strictly below the second")
         return super().__new__(cls, path, boundary)
 
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make, and so _replace, would skip the checks above
-        return cls(*iterable)
+    _make = _checked_make
 
 
 class BijectionTrace(NamedTuple):

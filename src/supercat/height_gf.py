@@ -36,12 +36,6 @@ class PolyX:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient (zero polynomial is invalid)."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no valuation")
-        return next(i for i, c in enumerate(self.coeffs) if c)
-
     def mul_x_power(self, m: int) -> "PolyX":
         if m < 0:
             raise ValueError("power must be nonnegative")
@@ -113,6 +107,10 @@ class PolyQuotient:
     The zero quotient is canonically 0/1 with shift 0; otherwise the
     denominator must have a nonzero constant term and even parts of the shift
     fold into the numerator as powers of x, leaving t_shift in {0, 1}.
+
+    The arithmetic (+, -, * and == by cross-multiplication) is library API:
+    perfbench/tracer.py wraps __add__, __sub__ and __mul__ by name.  No
+    builder here uses it; each returns one quotient in closed form.
     """
 
     __slots__ = ("num", "den", "t_shift")
@@ -136,12 +134,6 @@ class PolyQuotient:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def min_t_degree(self) -> int | None:
-        """Lowest t-power with a nonzero coefficient; None for the zero quotient."""
-        if self.is_zero:
-            return None
-        return 2 * self.num.valuation() + self.t_shift
 
     def __add__(self, other: "PolyQuotient") -> "PolyQuotient":
         if self.is_zero:
@@ -247,9 +239,20 @@ def ballot_between_gf(k: int, i: int, j: int) -> PolyQuotient:
 
 
 def ballot_exact_gf(k: int, j: int) -> PolyQuotient:
-    """Ballot paths of height exactly k ending at level j."""
+    """Ballot paths of height exactly k ending at level j:
+    H_k^(j) = t**(2k-j) * p_j / (p_k * p_{k+1}), zero for j > k.
+
+    Such a path splits at its first visit to level k.  Before it lies a
+    first passage to k: a path of height <= k-1 to level k-1 and one up
+    step, t * G_{k-1}^(k-1) = t**k / p_k.  After it lies a path from k down
+    to j of height <= k, G_k^(j,k) = t**(k-j) * p_j / p_{k+1}.  The form
+    equals G_k^(j) - G_{k-1}^(j) by the Casoratian identity
+    p_{k-j} p_k - p_{k-1-j} p_{k+1} = x**(k-j) p_j.
+    """
     if k < 1:
         raise ValueError("exact height must be >= 1")
     if j < 0:
         raise ValueError("end level must be >= 0")
-    return ballot_end_gf(k, j) - ballot_end_gf(k - 1, j)
+    if j > k:
+        return _ZERO_Q
+    return PolyQuotient(p_poly(j), p_poly(k) * p_poly(k + 1), 2 * k - j)

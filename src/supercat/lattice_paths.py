@@ -116,6 +116,13 @@ class Path:
         return f"Path({self.steps!r})"
 
 
+@classmethod
+def _checked_make(cls, iterable):
+    """The `_make` of a record that checks its fields in __new__: the
+    inherited one, and so `_replace`, would skip the checks."""
+    return cls(*iterable)
+
+
 class PathClass(NamedTuple("PathClass", [("end_level", int),
                                           ("max_height", int | None),
                                           ("exact_height", int | None)])):
@@ -138,10 +145,7 @@ class PathClass(NamedTuple("PathClass", [("end_level", int),
             raise ValueError("max_height and exact_height are mutually exclusive")
         return super().__new__(cls, end_level, max_height, exact_height)
 
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make, and so _replace, would skip the checks above
-        return cls(*iterable)
+    _make = _checked_make
 
     @property
     def height_bound(self) -> int | None:

@@ -5,7 +5,8 @@ Claims covered:
       bijection round trips run and pass with optimization on
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
-    - a planted drift in the t3-main triple-product valuation still raises
+    - a doubled H_6^(4) still fails t3-main at t^16, in its main series
+      identity
     - a comparison of series of unequal orders still raises, here t3-main's
       sub-identity against a displayed tail built one t-power short
     - a planted wrong factorial that leaves super_catalan's quotient inexact
@@ -43,8 +44,8 @@ from fractions import Fraction
 from math import comb
 from supercat import (IDENTITIES, IntermediatePath, Path, PathClass, RestrictedPair,
                       TruncSeries, bijection, counting, enumerate_dyck,
-                      enumerate_restricted_pairs, forward, height_gf, identities,
-                      inverse, run_identity)
+                      enumerate_restricted_pairs, forward, identities, inverse,
+                      run_identity)
 
 print("optimize", sys.flags.optimize)
 print("order 2", [i for i in IDENTITIES if not run_identity(i, 2).passed])
@@ -69,14 +70,12 @@ try:
     print("planted y passed")
 except RuntimeError as exc:
     print("planted y raised:", exc)
-real = height_gf.PolyQuotient.min_t_degree
-height_gf.PolyQuotient.min_t_degree = lambda self: real(self) + 1
-try:
-    identities._t3_triple_sum(12)
-    print("planted valuation passed")
-except RuntimeError as exc:
-    print("planted valuation raised:", exc)
-height_gf.PolyQuotient.min_t_degree = real
+# doubling H_6^(4) doubles the k = 6 triple product, which starts at t^15
+real_exact = identities.ballot_exact_gf
+identities.ballot_exact_gf = lambda k, j: real_exact(k, j) * (1 + ((k, j) == (6, 4)))
+report = identities.verify_t3_main(10)
+print("doubled H_6^(4)", report.passed, report.first_mismatch.power, report.notes[-1])
+identities.ballot_exact_gf = real_exact
 # T(3, 4) planted as 71 for 70 in its doubled row entry
 real_row = identities.super_catalan_row
 identities.super_catalan_row = lambda m, n_max: [
@@ -175,7 +174,7 @@ def test_checks_survive_optimize_flag():
         "roundtrips True",
         "planted u raised: rightmost level-1 point of F must precede an up step",
         "planted y raised: leftmost highest point of F must follow an up step",
-        "planted valuation raised: triple-product valuation drifted",
+        "doubled H_6^(4) False 16 main series identity",
         "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
         "short tail raised: cannot compare series of orders 20 and 19",
         "fraction product (1, 3, 2, 0) {'int'}",

@@ -1,10 +1,10 @@
-"""Mutation testing of the counting core and the identity checks.
+"""Mutation testing of the path and counting cores, closed forms and checks.
 
     python3 tools/mutate.py
 
 Stdlib only, and not part of the test suite.  It makes one mutant per site
-in src/supercat/counting.py, src/supercat/identities.py and
-src/supercat/lattice_paths.py:
+in src/supercat/counting.py, src/supercat/identities.py,
+src/supercat/lattice_paths.py and src/supercat/height_gf.py:
 
   - a `+` or `-` swapped for the other, `+=` and `-=` included;
   - a comparison made strict or loose: `<` and `<=`, `>` and `>=`;
@@ -21,7 +21,9 @@ tools/mutate_equivalent.txt is counted and not printed: each line there
 gives the file, the source line, the mutated line and the reason the mutant
 changes no result, separated by tabs.  Every other survivor is printed, and
 the run exits 1 if there is one.  A mutant is known by its source line, not
-its line number, so the list survives edits elsewhere in the file.
+its line number, so the list survives edits elsewhere in the file.  A line
+of the list that matches no mutant of the current sources is printed as
+stale, and the run exits 1 for it too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py",
-           "src/supercat/lattice_paths.py")
+           "src/supercat/lattice_paths.py", "src/supercat/height_gf.py")
 TESTS = ("tests/test_check_orders.py", "tests/test_identities.py",
          "tests/test_counting.py", "tests/test_height_gf.py",
          "tests/test_optimized_mode.py", "tests/test_cli.py",
@@ -128,9 +130,11 @@ def main() -> int:
         timeout = max(60.0, 4 * (time.perf_counter() - start))
 
         jobs: queue.Queue = queue.Queue()
+        stale = set(known)
         for relpath in TARGETS:
             for row, line, mutated in mutants(relpath):
                 jobs.put((relpath, row, line, mutated))
+                stale.discard(key(relpath, line, mutated.splitlines()[row - 1]))
         total = jobs.qsize()
         survivors = []
 
@@ -162,10 +166,13 @@ def main() -> int:
             new.append(f"{relpath}:{row}: {line.strip()}  ->  {new_line.strip()}")
     for line in new:
         print(line)
+    for name, original, mutated in sorted(stale):
+        print(f"stale: {name}: {original}  ->  {mutated}")
     print(f"{total - len(survivors)} of {total} mutants killed; "
           f"{len(survivors) - len(new)} known equivalent and {len(new)} new "
-          f"survivors; {time.perf_counter() - start:.0f} s on {WORKERS} workers")
-    return 1 if new else 0
+          f"survivors; {len(stale)} stale entries; "
+          f"{time.perf_counter() - start:.0f} s on {WORKERS} workers")
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":
