@@ -1,5 +1,5 @@
 """Exact combinatorics of up/down lattice paths: enumeration and counting,
-a height-sensitive pair bijection, truncated rational power series, closed
+a height-sensitive pair bijection, truncated integer power series, closed
 forms for height-restricted generating functions, and a mechanical
 verification suite for super Catalan number identities."""
 
@@ -18,7 +18,7 @@ from .identities import (IDENTITIES, Mismatch, VerificationReport,
                          verify_t3_closed_form, verify_t3_main)
 from .lattice_paths import (DOWN, UP, Path, PathClass, enumerate_ballot,
                             enumerate_dyck, factor_dyck)
-from .series import (BiTrunc, TruncSeries, binomial_pow, catalan_series,
+from .series import (BiTrunc, TruncSeries, catalan_series,
                      shifted_catalan_series)
 from .svg import render_trace
 
@@ -28,13 +28,12 @@ __all__ = [
     "BiTrunc", "BijectionTrace", "CountTable", "DOWN", "IDENTITIES",
     "IntermediatePath", "Mismatch", "Path", "PathClass", "PolyQuotient",
     "PolyX", "RestrictedPair", "TruncSeries", "UP", "VerificationReport",
-    "ballot_between_gf", "ballot_end_gf", "ballot_exact_gf", "binomial_pow",
-    "catalan", "catalan_series", "count_E_set", "count_F_set", "count_ballot_dp", "count_pairs_height_diff",
-    "count_paths_dp", "dyck_gf", "enumerate_ballot", "enumerate_dyck",
-    "enumerate_restricted_pairs", "factor_dyck", "forward", "inverse",
-    "p_poly", "render_trace", "report_to_dict",
-    "run_identity", "shifted_catalan_series", "super_catalan",
-    "super_catalan_row", "trace",
+    "ballot_between_gf", "ballot_end_gf", "ballot_exact_gf", "catalan",
+    "catalan_series", "count_E_set", "count_F_set", "count_ballot_dp",
+    "count_pairs_height_diff", "count_paths_dp", "dyck_gf", "enumerate_ballot",
+    "enumerate_dyck", "enumerate_restricted_pairs", "factor_dyck", "forward",
+    "inverse", "p_poly", "render_trace", "report_to_dict", "run_identity",
+    "shifted_catalan_series", "super_catalan", "super_catalan_row", "trace",
     "verify_e8", "verify_e52", "verify_e_mo", "verify_firstsum",
     "verify_g_closed_forms", "verify_lemma_main_count", "verify_p_bridge",
     "verify_pairsum", "verify_t2_closed_form", "verify_t3_closed_form",

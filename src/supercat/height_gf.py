@@ -9,7 +9,7 @@ so that boundary cases vanish from the same formulas.
 
 from __future__ import annotations
 
-from .series import _INTS, TruncSeries, _divide
+from .series import _INTS, TruncSeries, _divide, _int, _unit
 
 
 class PolyX:
@@ -22,9 +22,7 @@ class PolyX:
         while cs and cs[-1] == 0:
             cs.pop()
         if not _INTS.issuperset(map(type, cs)):
-            if not all(isinstance(c, int) for c in cs):
-                raise TypeError("coefficients must be integers")
-            cs = list(map(int, cs))  # bool and other int subclasses
+            cs = list(map(_int, cs))
         self.coeffs = tuple(cs)
 
     @property
@@ -105,8 +103,10 @@ class PolyQuotient:
     """t**t_shift * num(x) / den(x), expandable as a t-series.
 
     The zero quotient is canonically 0/1 with shift 0; otherwise the
-    denominator must have a nonzero constant term and even parts of the shift
-    fold into the numerator as powers of x, leaving t_shift in {0, 1}.
+    denominator must have constant term 1 or -1, so that the expansion stays
+    in the integers, and even parts of the shift fold into the numerator as
+    powers of x, leaving t_shift in {0, 1}.  Every p_n has constant term 1,
+    and so has every product of them.
 
     The arithmetic (+, -, * and == by cross-multiplication) is library API:
     perfbench/tracer.py wraps __add__, __sub__ and __mul__ by name.  No
@@ -123,8 +123,7 @@ class PolyQuotient:
         else:
             if den.is_zero:
                 raise ZeroDivisionError("zero denominator")
-            if den.coeffs[0] == 0:
-                raise ValueError("denominator must have a nonzero constant term")
+            _unit(den.coeffs[0])  # raises unless 1 or -1
             num = num.mul_x_power(t_shift // 2)
             t_shift %= 2
         self.num = num

@@ -13,7 +13,6 @@ route fails the report.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add, mul, sub
 from time import perf_counter
@@ -26,7 +25,7 @@ from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
 from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .lattice_paths import _levels
-from .series import TruncSeries, binomial_pow, shifted_catalan_series
+from .series import TruncSeries, catalan_series, shifted_catalan_series
 
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
@@ -38,8 +37,8 @@ _INVERSE_CHUNK = 1024
 
 class Mismatch(NamedTuple):
     power: int | tuple[int, ...]
-    lhs: int | Fraction
-    rhs: int | Fraction
+    lhs: int
+    rhs: int
 
 
 class VerificationReport(NamedTuple):
@@ -51,12 +50,6 @@ class VerificationReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
 def report_to_dict(report: VerificationReport) -> dict:
     """JSON-ready dict with canonical key order."""
     fm = None
@@ -64,8 +57,8 @@ def report_to_dict(report: VerificationReport) -> dict:
         power = report.first_mismatch.power
         fm = {
             "power": list(power) if isinstance(power, tuple) else power,
-            "lhs": _json_value(report.first_mismatch.lhs),
-            "rhs": _json_value(report.first_mismatch.rhs),
+            "lhs": report.first_mismatch.lhs,
+            "rhs": report.first_mismatch.rhs,
         }
     return {
         "identity": report.identity,
@@ -281,10 +274,16 @@ def verify_pairsum(x_order: int) -> VerificationReport:
 
 def _e52_cleared_lhs(x_order: int) -> TruncSeries:
     """The e52 left side times 2x^4, 1 - 10x + 30x^2 - 20x^3 - (1-4x)^(5/2),
-    as a t-series through x^(x_order + 4)."""
-    big = x_order + 4
-    return (TruncSeries.from_x_coeffs([1, -10, 30, -20], 2 * big)
-            - binomial_pow(Fraction(5, 2), -4, big))
+    as a t-series through x^(x_order + 4), in integers:
+    (1-4x)^(5/2) = (1-4x)^2 (1 - 2x c(x)) with c the Catalan series.
+
+    sqrt(1-4x) = 1 - 2x c(x): the square of the right side is
+    1 - 4x c + 4x^2 c^2 = 1 - 4x by c = 1 + x c^2, and its constant term
+    is +1, as the square root's is."""
+    xc = catalan_series(x_order + 3).shift(2)  # x c(x) through x^(x_order + 4)
+    root = TruncSeries.one(xc.order) - 2 * xc
+    return (TruncSeries.from_x_coeffs([1, -10, 30, -20], xc.order)
+            - TruncSeries.from_x_coeffs([1, -8, 16], xc.order) * root)
 
 
 def verify_e52(x_order: int) -> VerificationReport:

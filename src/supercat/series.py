@@ -1,4 +1,4 @@
-"""Truncated power series with exact rational coefficients.
+"""Truncated power series with integer coefficients.
 
 The working variable is t with the convention x = t**2, so the half-integer
 x-powers that weight odd-length paths are ordinary monomials here.  A series
@@ -6,37 +6,33 @@ of order N is exact modulo t**(N+1) and always stores N+1 coefficients.
 Arithmetic never loses precision silently: results carry the minimum operand
 order (raised by the amount of any multiplication by a power of t).
 
-Coefficients follow one rule: an integral value is stored as a plain int and
-any other value as an exact Fraction; a float, or any other type, raises
-TypeError.  Every series in the identity catalogue has integer coefficients,
-so its arithmetic runs on ints and never boxes them.  Every series, results
-included, is built by the constructor, which stores an all-int input as it is
-and sends any other input through the rule.
+Coefficients follow one rule: every coefficient is a plain int.  An int
+subclass such as bool is stored as int, and any other type (Fraction, float,
+...) raises TypeError.  Every series in the identity catalogue has integer
+coefficients, and no operation leaves the integers: a quotient divides by a
+constant term of 1 or -1 only, any other raises ValueError, and the square
+root halves exactly and raises ValueError on an odd coefficient.  Every
+series, results included, is built by the constructor, which stores an
+all-int input as it is and sends any other input through the rule.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .counting import catalan
-
-Scalar = Union[int, Fraction]
 
 _ZERO = 0
 _INTS = {int}
 
 
-def _frac(value: Scalar) -> Scalar:
-    """The stored form of an exact coefficient: int when integral, else Fraction."""
-    if type(value) is int:
-        return value
-    if isinstance(value, int):  # bool and other int subclasses
+def _int(value) -> int:
+    """The stored form of a coefficient: an int, with int subclasses such as
+    bool made plain; any other type raises TypeError."""
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+    raise TypeError(f"coefficients must be integers, not {type(value).__name__}")
 
 
 def _span(cs: tuple) -> tuple[int, int, int | None] | None:
@@ -50,16 +46,19 @@ def _span(cs: tuple) -> tuple[int, int, int | None] | None:
     return lo, hi, None if odd and even else lo % 2
 
 
-def _reciprocal(a0: Scalar) -> Scalar:
-    """1 / a0 exactly: a unit stays an int, and an int never divides to a float."""
-    return a0 if a0 in (1, -1) else Fraction(1) / a0
+def _unit(a0: int) -> int:
+    """1 / a0 for a constant term of 1 or -1, each its own inverse; any other
+    raises ValueError, since dividing by it would leave the integers."""
+    if a0 not in (1, -1):
+        raise ValueError(f"constant term must be 1 or -1, not {a0}")
+    return a0
 
 
-def _divide(num: Sequence[Scalar], den: Sequence[Scalar], length: int) -> list:
-    """The first `length` coefficients of num / den (den[0] nonzero, num
+def _divide(num: Sequence[int], den: Sequence[int], length: int) -> list:
+    """The first `length` coefficients of num / den (den[0] = 1 or -1, num
     padded with zeros): out[k] = (num[k] - sum_{i>=1} den[i] out[k-i]) / den[0],
     one dot product of den's tail with out reversed per coefficient."""
-    inv0 = _reciprocal(den[0])
+    inv0 = _unit(den[0])
     tail = den[1:]
     out = []
     for k in range(length):
@@ -69,16 +68,16 @@ def _divide(num: Sequence[Scalar], den: Sequence[Scalar], length: int) -> list:
 
 
 class TruncSeries:
-    """Immutable truncated series in t over exact rationals (int when integral)."""
+    """Immutable truncated series in t with int coefficients."""
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int):
+    def __init__(self, coeffs: Iterable[int], order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
         cs = list(coeffs)
         if not _INTS.issuperset(map(type, cs)):
-            cs = list(map(_frac, cs))
+            cs = list(map(_int, cs))
         del cs[order + 1:]
         cs.extend([_ZERO] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
@@ -93,7 +92,7 @@ class TruncSeries:
         return cls((1,), order)
 
     @classmethod
-    def from_x_coeffs(cls, x_coeffs: Iterable[Scalar], order: int) -> "TruncSeries":
+    def from_x_coeffs(cls, x_coeffs: Iterable[int], order: int) -> "TruncSeries":
         """Series with the k-th given coefficient attached to x**k = t**(2k)."""
         cs = [_ZERO] * (order + 1)
         for k, c in enumerate(x_coeffs):
@@ -102,13 +101,13 @@ class TruncSeries:
             cs[2 * k] = c
         return cls(cs, order)
 
-    def coefficient(self, s: int) -> Scalar:
+    def coefficient(self, s: int) -> int:
         """Coefficient of t**s; s must not exceed the truncation order."""
         if not 0 <= s <= self.order:
             raise ValueError(f"t^{s} is beyond truncation order {self.order}")
         return self.coeffs[s]
 
-    def x_coefficient(self, k: int) -> Scalar:
+    def x_coefficient(self, k: int) -> int:
         """Coefficient of x**k = t**(2k)."""
         return self.coefficient(2 * k)
 
@@ -130,9 +129,8 @@ class TruncSeries:
         nonzero terms on one parity of t-power (every x-series and every
         power of sqrt(C) does), the slices take every second term and the
         output coefficients of the other parity are skipped."""
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return TruncSeries([c * f for c in self.coeffs], self.order)
+        if isinstance(other, int):
+            return TruncSeries([c * other for c in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self.order, other.order)
@@ -153,7 +151,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a constant term of 1 or -1."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
@@ -165,7 +163,9 @@ class TruncSeries:
         return TruncSeries(out, self.order)
 
     def sqrt(self) -> "TruncSeries":
-        """Square root of a series with constant term 1."""
+        """Square root of a series with constant term 1, the one with
+        constant term 1.  Each coefficient is half of an integer, halved
+        exactly; an odd one raises ValueError."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
         out = [1] + [_ZERO] * self.order
@@ -173,7 +173,10 @@ class TruncSeries:
             acc = self.coeffs[k]
             for i in range(1, k):
                 acc -= out[i] * out[k - i]
-            out[k] = _frac(Fraction(acc, 2))
+            out[k], odd = divmod(acc, 2)
+            if odd:
+                raise ValueError(f"the t^{k} coefficient of the square root "
+                                 "is not an integer")
         return TruncSeries(out, self.order)
 
     def shift(self, s: int) -> "TruncSeries":
@@ -206,17 +209,6 @@ class TruncSeries:
         return f"TruncSeries({body} + O(t^{self.order + 1}))"
 
 
-def binomial_pow(alpha: Scalar, u: int, x_order: int) -> TruncSeries:
-    """(1 + u*x)**alpha through x**x_order, via generalized binomials."""
-    if x_order < 0:
-        raise ValueError("x_order must be nonnegative")
-    a, u = _frac(alpha), _frac(u)
-    xs = [Fraction(1)]
-    for k in range(1, x_order + 1):
-        xs.append(xs[-1] * (a - k + 1) / k * u)
-    return TruncSeries.from_x_coeffs(xs, 2 * x_order)
-
-
 def catalan_series(x_order: int) -> TruncSeries:
     """The Catalan generating function c(x) = sum C_n x^n through x**x_order."""
     if x_order < 0:
@@ -231,8 +223,7 @@ def shifted_catalan_series(x_order: int) -> TruncSeries:
 
 
 class BiTrunc:
-    """Bivariate series over exact rationals (int when integral), truncated by
-    total degree.
+    """Bivariate series with int coefficients, truncated by total degree.
 
     Coefficients are stored sparsely by (x-power, y-power); entries beyond the
     total-degree bound are absent by construction.
@@ -243,16 +234,15 @@ class BiTrunc:
     def __init__(self, terms, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs: dict[tuple[int, int], Scalar] = {}
+        coeffs: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError("powers must be nonnegative")
-            if i + j > order:
-                continue
-            f = _frac(c)
-            if f:
-                coeffs[(i, j)] = f
+            if type(c) is not int:
+                c = _int(c)
+            if c and i + j <= order:
+                coeffs[(i, j)] = c
         self.coeffs = coeffs
         self.order = order
 
@@ -264,7 +254,7 @@ class BiTrunc:
     def one(cls, order: int) -> "BiTrunc":
         return cls({(0, 0): 1}, order)
 
-    def get(self, i: int, j: int) -> Scalar:
+    def get(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), _ZERO)
 
     def __add__(self, other: "BiTrunc") -> "BiTrunc":
@@ -285,7 +275,7 @@ class BiTrunc:
         if not isinstance(other, BiTrunc):
             return NotImplemented
         order = min(self.order, other.order)
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
                 i, j = i1 + i2, j1 + j2
@@ -295,17 +285,17 @@ class BiTrunc:
         return BiTrunc(out, order)
 
     def invert(self) -> "BiTrunc":
-        """Multiplicative inverse; requires a nonzero constant term.
+        """Multiplicative inverse; requires a constant term of 1 or -1.
 
         Works on dense triangular arrays, a[i][j] for i + j <= order: the
-        (i, j) coefficient of the inverse is -a00^(-1) times the sum of
-        a[k][l] * out[i-k][j-l] over (k, l) != (0, 0), one slice product per
-        nonzero row k of a.
+        (i, j) coefficient of the inverse is -a00 (a00 = 1 or -1 is its own
+        inverse) times the sum of a[k][l] * out[i-k][j-l] over
+        (k, l) != (0, 0), one slice product per nonzero row k of a.
         """
         a00 = self.get(0, 0)
         if a00 == 0:
             raise ZeroDivisionError("bivariate series with zero constant term is not invertible")
-        inv0 = _reciprocal(a00)
+        inv0 = _unit(a00)
         order = self.order
         a = [[_ZERO] * (order + 1 - i) for i in range(order + 1)]
         for (i, j), c in self.coeffs.items():

@@ -21,7 +21,8 @@ Claims covered:
     - `python -m supercat.cli` runs the same CLI with the same exit codes
     - `main` runs one command after another in one process, usage errors
       included, with the parser it keeps
-    - importing the CLI loads neither `dataclasses` nor `inspect`
+    - importing the CLI loads none of `dataclasses`, `inspect`, `fractions`,
+      `decimal` and `numbers`
 """
 
 import json
@@ -356,9 +357,11 @@ def test_module_invocation_fails_on_bad_env_order():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # both are slow to import (inspect pulls in ast, dis and tokenize), and
-    # every command pays for what importing the CLI loads
+    # every command pays for what importing the CLI loads; so is fractions,
+    # with decimal and numbers, which no integer-only series needs
     result = run_python(["-c", "import sys; before = set(sys.modules); "
                          "import supercat.cli; "
-                         "print(sorted({'dataclasses', 'inspect'} & "
+                         "print(sorted({'dataclasses', 'inspect', 'fractions', "
+                         "'decimal', 'numbers'} & "
                          "(set(sys.modules) - before)))"])
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

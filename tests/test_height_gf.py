@@ -7,6 +7,8 @@ Claims covered:
       quotient is canonical, parity-mixed addition is rejected
     - quotients compare by cross-multiplication and are unhashable, since
       no hash of num, den and shift agrees with that equality
+    - a denominator must have constant term 1 or -1, so every expansion
+      stays in the integers; any other constant term is refused
     - every expanded generating function agrees with transfer-table counts,
       with the right parity support and the right boundary zeros
     - height-exact functions combine over the denominator p_k * p_{k+1}
@@ -20,7 +22,6 @@ Claims covered:
       so it stays independent of the division shared with TruncSeries.invert
 """
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -103,11 +104,12 @@ def test_quotient_parity_rules():
 
 def test_quotient_equality_by_cross_multiplication():
     a = PolyQuotient(PolyX((1,)), PolyX((1, -1)))
-    b = PolyQuotient(PolyX((2,)), PolyX((2, -2)))
-    assert a == b
+    b = PolyQuotient(PolyX((1, 1)), PolyX((1, 0, -1)))  # (1 + x) / (1 - x^2)
+    c = PolyQuotient(PolyX((-1,)), PolyX((-1, 1)))
+    assert a == b == c
     assert a != PolyQuotient(PolyX((1,)), PolyX((1, -2)))
     # no hash of num, den and shift agrees with this equality
-    for quotient in (a, b):
+    for quotient in (a, b, c):
         with pytest.raises(TypeError):
             hash(quotient)
 
@@ -230,7 +232,7 @@ def test_expand_times_denominator_is_the_shifted_numerator():
     quotients = [dyck_gf(k) for k in range(8)]
     quotients += [ballot_between_gf(5, i, j) for i in range(7) for j in range(i, 7)]
     quotients += [ballot_exact_gf(4, 3) * ballot_exact_gf(2, 1),
-                  PolyQuotient(PolyX((3, 1)), PolyX((2, -1, 5)), 1),
+                  PolyQuotient(PolyX((3, 1)), PolyX((-1, -1, 5)), 1),
                   PolyQuotient(PolyX((1,)), PolyX((-1, 4)))]
     for quotient in quotients:
         for t_order in (0, 1, 2, 7, 30):
@@ -240,7 +242,10 @@ def test_expand_times_denominator_is_the_shifted_numerator():
             assert product == numerator
 
 
-def test_expand_divides_exactly_by_a_non_unit_constant_term():
-    series = PolyQuotient(PolyX((1,)), PolyX((2, -1)), 1).expand(7)
-    assert series.coeffs == (0, Fraction(1, 2), 0, Fraction(1, 4), 0,
-                             Fraction(1, 8), 0, Fraction(1, 16))
+def test_quotient_refuses_a_non_unit_constant_term():
+    # t / (2 - x) = t/2 + t^3/4 + ... leaves the integers at its first term
+    for a0 in (2, -3, 0):
+        with pytest.raises(ValueError, match=f"constant term must be 1 or -1, not {a0}"):
+            PolyQuotient(PolyX((1,)), PolyX((a0, -1)), 1)
+    series = PolyQuotient(PolyX((1,)), PolyX((-1, 1)), 1).expand(7)
+    assert series.coeffs == (0, -1, 0, -1, 0, -1, 0, -1)

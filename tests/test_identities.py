@@ -13,9 +13,13 @@ Claims covered:
       D_4 fails lemma-main at n = 4, as a report even where the inverse
       core raises on it
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
-      bound firstsum and pairsum, a wrong binomial power e52, a wrong
-      exact-height series or constant term t3-main and a wrong p_n p-bridge,
-      each at a stated coefficient
+      bound firstsum and pairsum, a wrong coefficient of the Catalan series
+      e52 and t3-main's k-sum closed form, a wrong exact-height series or
+      constant term t3-main and a wrong p_n p-bridge, each at a stated
+      coefficient
+    - e52's cleared left side, built in integers through
+      sqrt(1 - 4x) = 1 - 2x c(x), equals the generalized binomial expansion
+      of (1 - 4x)^(5/2) in exact fractions through x^204
     - a planted wrong coefficient in the division shared by expand and
       invert fails g-forms at its path-count check; p-bridge divides
       nothing, and a planted wrong Catalan number fails it, and g-forms, at
@@ -35,8 +39,8 @@ Claims covered:
       quotients once: 219 of each
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
-      Catalan and Catalan numbers; a non-integer T planted in a row entry is
-      refused by both routes at its halving
+      Catalan and Catalan numbers; an odd doubled row entry, a non-integer
+      T, is refused by both routes at its halving
     - a planted wrong end-level or between-levels quotient, a wrong height
       bound, or a quotient of the wrong t-parity fails its g-forms
       polynomial identity in C, reported at a C-exponent; a planted wrong
@@ -59,7 +63,7 @@ Claims covered:
     - the registry's default orders are the README values, and `verify all`
       with no --order runs every check at them; every registry id runs under
       its own id
-    - reports serialize to the documented JSON dict with exact coefficients
+    - reports serialize to the documented JSON dict with integer coefficients
     - the README catalogue lists exactly the registered identity ids, and
       the registry lists them sorted, the order of `verify all`
 """
@@ -291,19 +295,24 @@ def test_e_mo_matches_the_dense_inverse(degree):
     ("super_catalan", (1, 1), lambda v: v - 1),
     ("super_catalan", (1, 18), lambda v: 2 * v),
     ("super_catalan", (9, 9), lambda v: v + 5),
-    ("super_catalan", (2, 2), lambda v: v + Fraction(1, 3)),
+    ("super_catalan", (2, 2), lambda v: v + 3),
     ("super_catalan", (12, 3), lambda v: 0),
     ("catalan", (6,), lambda v: v + 1),
     ("catalan", (1,), lambda v: v + 1),
     ("catalan", (19,), lambda v: v - 3),
     ("catalan", (10,), lambda v: -v),
-    ("catalan", (3,), lambda v: v + Fraction(1, 2)),
+    ("catalan", (3,), lambda v: 2 * v),
+    ("super_catalan_row", (2, 2), lambda v: v + 1),
 ])
 def test_e_mo_failures_match_the_dense_inverse(monkeypatch, name, at, wrong):
-    # a wrong T is planted in its doubled row entry; T(2,2) + 1/3 makes that
-    # entry a non-integer, which both routes refuse at its halving
+    # a wrong T is planted in its doubled row entry; super_catalan_row plants
+    # the doubled entry itself, and 2T(2,2) + 1 is odd, a non-integer T that
+    # both routes refuse at its halving
     if name == "super_catalan":
         _plant_row_entry(monkeypatch, at, wrong)
+    elif name == "super_catalan_row":
+        _plant(monkeypatch, name, lambda real: lambda m, n_max: [
+            wrong(v) if (m, n) == at else v for n, v in enumerate(real(m, n_max))])
     else:
         _plant(monkeypatch, name, lambda real: lambda *args:
                wrong(real(*args)) if args == at else real(*args))
@@ -409,13 +418,36 @@ def test_e52():
     _assert_clean_pass(verify_e52(12), "e52")
 
 
-def test_e52_fails_on_a_wrong_binomial_power(monkeypatch):
-    # (1 - 4x)^(7/2) instead of ^(5/2): the x^1 coefficient is -14, not -10
-    _plant(monkeypatch, "binomial_pow",
-           lambda real: lambda alpha, u, order: real(alpha + 1, u, order))
+def test_e52_fails_on_a_wrong_catalan_coefficient(monkeypatch):
+    # C_5 one too large in c(x) makes sqrt(1 - 4x) = 1 - 2x c(x) two smaller
+    # at x^6, so the cleared left side 1 - 10x + 30x^2 - 20x^3
+    # - (1 - 4x)^2 (1 - 2x c(x)) is two larger there: 2T(3, 3) + 2 = 22.
+    # t3-main's k-sum sub-identity reads the same side, against the cleared
+    # triple sum, which is 0 below x^12
+    _plant(monkeypatch, "catalan_series", lambda real: lambda x_order:
+           real(x_order) + TruncSeries.from_x_coeffs([0] * 5 + [1], 2 * x_order))
     report = verify_e52(12)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch(2, 4, 0)
+    assert report.first_mismatch == Mismatch(12, 2 * super_catalan(3, 3) + 2,
+                                             2 * super_catalan(3, 3))
+    report = verify_t3_main(10)
+    assert report.passed is False
+    assert report.first_mismatch == Mismatch(12, 0, 2)
+    assert report.notes == ("k-sum vs displayed closed rational expression",)
+
+
+@pytest.mark.parametrize("x_order", [1, 30, 200])
+def test_e52_cleared_lhs_is_the_binomial_expansion(x_order):
+    # (1 - 4x)^(5/2) = sum_k binom(5/2, k) (-4x)^k, each generalized binomial
+    # in exact fractions: the route e52 took before it ran in integers
+    big = x_order + 4
+    power = [Fraction(1)]
+    for k in range(1, big + 1):
+        power.append(power[-1] * (Fraction(5, 2) - k + 1) / k * -4)
+    assert all(c.denominator == 1 for c in power)
+    cleared = [a - int(c) for a, c in zip([1, -10, 30, -20] + [0] * big, power)]
+    assert identities._e52_cleared_lhs(x_order) == TruncSeries.from_x_coeffs(
+        cleared, 2 * big)
 
 
 def test_t3_main():
@@ -829,7 +861,7 @@ def test_series_mismatch_locates_first_difference():
     lhs = one + 2 * C
     rhs = one + 2 * C - C * C
     mismatch = _series_mismatch(lhs, rhs)
-    assert mismatch == Mismatch(4, Fraction(4), Fraction(3))
+    assert mismatch == Mismatch(4, 4, 3)
     assert _series_mismatch(lhs, lhs) is None
 
 
@@ -917,10 +949,11 @@ def test_report_to_dict_serializes_exact_coefficients():
     from supercat import VerificationReport
     report = VerificationReport(
         identity="e2", order=3, passed=False,
-        first_mismatch=Mismatch((2, 3), Fraction(1, 2), Fraction(4)),
+        first_mismatch=Mismatch((2, 3), -1, 10 ** 30),
         elapsed_ms=1, notes=("example",))
     data = report_to_dict(report)
-    assert data["first_mismatch"] == {"power": [2, 3], "lhs": "1/2", "rhs": 4}
+    assert data["first_mismatch"] == {"power": [2, 3], "lhs": -1, "rhs": 10 ** 30}
+    assert json.loads(json.dumps(data)) == data
     assert data["notes"] == ["example"]
 
 

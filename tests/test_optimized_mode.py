@@ -19,8 +19,11 @@ Claims covered:
     - the integer convolution behind the count cross-checks refuses a term
       past the end of its second operand
     - a planted wrong T(3,4) in its row of super_catalan_row fails e-mo at
-      degree 12 at (3, 4), and a product of Fraction series that is
-      integral is stored as ints
+      degree 12 at (3, 4)
+    - a Fraction or float coefficient is refused by TruncSeries, PolyX and
+      BiTrunc; a constant term of 2 by TruncSeries.invert, BiTrunc.invert
+      and PolyQuotient; and TruncSeries([1, 1], 4).sqrt(), whose t^1
+      coefficient would be 1/2
     - Path refuses a bad step, inverse refuses a path that dips below 0, and
       RestrictedPair refuses h(p) > h(q) + 1 when both heights were read,
       and so kept, before the pair was built, and IntermediatePath refuses
@@ -42,8 +45,9 @@ SCRIPT = """
 import sys
 from fractions import Fraction
 from math import comb
-from supercat import (IDENTITIES, IntermediatePath, Path, PathClass, RestrictedPair,
-                      TruncSeries, bijection, counting, enumerate_dyck,
+from supercat import (IDENTITIES, BiTrunc, IntermediatePath, Path, PathClass,
+                      PolyQuotient, PolyX, RestrictedPair, TruncSeries,
+                      bijection, counting, enumerate_dyck,
                       enumerate_restricted_pairs, forward, identities, inverse,
                       run_identity)
 
@@ -90,9 +94,26 @@ try:
 except RuntimeError as exc:
     print("short tail raised:", exc)
 identities._displayed_t3_tail = real_tail
-product = (TruncSeries([Fraction(3, 2), Fraction(3, 2)], 3)
-           * TruncSeries([Fraction(2, 3), Fraction(4, 3)], 3))
-print("fraction product", product.coeffs, {type(c).__name__ for c in product.coeffs})
+for build in (lambda: TruncSeries([1, Fraction(1, 2)], 3),
+              lambda: TruncSeries([0.5], 3),
+              lambda: PolyX([1, Fraction(2)]),
+              lambda: PolyX([1.0]),
+              lambda: BiTrunc({(0, 0): Fraction(1, 2)}, 2),
+              lambda: BiTrunc({(0, 0): 1, (1, 0): 1.5}, 2)):
+    try:
+        build()
+        print("inexact coefficient passed")
+    except TypeError as exc:
+        print("inexact coefficient raised:", exc)
+for build in (lambda: TruncSeries([2, 1], 4).invert(),
+              lambda: BiTrunc({(0, 0): 2, (1, 0): 1}, 4).invert(),
+              lambda: PolyQuotient(PolyX((1,)), PolyX((2, -1)), 1),
+              lambda: TruncSeries([1, 1], 4).sqrt()):
+    try:
+        build()
+        print("non-integer result passed")
+    except ValueError as exc:
+        print("non-integer result raised:", exc)
 counting.comb = lambda n, k: comb(n, k) + 1
 try:
     counting.super_catalan_row(2, 5)
@@ -177,7 +198,16 @@ def test_checks_survive_optimize_flag():
         "doubled H_6^(4) False 16 main series identity",
         "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
         "short tail raised: cannot compare series of orders 20 and 19",
-        "fraction product (1, 3, 2, 0) {'int'}",
+        "inexact coefficient raised: coefficients must be integers, not Fraction",
+        "inexact coefficient raised: coefficients must be integers, not float",
+        "inexact coefficient raised: coefficients must be integers, not Fraction",
+        "inexact coefficient raised: coefficients must be integers, not float",
+        "inexact coefficient raised: coefficients must be integers, not Fraction",
+        "inexact coefficient raised: coefficients must be integers, not float",
+        "non-integer result raised: constant term must be 1 or -1, not 2",
+        "non-integer result raised: constant term must be 1 or -1, not 2",
+        "non-integer result raised: constant term must be 1 or -1, not 2",
+        "non-integer result raised: the t^1 coefficient of the square root is not an integer",
         "planted start value raised: 2T(2,1) is not an integer",
         "planted walk start raised: a binomial coefficient of row 10 is not an integer",
         "planted walk multiple raised: the walk along row 10 does not end at C(10, 10) = 1",

@@ -3,26 +3,29 @@
 Claims covered:
     - exact arithmetic with explicit truncation-order bookkeeping: results
       carry the minimum operand order, shifts move it, nothing is lost silently
-    - inversion, square root, and generalized binomial powers against
-      independent oracles (geometric series, integer polynomial expansion,
-      composition enumeration)
-    - the Catalan series satisfies c = 1 + x c^2 and matches its radical form
+    - inversion and square root against independent oracles (geometric
+      series, composition enumeration)
+    - the Catalan series satisfies c = 1 + x c^2 and matches its radical
+      form, 2x c = 1 - sqrt(1 - 4x)
     - the substitution identities x = C/(1+C)^2 and sqrt(C) = t(1+C)
     - bivariate multiplication/inversion on total-degree-truncated series;
       the dense inverse equals the dict-scan reference on seeded random
-      sparse and dense inputs with int and Fraction entries
-    - one coefficient rule: integral values are plain ints (a bool too), the
-      rest exact Fractions, and floats or other types are refused, anywhere
-      in the input, past the truncation order too
+      sparse and dense inputs, with constant term 1 and -1
+    - one coefficient rule: every coefficient is a plain int (a bool
+      becomes one), and Fractions, floats or other types are refused,
+      anywhere in the input, past the truncation order too
+    - no result leaves the integers: a constant term other than 1 or -1 is
+      refused by invert and BiTrunc.invert, and sqrt halves exactly and
+      refuses an odd coefficient
 """
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 import pytest
 
-from supercat import (BiTrunc, TruncSeries, binomial_pow, catalan,
+from supercat import (BiTrunc, PolyX, TruncSeries, catalan,
                       catalan_series, dyck_gf, shifted_catalan_series,
                       super_catalan)
 
@@ -90,11 +93,11 @@ def test_catalan_series_functional_equation():
 
 
 def test_catalan_series_matches_radical_form():
-    # c(x) = (1 - (1-4x)^(1/2)) / (2x)
+    # 2x c(x) = 1 - (1-4x)^(1/2), the square root taken by the series kernel
     n = 16
-    radical = binomial_pow(Fraction(1, 2), -4, n)
-    lhs = (TruncSeries.one(2 * n) - radical).shift(-2) * Fraction(1, 2)
-    assert lhs == catalan_series(n - 1)
+    radical = TruncSeries.from_x_coeffs([1, -4], 2 * n).sqrt()
+    lhs = (TruncSeries.one(2 * n) - radical).shift(-2)
+    assert lhs == 2 * catalan_series(n - 1)
 
 
 def _compositions(n):
@@ -114,19 +117,6 @@ def test_invert_one_minus_catalan_against_composition_oracle():
     C = shifted_catalan_series(8)
     inv = (TruncSeries.one(16) - C).invert()
     assert [inv.x_coefficient(n) for n in range(9)] == oracle
-
-
-def test_binomial_pow_basics():
-    assert binomial_pow(1, 1, 5) == TruncSeries.from_x_coeffs([1, 1], 10)
-    assert binomial_pow(Fraction(5, 2), -4, 8).coefficient(0) == 1
-
-
-def test_binomial_pow_square_matches_polynomial_expansion():
-    half_power = binomial_pow(Fraction(5, 2), -4, 20)
-    squared = half_power * half_power
-    plain = TruncSeries.from_x_coeffs(
-        [comb(5, k) * (-4) ** k for k in range(6)], 40)
-    assert squared == plain
 
 
 def test_substitution_identities():
@@ -162,7 +152,7 @@ def test_bi_trunc_geometric_inverse():
 
 def _dict_scan_invert(s):
     """The reference inverse: each output coefficient scans every term of s."""
-    inv0 = Fraction(1) / s.get(0, 0)
+    inv0 = s.get(0, 0)  # 1 or -1, its own inverse
     out = {(0, 0): inv0}
     rest = [(key, c) for key, c in s.coeffs.items() if key != (0, 0)]
     for d in range(1, s.order + 1):
@@ -179,38 +169,26 @@ def _dict_scan_invert(s):
     return BiTrunc(out, s.order)
 
 
-def _random_entry(rng, fractions):
-    if fractions and rng.random() < 0.5:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return rng.randint(-9, 9)
-
-
-@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("negative", [False, True])
 @pytest.mark.parametrize("density", [0.15, 1.0])
-def test_bi_trunc_invert_matches_dict_scan(fractions, density):
+def test_bi_trunc_invert_matches_dict_scan(negative, density):
     rng = random.Random(20041)
     for order in range(13):
         for _ in range(3):
-            const = rng.choice([1, -1, 2, -3, Fraction(2, 3)] if fractions
-                               else [1, -1, 2, -3])
-            terms = {(i, d - i): _random_entry(rng, fractions)
+            terms = {(i, d - i): rng.randint(-9, 9)
                      for d in range(1, order + 1) for i in range(d + 1)
                      if rng.random() < density}
-            terms[(0, 0)] = const
+            terms[(0, 0)] = -1 if negative else 1
             s = BiTrunc(terms, order)
             inv = s.invert()
             assert inv == _dict_scan_invert(s)
-            for c in inv.coeffs.values():
-                integral = isinstance(c, int) or c.denominator == 1
-                assert type(c) is (int if integral else Fraction)
-            if const in (1, -1) and not fractions:
-                assert all(type(c) is int for c in inv.coeffs.values())
+            assert all(type(c) is int for c in inv.coeffs.values())
 
 
 def test_bi_trunc_mul_commutes():
     order = 7
-    a = BiTrunc({(0, 0): 2, (1, 2): Fraction(1, 3), (3, 0): -1}, order)
-    b = BiTrunc({(0, 0): 1, (2, 1): 5, (0, 4): Fraction(7, 2)}, order)
+    a = BiTrunc({(0, 0): 2, (1, 2): -3, (3, 0): -1}, order)
+    b = BiTrunc({(0, 0): 1, (2, 1): 5, (0, 4): 7}, order)
     assert a * b == b * a
 
 
@@ -227,18 +205,20 @@ def test_inexact_coefficients_are_refused():
         TruncSeries([0.5], 3)
     with pytest.raises(TypeError):
         TruncSeries(["1"], 3)
-    for bad in (0.5, "1"):  # anywhere, past the truncation order too
+    # anywhere, past the truncation order too, and an integral Fraction too
+    for bad in (0.5, "1", Fraction(1, 2), Fraction(2)):
         for coeffs in ([bad, 1, 2], [1, bad, 2], [1, 2, bad], (1, 2, 3, bad)):
             with pytest.raises(TypeError):
                 TruncSeries(coeffs, 1)
-    with pytest.raises(TypeError):
-        BiTrunc({(0, 0): 1.0}, 2)
-    with pytest.raises(TypeError):
-        binomial_pow(0.5, -4, 3)
-    with pytest.raises(TypeError):
-        binomial_pow(Fraction(1, 2), -4.0, 0)
-    with pytest.raises(TypeError):
-        TruncSeries.one(3) * 0.5
+            with pytest.raises(TypeError):
+                PolyX(coeffs)
+        for terms in ({(0, 0): bad}, {(0, 0): 1, (2, 1): bad}):
+            with pytest.raises(TypeError):
+                BiTrunc(terms, 2)
+        with pytest.raises(TypeError):
+            TruncSeries.one(3) * bad
+        with pytest.raises(TypeError):
+            bad * TruncSeries.one(3)
 
 
 def test_integral_coefficients_are_plain_ints():
@@ -251,26 +231,33 @@ def test_integral_coefficients_are_plain_ints():
     e_mo_rhs = (BiTrunc.one(degree) - inner).invert()
     for coeffs in (dyck_gf(4).expand(40).coeffs, catalan_series(30).coeffs,
                    (one - C).invert().coeffs, C.shift(-2).sqrt().coeffs,
-                   binomial_pow(Fraction(5, 2), -4, 10).coeffs,
-                   TruncSeries([Fraction(4, 2), Fraction(-3, 1)], 2).coeffs,
                    TruncSeries([True, 2], 2).coeffs,
+                   (TruncSeries([1, 2], 2) * True).coeffs,
+                   PolyX([True, False, 2]).coeffs,
                    tuple(BiTrunc({(0, 0): True}, 1).coeffs.values()),
                    tuple(e_mo_rhs.coeffs.values())):
         assert all(type(c) is int for c in coeffs)
 
 
-def test_non_unit_constant_term_inverts_to_exact_fractions():
-    inv = TruncSeries([2, 1], 4).invert()
-    assert inv.coeffs == tuple(Fraction((-1) ** k, 2 ** (k + 1)) for k in range(5))
-    assert all(type(c) is Fraction for c in inv.coeffs)
-    bi = BiTrunc({(0, 0): 2, (1, 0): 1}, 4).invert()
-    assert bi.coeffs == {(k, 0): Fraction((-1) ** k, 2 ** (k + 1)) for k in range(5)}
-    assert all(type(c) is Fraction for c in bi.coeffs.values())
+def test_non_unit_constant_term_is_refused():
+    # 1 / (2 + t) = 1/2 - t/4 + ... leaves the integers at its first term
+    for a0 in (2, -3):
+        with pytest.raises(ValueError, match=f"constant term must be 1 or -1, not {a0}"):
+            TruncSeries([a0, 1], 4).invert()
+        with pytest.raises(ValueError, match=f"constant term must be 1 or -1, not {a0}"):
+            BiTrunc({(0, 0): a0, (1, 0): 1}, 4).invert()
+    assert TruncSeries([-1, 1], 4).invert().coeffs == (-1, -1, -1, -1, -1)
+    assert BiTrunc({(0, 0): -1, (1, 0): 1}, 2).invert() == BiTrunc(
+        {(0, 0): -1, (1, 0): -1, (2, 0): -1}, 2)
 
 
 def test_sqrt_halves_exactly():
-    root = TruncSeries([1, 1], 4).sqrt()
-    assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16),
-                           Fraction(-5, 128))
-    assert type(root.coeffs[0]) is int
-    assert all(type(c) is Fraction for c in root.coeffs[1:])
+    # (1 + t)^(1/2) = 1 + t/2 - ... has a half at t^1; (1 + 2t)^(1/2) first
+    # leaves the integers at t^2, -1/2
+    with pytest.raises(ValueError, match="t\\^1 coefficient of the square root"):
+        TruncSeries([1, 1], 4).sqrt()
+    with pytest.raises(ValueError, match="t\\^2 coefficient of the square root"):
+        TruncSeries([1, 2], 4).sqrt()
+    root = TruncSeries([1, 2, 3, 4, 5], 8)
+    assert (root * root).sqrt() == root
+    assert all(type(c) is int for c in (root * root).sqrt().coeffs)

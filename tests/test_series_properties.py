@@ -3,12 +3,12 @@
 Claims covered:
     - the product equals a plain double-loop convolution for operands with
       mixed parity, one parity on one side only, one parity on both sides,
-      zero operands and unequal orders, with int and Fraction coefficients
-    - a product of Fraction operands that is integral is stored as ints, and
-      so are integral sums, differences, shifts and truncations
+      zero operands and unequal orders, and stores plain ints
     - the ring laws: associativity and distributivity of the product, and
-      invert and sqrt against multiplication
-    - a float operand is refused
+      invert and sqrt against multiplication: invert of a series with
+      constant term 1 or -1, and sqrt of a square with constant term 1
+      gives back its root
+    - a float or Fraction operand is refused
 """
 
 from fractions import Fraction
@@ -22,12 +22,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 SHAPES = ("mixed", "even", "odd", "zero")
 INTS = st.integers(min_value=-9, max_value=9)
-EXACT = st.one_of(INTS, st.fractions(min_value=-9, max_value=9, max_denominator=6))
 ORDERS = st.integers(min_value=0, max_value=14)
 
 
 @st.composite
-def series(draw, shape=None, coeff=EXACT, order=None):
+def series(draw, shape=None, coeff=INTS, order=None):
     """A series whose nonzero terms follow `shape`: both parities, even or
     odd t-powers only, or none."""
     shape = draw(st.sampled_from(SHAPES)) if shape is None else shape
@@ -47,9 +46,8 @@ def reference_product(a, b):
     return out
 
 
-def assert_stored_exactly(s):
-    for c in s.coeffs:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+def assert_plain_ints(s):
+    assert all(type(c) is int for c in s.coeffs)
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
@@ -65,28 +63,7 @@ def test_product_matches_reference_convolution(shape_a, shape_b, data):
     product = a * b
     assert product.order == min(a.order, b.order)
     assert list(product.coeffs) == reference_product(a, b)
-    assert_stored_exactly(product)
-
-
-@settings(max_examples=50)
-@given(series(coeff=INTS), series(coeff=INTS),
-       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
-def test_integral_product_of_fractions_is_stored_as_ints(a, b, p, q):
-    # a * p/q times b * q/p is the integer series a * b
-    product = (a * Fraction(p, q)) * (b * Fraction(q, p))
-    assert list(product.coeffs) == reference_product(a, b)
-    assert all(type(c) is int for c in product.coeffs)
-
-
-@settings(max_examples=50)
-@given(series(coeff=INTS), st.integers(min_value=2, max_value=7))
-def test_integral_kernel_outputs_of_fractions_are_ints(a, q):
-    third = a * Fraction(1, q)
-    rest = a * Fraction(q - 1, q)
-    for s in (third + rest, a - third - third * (q - 1), (third * q).shift(3),
-              (third * q).truncate(a.order // 2), -(third * q)):
-        assert all(type(c) is int for c in s.coeffs)
-    assert third + rest == a
+    assert_plain_ints(product)
 
 
 @settings(max_examples=40)
@@ -103,21 +80,24 @@ def test_product_distributes_over_sum(a, b, c):
 
 
 @settings(max_examples=50)
-@given(series(), EXACT.filter(bool))
+@given(series(), st.sampled_from((1, -1)))
 def test_invert_times_series_is_one(s, a0):
     s = TruncSeries((a0,) + s.coeffs[1:], s.order)
     inverse = s.invert()
     assert inverse * s == TruncSeries.one(s.order)
-    assert_stored_exactly(inverse)
+    assert_plain_ints(inverse)
 
 
 @settings(max_examples=50)
 @given(series())
 def test_sqrt_squared_is_the_series(s):
-    s = TruncSeries((1,) + s.coeffs[1:], s.order)
-    root = s.sqrt()
-    assert root * root == s
-    assert_stored_exactly(root)
+    # the square root with constant term 1 is unique, so sqrt returns r
+    r = TruncSeries((1,) + s.coeffs[1:], s.order)
+    square = r * r
+    root = square.sqrt()
+    assert root == r
+    assert root * root == square
+    assert_plain_ints(root)
 
 
 @settings(max_examples=50)
@@ -129,3 +109,7 @@ def test_float_operand_is_refused(s):
         0.5 * s
     with pytest.raises(TypeError):
         s * TruncSeries([1.0], s.order)
+    with pytest.raises(TypeError):
+        s * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(2) * s
