@@ -3,10 +3,13 @@
 Every check runs in exact arithmetic and produces a VerificationReport: the
 identity id, the order it was checked to, pass/fail, and the first mismatching
 coefficient on failure.  Series checks compare coefficients of the half-step
-variable t (x = t**2); `first_mismatch.power` is the t-exponent there, the
-C-exponent for the polynomial identities in C of g-forms and p-bridge (whose
-note says so), and an index (or index tuple) for integer and bivariate
-checks.  Identities with a combinatorial meaning are additionally
+variable t (x = t**2); `first_mismatch.power` is the t-exponent there.  It is
+the C-exponent, and the note says so, for what is checked in C under
+x = C / (1 + C)^2: the polynomial identities of g-forms and p-bridge, the
+sums of firstsum and pairsum and t3-main's k-sum sub-identity.  The sums in
+C reach x by Lagrange inversion, and pairsum and t3-main compare them there,
+at t-exponents.  For integer and bivariate checks the power is an index (or
+index tuple).  Identities with a combinatorial meaning are additionally
 cross-checked against path counts or path enumeration, so a defect on either
 route fails the report.
 """
@@ -22,10 +25,11 @@ from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
 from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
                        exact_div, super_catalan, super_catalan_row)
-from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
-                        ballot_exact_gf, dyck_gf, p_poly)
+from .height_gf import (PolyX, ballot_between_gf, ballot_end_gf, dyck_gf,
+                        p_poly)
 from .lattice_paths import _levels
-from .series import TruncSeries, catalan_series, shifted_catalan_series
+from .series import (TruncSeries, _divide, catalan_series,
+                     shifted_catalan_series)
 
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
@@ -80,11 +84,17 @@ def _run(identity: str, order: int, body) -> VerificationReport:
                               elapsed_ms=elapsed_ms, notes=tuple(notes))
 
 
-def _first_mismatch(lhs: tuple, rhs: tuple) -> Mismatch | None:
-    """The first index where two coefficient tuples of one length differ."""
+def _first_mismatch(lhs, rhs) -> Mismatch | None:
+    """The first index where two coefficient sequences of one length differ.
+    Sequences of unequal lengths are refused: a comparison never shortens
+    itself."""
+    if len(lhs) != len(rhs):
+        raise RuntimeError("cannot compare coefficient lists of lengths "
+                           f"{len(lhs)} and {len(rhs)}")
     if lhs == rhs:
         return None
-    return next(Mismatch(s, a, b) for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return next((Mismatch(s, a, b) for s, (a, b) in enumerate(zip(lhs, rhs))
+                 if a != b), None)
 
 
 def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries) -> Mismatch | None:
@@ -213,27 +223,102 @@ def verify_e_mo(degree: int) -> VerificationReport:
     return _run("e-mo", degree, body)
 
 
-def _height_sum(x_order: int, low: Callable[[int], int]) -> TruncSeries:
-    """sum_{n <= x_order} (G_n - G_{n-1})(G_{n+1} - G_{low(n)}) through
-    x^x_order, G_{-2} = G_{-1} = 0, from truncated products of the G_k, each
-    expanded once.  The n-th summand starts at x^n or later, so the partial
-    sum is exact up to the truncation."""
-    t_order = 2 * x_order
-    g = {k: dyck_gf(k).expand(t_order) for k in range(-2, x_order + 2)}
-    total = TruncSeries.zero(t_order)
-    for n in range(x_order + 1):
-        total = total + (g[n] - g[n - 1]) * (g[n + 1] - g[low(n)])
-    return total
+def _in_c(poly: PolyX, degree: int) -> list[int]:
+    """poly(x) (1 + C)^degree under x = C / (1 + C)^2, as the coefficients of
+    a polynomial in C when degree >= 2 deg poly: the term a x^e becomes
+    a C^e (1 + C)^(degree - 2e)."""
+    out = [0] * (degree + 1)
+    for e, a in enumerate(poly.coeffs):
+        n = degree - 2 * e
+        out[e:e + n + 1] = map(add, out[e:e + n + 1],
+                               [a * comb(n, r) for r in range(n + 1)])
+    return out
+
+
+def _times_one_minus(cs: list[int], ms: tuple[int, ...]) -> list[int]:
+    """cs times (1 - C^m) for each m in ms; m = 0 gives zeros."""
+    for m in ms:
+        cs = list(map(sub, cs + [0] * m, [0] * m + cs))
+    return cs
+
+
+def _over_one_minus(cs: list[int], strides) -> list[int]:
+    """cs / prod (1 - C^a) over a in strides, through the length of cs: for
+    each a a running sum at stride a, one slice addition per block of a
+    coefficients."""
+    cs = list(cs)
+    for a in strides:
+        for lo in range(a, len(cs), a):
+            cs[lo:lo + a] = map(add, cs[lo:lo + a], cs[lo - a:lo])
+    return cs
+
+
+def _c_quotient(e: int, strides, length: int) -> list[int]:
+    """C^e / prod (1 - C^a) over a in strides, through C^(length - 1)."""
+    return _over_one_minus([0] * e + [1] + [0] * (length - e - 1), strides)[:length]
+
+
+def _c_to_x(cs: list[int]) -> list[int]:
+    """The x-coefficients of F = sum_k cs[k] C^k through x^(len(cs) - 1),
+    C = c(x) - 1, by Lagrange inversion from C = x (1 + C)^2:
+    [x^n] C^k = (k/n) C(2n, n - k) for n >= 1, so [x^n] F is
+    sum_(k=1..n) k cs[k] C(2n, n - k), divided exactly by n.  One pass over
+    the even rows of Pascal's triangle.  Since C = x + O(x^2), a series in C
+    through C^N fixes the one in x through x^N, and the other way round."""
+    weighted = list(map(mul, range(len(cs)), cs))
+    out = cs[:1]
+    row = [1]  # row 2n of Pascal's triangle
+    for n in range(1, len(cs)):
+        for _ in range(2):
+            row = list(map(add, row + [0], [0] + row))
+        # k = 1..n: map stops at C(2n, 0), the last of the reversed row
+        out.append(exact_div(sum(map(mul, weighted[1:], row[n - 1::-1])), n,
+                             f"the x^{n} coefficient of a series in C"))
+    return out
+
+
+def _x_mismatch(lhs: list[int], rhs: list[int]) -> Mismatch | None:
+    """The first x-power where two coefficient lists differ, reported at its
+    t-power, 2n for x^n."""
+    mismatch = _first_mismatch(lhs, rhs)
+    return None if mismatch is None else mismatch._replace(power=2 * mismatch.power)
+
+
+def _g_in_c(n: int, length: int) -> list[int]:
+    """G_n = (1 + C)(1 - C^(n+1)) / (1 - C^(n+2)) through C^(length - 1)."""
+    one_plus_c = ([1, 1] + [0] * length)[:length]
+    return _over_one_minus(_times_one_minus(one_plus_c, (n + 1,))[:length], (n + 2,))
 
 
 def verify_firstsum(x_order: int) -> VerificationReport:
-    """sum_n (G_n - G_{n-1}) G_{n+1} = 1 + 2C, as t-series through x_order.
+    """sum_n (G_n - G_{n-1}) G_{n+1} = 1 + 2C, summed in C through
+    C^x_order.
 
-    Summed by `_height_sum` with G_{n+1} - G_{-2} = G_{n+1}: truncated
-    products of the expanded G_k, the n-th starting at x^n."""
+    Under x = C / (1 + C)^2 the height-bounded Dyck paths have
+    G_n = (1 + C)(1 - C^(n+1)) / (1 - C^(n+2)) (de Bruijn, Knuth and Rice),
+    so G_n - G_{n-1} = (1 + C)(1 - C)^2 C^n / ((1 - C^(n+1))(1 - C^(n+2))),
+    G_{-1} = 0, and the identity reads
+        (1 - C^2)^2 sum_n C^n / ((1 - C^(n+1))(1 - C^(n+3))) = 1 + 2C,
+    on small integers: dividing by 1 - C^a is a running sum.  The n-th
+    summand starts at C^n.  Since C = x + O(x^2), a series in C through
+    C^N fixes the one in x through x^N, so the identity holds in x through
+    x^x_order.  A mismatch reports a C-exponent.
+
+    The route reads these C-forms, not the quotients p_n / p_(n+1) of
+    dyck_gf: g-forms checks the quotients against their C-forms for n <= 8,
+    and tests compare dyck_gf(n) with path counts for larger n."""
     def body(notes):
-        rhs = TruncSeries.one(2 * x_order) + 2 * shifted_catalan_series(x_order)
-        return _series_mismatch(_height_sum(x_order, lambda n: -2), rhs)
+        length = x_order + 1
+        total = [0] * length
+        for n in range(length):
+            total = list(map(add, total, _c_quotient(n, (n + 1, n + 3), length)))
+        mismatch = _first_mismatch(_times_one_minus(total, (2, 2))[:length],
+                                   ([1, 2] + [0] * length)[:length])
+        if mismatch:
+            notes.append("sum in C vs 1 + 2C, power is the C-exponent")
+            return mismatch
+        notes.append(f"summed in C through C^{x_order}")
+        return None
     return _run("firstsum", x_order, body)
 
 
@@ -241,31 +326,45 @@ def verify_pairsum(x_order: int) -> VerificationReport:
     """sum_n (G_n - G_{n-1})(G_{n+1} - G_{n-2}) = 1 + 2C - C^2
     = 1 + sum T(2,n) x^n, every coefficient cross-checked against pair counts.
 
-    Summed by `_height_sum`: truncated products of the expanded G_k, the
-    n-th starting at x^(2n-1), so past n = (x_order + 1) / 2 each product
-    computes no coefficient.  One `_pair_counts` pass, sharing nothing with
-    the series, counts the pairs of height gap at most 1 for every n."""
+    Summed in C, as firstsum is: with d_m = C^m / ((1 - C^(m+1))(1 - C^(m+2))),
+    d_(-1) = 0, each difference G_m - G_(m-1) is (1 + C)(1 - C)^2 d_m, and the
+    sum is (1 + C)^2 (1 - C)^4 sum_n d_n (d_(n-1) + d_n + d_(n+1)), checked
+    against 1 + 2C - C^2 through C^x_order, a mismatch at a C-exponent.  The
+    n-th product is C^n (d_(n-1) + d_n + d_(n+1)) divided by the two factors
+    of d_n, two running sums, and starts at C^(2n-1).
+
+    The sum goes to x by Lagrange inversion (`_c_to_x`), and its
+    coefficients are compared with the table row T(2, n) and with one
+    `_pair_counts` pass, which shares nothing with the series and counts the
+    pairs of height gap at most 1 for every n."""
     def body(notes):
-        t_order = 2 * x_order
-        total = _height_sum(x_order, lambda n: n - 2)
-        C = shifted_catalan_series(x_order)
-        one = TruncSeries.one(t_order)
-        closed = one + 2 * C - C * C
-        mismatch = _series_mismatch(total, closed)
+        length = x_order + 1
+        # d[m + 1] = d_m for every m that a product below reads
+        d = [[0] * length] + [_c_quotient(m, (m + 1, m + 2), length)
+                              for m in range(length // 2 + 2)]
+        total = [0] * length
+        for n in range(length // 2 + 1):  # the n-th product starts at C^(2n-1)
+            near = map(add, map(add, d[n], d[n + 1]), d[n + 2])
+            term = _over_one_minus(([0] * n + list(near))[:length], (n + 1, n + 2))
+            total = list(map(add, total, term))
+        total = _times_one_minus(total, (1, 1, 2, 2))[:length]
+        mismatch = _first_mismatch(total, ([1, 2, -1] + [0] * length)[:length])
         if mismatch:
-            notes.append("series sum vs 1 + 2C - C^2")
+            notes.append("sum in C vs 1 + 2C - C^2, power is the C-exponent")
             return mismatch
-        by_table = TruncSeries.from_x_coeffs(
-            [1] + [super_catalan(2, n) for n in range(1, x_order + 1)], t_order)
-        mismatch = _series_mismatch(total, by_table)
+        crossed = _c_to_x(total)
+        mismatch = _x_mismatch(
+            crossed, [1] + [super_catalan(2, n) for n in range(1, length)])
         if mismatch:
             notes.append("series sum vs 1 + sum T(2,n) x^n")
             return mismatch
-        counts = _pair_counts(range(x_order + 1), lambda hp: (hp - 1, hp + 1))
-        for n in range(1, x_order + 1):
-            if total.coeffs[2 * n] != counts[n]:
+        counts = _pair_counts(range(length), lambda hp: (hp - 1, hp + 1))
+        for n in range(1, length):
+            if crossed[n] != counts[n]:
                 notes.append(f"pair count disagrees at n={n}")
-                return Mismatch(2 * n, total.coeffs[2 * n], counts[n])
+                return Mismatch(2 * n, crossed[n], counts[n])
+        notes.append(f"summed in C through C^{x_order}, carried to x by "
+                     "Lagrange inversion")
         notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
                      "pair counts from the height table")
         return None
@@ -300,34 +399,44 @@ def verify_e52(x_order: int) -> VerificationReport:
     return _run("e52", x_order, body)
 
 
-def _displayed_t3_tail(t_order: int) -> TruncSeries:
+def _displayed_t3_tail(length: int) -> list[int]:
     """1 - 2/(1-x) - 2(1-x)/(1-2x) - (1-2x)/(1-3x+x^2)
-    - (1-4x+3x^2)/(1-5x+6x^2-x^3), with the quotients spelled literally."""
+    - (1-4x+3x^2)/(1-5x+6x^2-x^3) through C^(length - 1), with the quotients
+    spelled literally.  Each goes to C through `_in_c`: num(x) / den(x) is
+    num(x) (1 + C)^d over den(x) (1 + C)^d, d = 2 deg den, two polynomials in
+    C, and the second has constant term 1."""
     terms = (
-        (2, PolyQuotient(PolyX((1,)), PolyX((1, -1)))),
-        (2, PolyQuotient(PolyX((1, -1)), PolyX((1, -2)))),
-        (1, PolyQuotient(PolyX((1, -2)), PolyX((1, -3, 1)))),
-        (1, PolyQuotient(PolyX((1, -4, 3)), PolyX((1, -5, 6, -1)))),
+        (2, PolyX((1,)), PolyX((1, -1))),
+        (2, PolyX((1, -1)), PolyX((1, -2))),
+        (1, PolyX((1, -2)), PolyX((1, -3, 1))),
+        (1, PolyX((1, -4, 3)), PolyX((1, -5, 6, -1))),
     )
-    tail = TruncSeries.one(t_order)
-    for mult, quotient in terms:
-        tail = tail - mult * quotient.expand(t_order)
+    tail = ([1] + [0] * length)[:length]
+    for mult, num, den in terms:
+        d = 2 * den.degree
+        quotient = _divide(_in_c(num, d), _in_c(den, d), length)
+        tail = [c - mult * q for c, q in zip(tail, quotient)]
     return tail
 
 
-def _t3_triple_sum(t_order: int) -> TruncSeries:
-    """sum over k >= 6 of H_k^(4) H_{k-2}^(3) H_{k-4}^(2) as a t-series.
+def _t3_k_sum_in_c(length: int) -> list[int]:
+    """sqrt(x) sum_{k>=6} H_k^(4) H_{k-2}^(3) H_{k-4}^(2) through
+    C^(length - 1).
 
-    The k-th product is t**(6k-21) times a quotient whose numerator,
-    p_4 p_3 p_2, and denominator, a product of p_n, all have constant term
-    1, so it starts at exactly t**(6k-21): the sum stops at the last k with
-    6k - 21 <= t_order."""
-    total = TruncSeries.zero(t_order)
-    for k in range(6, (t_order + 21) // 6 + 1):
-        term = (ballot_exact_gf(k, 4) * ballot_exact_gf(k - 2, 3)
-                * ballot_exact_gf(k - 4, 2))
-        total = total + term.expand(t_order)
-    return total
+    Under x = C / (1 + C)^2 and sqrt(x) = t = sqrt(C) / (1 + C), the
+    exact-height quotient H_k^(j) = t^(2k-j) p_j / (p_k p_(k+1)) is
+    C^(k - j/2) (1 + C)(1 - C)(1 - C^(j+1)) / ((1 - C^(k+1))(1 - C^(k+2))),
+    so t times the k-th triple is C/(1 + C) (1 - C^2)^3 (1 - C^3)(1 - C^4)
+    (1 - C^5) C^(3k-11) / prod_(a=k-3..k+2) (1 - C^a).  With
+    (1 - C^2)^3 / (1 + C) = (1 - C)(1 - C^2)^2 the sum is
+    (1 - C)(1 - C^2)^2 (1 - C^3)(1 - C^4)(1 - C^5) times
+    sum_k C^(3k-10) / prod (1 - C^a), whose k-th term starts at exactly
+    C^(3k-10): the sum stops at the last k with 3k - 10 < length."""
+    total = [0] * length
+    for k in range(6, (length + 9) // 3 + 1):
+        total = list(map(add, total,
+                         _c_quotient(3 * k - 10, range(k - 3, k + 3), length)))
+    return _times_one_minus(total, (1, 2, 2, 3, 4, 5))[:length]
 
 
 def _t3_path_counts(x_order: int) -> list[int]:
@@ -371,61 +480,58 @@ def verify_t3_main(x_order: int) -> VerificationReport:
     """1 + sum T(3,n+1) x^n = sqrt(x) * sum_{k>=6} H_k^(4) H_{k-2}^(3) H_{k-4}^(2)
     + 2*G_1 + 2*G_2 + G_3 + G_5.
 
+    The right side is built in C through C^x_order: the k-sum by
+    `_t3_k_sum_in_c` and each G_n as (1 + C)(1 - C^(n+1)) / (1 - C^(n+2)).
+    It goes to x by Lagrange inversion (`_c_to_x`) and meets the left side,
+    a row of super_catalan, there; a mismatch reports a t-exponent.  The
+    route reads these C-forms, not the quotients of ballot_exact_gf and
+    dyck_gf, which tests compare with path counts.
+
     Also checks the k-sum alone against its displayed closed rational form,
-    and every coefficient through x^x_order against triple path counts.
+    as a series in C through C^(x_order + 4) with both sides multiplied by
+    2x^4 (1 + C)^8 = 2C^4, a mismatch at a C-exponent: the e52 left side
+    times 2x^4 becomes 1 - 10x + 30x^2 - 20x^3 - (1-4x)^(5/2) times
+    (1 + C)^8, with (1-4x)^(5/2) (1 + C)^8 = (1-4x)^2 (1 + C)^7 (1 - C) by
+    sqrt(1-4x) = (1 - C) / (1 + C), whose square is 1 - 4x and whose
+    constant term is +1; each polynomial in x goes to C through `_in_c`.
+    Last, every coefficient through x^x_order is compared with triple path
+    counts.
     """
     def body(notes):
-        t_order = 2 * x_order
-        lhs = TruncSeries.from_x_coeffs(
-            [1 + super_catalan(3, 1)]
-            + [super_catalan(3, n + 1) for n in range(1, x_order + 1)], t_order)
-        triple_sum = _t3_triple_sum(t_order)
-        correction = (2 * dyck_gf(1) + 2 * dyck_gf(2) + dyck_gf(3) + dyck_gf(5))
-        rhs = triple_sum.shift(1).truncate(t_order) + correction.expand(t_order)
-
-        mismatch = _series_mismatch(lhs, rhs)
+        length = x_order + 1
+        lhs = ([1 + super_catalan(3, 1)]
+               + [super_catalan(3, n + 1) for n in range(1, length)])
+        k_sum = _t3_k_sum_in_c(length)
+        rhs = [k + 2 * g1 + 2 * g2 + g3 + g5 for k, g1, g2, g3, g5
+               in zip(k_sum, *(_g_in_c(n, length) for n in (1, 2, 3, 5)))]
+        crossed = _c_to_x(rhs)
+        mismatch = _x_mismatch(lhs, crossed)
         if mismatch:
             notes.append("main series identity")
             return mismatch
 
-        # sub-identity: the k-sum equals its displayed closed rational form
-        # (both sides multiplied by 2x^4 to clear negative powers)
-        t2 = 2 * (x_order + 4)
-        lhs_sub = (triple_sum.shift(9) * 2).truncate(t2)
-        rhs_sub = _e52_cleared_lhs(x_order) + 2 * _displayed_t3_tail(t2 - 8).shift(8)
-        mismatch = _series_mismatch(lhs_sub, rhs_sub)
+        cleared = list(map(sub, _in_c(PolyX((1, -10, 30, -20)), 8),
+                           _times_one_minus(_in_c(PolyX((1, -8, 16)), 7), (1,))))
+        lhs_sub = [0] * 4 + [2 * c for c in k_sum]
+        tail = [0] * 4 + [2 * c for c in _displayed_t3_tail(length)]
+        # the cleared side is a polynomial of degree 8; map stops at the tail
+        rhs_sub = list(map(add, cleared + [0] * len(tail), tail))
+        mismatch = _first_mismatch(lhs_sub, rhs_sub)
         if mismatch:
-            notes.append("k-sum vs displayed closed rational expression")
+            notes.append("k-sum vs displayed closed rational expression, "
+                         "power is the C-exponent")
             return mismatch
-        notes.append("k-sum checked against its displayed closed rational form")
+        notes.append("k-sum checked in C against its displayed closed "
+                     "rational form")
 
         for n, counted in enumerate(_t3_path_counts(x_order)):
-            if rhs.coeffs[2 * n] != counted:
+            if crossed[n] != counted:
                 notes.append(f"triple path counts disagree at n={n}")
-                return Mismatch(2 * n, rhs.coeffs[2 * n], counted)
+                return Mismatch(2 * n, crossed[n], counted)
         notes.append(f"coefficients x^0..x^{x_order} cross-checked "
                      "against triple path counts")
         return None
     return _run("t3-main", x_order, body)
-
-
-def _in_c(poly: PolyX, degree: int) -> list[int]:
-    """poly(x) (1 + C)^degree under x = C / (1 + C)^2, as the coefficients of
-    a polynomial in C when degree >= 2 deg poly: the term a x^e becomes
-    a C^e (1 + C)^(degree - 2e)."""
-    out = [0] * (degree + 1)
-    for e, a in enumerate(poly.coeffs):
-        n = degree - 2 * e
-        out[e:e + n + 1] = map(add, out[e:e + n + 1],
-                               [a * comb(n, r) for r in range(n + 1)])
-    return out
-
-
-def _times_one_minus(cs: list[int], ms: tuple[int, ...]) -> list[int]:
-    """cs times (1 - C^m) for each m in ms; m = 0 gives zeros."""
-    for m in ms:
-        cs = list(map(sub, cs + [0] * m, [0] * m + cs))
-    return cs
 
 
 def _c_mismatch(num: PolyX, den: PolyX, degrees: tuple[int, int],
@@ -487,13 +593,15 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     rational function of x, so a quotient of the wrong t-parity fails too.
     A mismatch there reports a C-exponent.
 
-    Two series comparisons through t^(2 x_order) tie C to x:
-    C = x (1 + C)^2, with the series of `shifted_catalan_series`, and
-    sqrt(C) = t (1 + C), with `TruncSeries.sqrt`.  The first makes that
-    series the one solution with no constant term, so both substitutions
-    hold through t^(2 x_order), and the polynomial identities then give every
-    C-form as a series identity through that order.  The square root reads
-    C through x^(x_order + 1), the order it needs to reach t^(2 x_order).
+    One series comparison through t^(2 x_order) ties C to x:
+    C = x (1 + C)^2, with the series of `shifted_catalan_series`.  It makes
+    that series the one solution with no constant term, so x = C / (1 + C)^2
+    holds through t^(2 x_order).  So does t = sqrt(C) / (1 + C), with no
+    comparison of its own: (t (1 + C))^2 = x (1 + C)^2 = C by the tie, and C
+    has exactly one square root whose leading term is +t, since a square
+    root r with r^2 = C = t^2 + O(t^4) is +t or -t at its lowest term and
+    each choice fixes every later coefficient.  The polynomial identities
+    then give every C-form as a series identity through that order.
 
     Each quotient expansion, G_-1 = 0 aside, is also compared with its
     transfer-table column: the path counts, which share nothing with the
@@ -501,17 +609,9 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     """
     def body(notes):
         t_order = 2 * x_order
-        c_ext = shifted_catalan_series(x_order + 1)
-        C = c_ext.truncate(t_order)
-        mismatch = _catalan_tie(C)
+        mismatch = _catalan_tie(shifted_catalan_series(x_order))
         if mismatch:
             notes.append("C vs x (1 + C)^2")
-            return mismatch
-        sqrt_c = c_ext.shift(-2).sqrt().shift(1).truncate(t_order)
-        one_plus_c = TruncSeries.one(t_order) + C
-        mismatch = _series_mismatch(sqrt_c, one_plus_c.shift(1).truncate(t_order))
-        if mismatch:
-            notes.append("sqrt(C) vs t (1 + C)")
             return mismatch
 
         forms = columns = 0
@@ -532,7 +632,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
                 notes.append(f"{name}: series vs path count at t^{mismatch.power}")
                 return mismatch
             columns += 1
-        notes.append(f"C = x (1 + C)^2 and sqrt(C) = t (1 + C) through t^{t_order}")
+        notes.append(f"C = x (1 + C)^2 through t^{t_order}")
         notes.append(f"{forms} closed forms, k <= {_G_FORMS_K_MAX}, checked as "
                      "polynomial identities in C")
         notes.append(f"{columns} quotient expansions cross-checked against path "

@@ -20,6 +20,8 @@ or rational arithmetic.  Each criterion prints one pass/fail line (run with
        cap 0 and one exact-height class, all together                 (< 1 s)
     9. e8, e-mo and g-forms at the CLI ceiling --order 200, unclamped,
        all together                                                  (< 20 s)
+   9b. firstsum, pairsum and t3-main at the CLI ceiling --order 200,
+       each reporting order 200, all together                       (< 10 s)
    10. pair counts at the CLI limit n = 400, height gap 1 (T(2, 400)) and
        gap 400 (every pair, C_401), through the CLI, both together     (< 2 s)
 """
@@ -201,6 +203,16 @@ def test_criterion_9_deep_checks_at_the_order_ceiling():
                 return False, f"{identity}: {report}"
         return True, f"e8, e-mo and g-forms at order {ORDER_MAX}"
     check("criterion 9 (e8, e-mo, g-forms at --order 200)", 20.0, body)
+
+
+def test_criterion_9b_height_sums_at_the_order_ceiling():
+    def body():
+        for identity in ("firstsum", "pairsum", "t3-main"):
+            report = run_identity(identity, ORDER_MAX)
+            if not report.passed or report.order != ORDER_MAX:
+                return False, f"{identity}: {report}"
+        return True, f"firstsum, pairsum and t3-main at order {ORDER_MAX}"
+    check("criterion 9b (firstsum, pairsum, t3-main at --order 200)", 10.0, body)
 
 
 def test_criterion_10_pair_counts_at_the_n_limit():

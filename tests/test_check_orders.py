@@ -4,9 +4,11 @@ Claims covered:
     - at its default order, every check fails on a defect planted at the
       last index it reports: e2 and t3-closed at n = order and at n = 1, e8
       at p = order through its weights, e-mo at total degree order,
-      firstsum and pairsum at x^order, e52 at its cleared top x^(order + 4),
-      t3-main's main identity at x^order and its k-sum sub-identity at its
-      last coefficient, g-forms at the last step of a table column,
+      firstsum at C^order, pairsum at x^order in its crossing to x and its
+      pair counts, e52 at its cleared top x^(order + 4), t3-main's main
+      identity at x^order, in its left side and its crossing to x, and its
+      k-sum sub-identity in C at its last coefficient, C^(order + 4),
+      g-forms at the last step of a table column,
       p-bridge at n = min(12, order) and lemma-main at n = order; a
       registered id with no planted defect here fails by name
     - at order 1 every check reports the order it ran and its notes: e-mo
@@ -15,7 +17,7 @@ Claims covered:
 
 import pytest
 
-from supercat import IDENTITIES, CountTable, TruncSeries, run_identity
+from supercat import IDENTITIES, CountTable, run_identity
 from supercat import identities
 
 
@@ -29,11 +31,12 @@ def _plus_one_at(at):
     return lambda real: lambda *args: real(*args) + (args == at)
 
 
-def _series_plus_top(real):
-    """A series builder whose result has one more at its top coefficient."""
+def _list_plus_top(real):
+    """A builder of coefficient lists whose result has one more at its top
+    coefficient."""
     def wrong(*args):
-        series = real(*args)
-        return series + TruncSeries([0] * series.order + [1], series.order)
+        cs = real(*args)
+        return cs[:-1] + [cs[-1] + 1]
     return wrong
 
 
@@ -77,19 +80,26 @@ TOP_ORDER_DEFECTS = {
     # C_(d-1) first meets C_1 at total degree d
     "e-mo": [(lambda mp, d: _plant(mp, "catalan", _plus_one_at((d - 1,))),
               lambda d: (1, d - 1), None)],
-    "firstsum": [(lambda mp, n: _plant(mp, "shifted_catalan_series", _series_plus_top),
-                  lambda n: 2 * n, None)],
-    "pairsum": [(lambda mp, n: _plant(mp, "_pair_counts", _count_plus_one_at(n)),
-                 lambda n: 2 * n, lambda n: f"pair count disagrees at n={n}")],
+    # every quotient of the sum in C, one more at C^order
+    "firstsum": [(lambda mp, n: _plant(mp, "_c_quotient", _list_plus_top),
+                  lambda n: n, lambda n: "sum in C vs 1 + 2C")],
+    "pairsum": [
+        (lambda mp, n: _plant(mp, "_c_to_x", _list_plus_top),
+         lambda n: 2 * n, lambda n: "series sum vs 1 + sum T(2,n) x^n"),
+        (lambda mp, n: _plant(mp, "_pair_counts", _count_plus_one_at(n)),
+         lambda n: 2 * n, lambda n: f"pair count disagrees at n={n}"),
+    ],
     # T(3, n + 1) lands at x^(n + 4) after clearing by 2x^4
     "e52": [(lambda mp, n: _plant(mp, "super_catalan", _plus_one_at((3, n + 1))),
              lambda n: 2 * n + 8, None)],
     "t3-main": [
         (lambda mp, n: _plant(mp, "super_catalan", _plus_one_at((3, n + 1))),
          lambda n: 2 * n, lambda n: "main series identity"),
-        # the tail's top coefficient, t^(2n), shifted by t^8
-        (lambda mp, n: _plant(mp, "_displayed_t3_tail", _series_plus_top),
-         lambda n: 2 * n + 8,
+        (lambda mp, n: _plant(mp, "_c_to_x", _list_plus_top),
+         lambda n: 2 * n, lambda n: "main series identity"),
+        # the tail's top coefficient, C^n, shifted by C^4
+        (lambda mp, n: _plant(mp, "_displayed_t3_tail", _list_plus_top),
+         lambda n: n + 4,
          lambda n: "k-sum vs displayed closed rational expression"),
     ],
     "g-forms": [(_wrong_top_table, lambda n: 2 * n,
@@ -127,8 +137,8 @@ ORDER_ONE = {
     "e8": (1, ("checked 0 <= m <= 1, 0 <= p <= 1",
                "m=0 row checked as the doubled identity "
                "(middle binomial coefficients)")),
-    "firstsum": (1, ()),
-    "g-forms": (1, ("C = x (1 + C)^2 and sqrt(C) = t (1 + C) through t^2",
+    "firstsum": (1, ("summed in C through C^1",)),
+    "g-forms": (1, ("C = x (1 + C)^2 through t^2",
                     "220 closed forms, k <= 8, checked as polynomial identities in C",
                     "219 quotient expansions cross-checked against path counts "
                     "through t^2")),
@@ -136,10 +146,13 @@ ORDER_ONE = {
     "p-bridge": (1, ("C = x (1 + C)^2 through t^2",
                      "checked n = 0..1 as P_n (1 - C) = 1 - C^(n+1), "
                      "P_n = p_n (1 + C)^n")),
-    "pairsum": (1, ("coefficients x^1..x^1 cross-checked against pair counts "
-                    "from the height table",)),
+    "pairsum": (1, ("summed in C through C^1, carried to x by Lagrange "
+                    "inversion",
+                    "coefficients x^1..x^1 cross-checked against pair counts "
+                    "from the height table")),
     "t3-closed": (1, ()),
-    "t3-main": (1, ("k-sum checked against its displayed closed rational form",
+    "t3-main": (1, ("k-sum checked in C against its displayed closed rational "
+                    "form",
                     "coefficients x^0..x^1 cross-checked against triple path "
                     "counts")),
 }

@@ -17,6 +17,11 @@ Claims covered:
     - the k-th t3-main triple product starts at exactly t^(6k-21), with
       coefficient 1 there
     - more height means more paths (coefficientwise monotonicity)
+    - the quotients that no identity check reads, since firstsum, pairsum
+      and t3-main sum in C, match transfer-table columns through t^120:
+      dyck_gf(k) for k <= 61 and ballot_exact_gf(k, j) for each (k, j) of
+      the t3-main triples through t^120; a planted extra path at k = 40
+      is caught
     - expansion by the denominator's recurrence, times the denominator
       series, gives back the shifted numerator; that check multiplies only,
       so it stays independent of the division shared with TruncSeries.invert
@@ -26,9 +31,10 @@ from math import comb
 
 import pytest
 
-from supercat import (PathClass, PolyQuotient, PolyX, ballot_between_gf,
-                      ballot_end_gf, ballot_exact_gf, count_ballot_dp,
-                      count_paths_dp, dyck_gf, p_poly)
+from supercat import (CountTable, PathClass, PolyQuotient, PolyX,
+                      ballot_between_gf, ballot_end_gf, ballot_exact_gf,
+                      count_ballot_dp, count_paths_dp, dyck_gf, p_poly)
+from supercat import height_gf
 
 
 def p_poly_explicit(n: int) -> PolyX:
@@ -219,6 +225,49 @@ def test_t3_triple_product_starts_at_its_structural_power():
         term = (ballot_exact_gf(k, 4) * ballot_exact_gf(k - 2, 3)
                 * ballot_exact_gf(k - 4, 2)).expand(low)
         assert term.coeffs == (0,) * low + (1,)
+
+
+# the quotients off every check's route, through t^120: dyck_gf(k) for the
+# height bounds firstsum and pairsum read at x-order 60, and ballot_exact_gf
+# for the triples (k, 4), (k - 2, 3), (k - 4, 2) with 6k - 21 <= 120
+OFF_ROUTE_T_ORDER = 120
+OFF_ROUTE_DYCK = range(62)
+OFF_ROUTE_EXACT = sorted({(k - 2 * i, 4 - i) for k in range(6, (120 + 21) // 6 + 1)
+                          for i in range(3)})
+
+
+def _off_route_mismatches():
+    """The (builder, k, j) of each off-route quotient whose expansion
+    differs from its transfer-table column; exact height k is the cap-k
+    column minus the cap-(k - 1) column."""
+    columns = {}
+
+    def column(cap, level):
+        if cap not in columns:
+            columns[cap] = CountTable(OFF_ROUTE_T_ORDER, cap)
+        return columns[cap].column(level)
+
+    wrong = [("dyck_gf", k, 0) for k in OFF_ROUTE_DYCK
+             if height_gf.dyck_gf(k).expand(OFF_ROUTE_T_ORDER).coeffs != column(k, 0)]
+    for k, j in OFF_ROUTE_EXACT:
+        exact = tuple(a - b for a, b in zip(column(k, j), column(k - 1, j)))
+        if height_gf.ballot_exact_gf(k, j).expand(OFF_ROUTE_T_ORDER).coeffs != exact:
+            wrong.append(("ballot_exact_gf", k, j))
+    return wrong
+
+
+def test_off_route_quotients_match_the_transfer_tables():
+    assert len(OFF_ROUTE_EXACT) == 3 * 18
+    assert _off_route_mismatches() == []
+
+
+def test_off_route_check_sees_a_wrong_height_bound_at_40(monkeypatch):
+    # one more Dyck path of semilength 41 under height 40, where the one
+    # path of height 41 is the first the bound leaves out
+    real = height_gf.dyck_gf
+    monkeypatch.setattr(height_gf, "dyck_gf", lambda k: real(k) + PolyQuotient(
+        PolyX((0,) * 41 + (int(k == 40),))))
+    assert _off_route_mismatches() == [("dyck_gf", 40, 0)]
 
 
 def test_more_height_means_more_paths():

@@ -13,10 +13,16 @@ Claims covered:
       D_4 fails lemma-main at n = 4, as a report even where the inverse
       core raises on it
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
-      bound firstsum and pairsum, a wrong coefficient of the Catalan series
-      e52 and t3-main's k-sum closed form, a wrong exact-height series or
-      constant term t3-main and a wrong p_n p-bridge, each at a stated
-      coefficient
+      bound in C firstsum and pairsum at a C-exponent, a wrong coefficient
+      of the Catalan series e52 but not t3-main, whose k-sum closed form is
+      built in C, a doubled k = 6 term in C or a wrong constant term
+      t3-main and a wrong p_n p-bridge, each at a stated coefficient
+    - firstsum, pairsum and t3-main sum in C: a planted wrong running sum,
+      the division by 1 - C^a they share, fails each at a stated
+      coefficient, and a planted wrong crossing to x fails pairsum at its
+      table row and t3-main at its main identity; the crossing by Lagrange
+      inversion equals substitution of the Catalan series, by series
+      products, and coefficient lists of unequal lengths are refused
     - e52's cleared left side, built in integers through
       sqrt(1 - 4x) = 1 - 2x c(x), equals the generalized binomial expansion
       of (1 - 4x)^(5/2) in exact fractions through x^204
@@ -47,10 +53,10 @@ Claims covered:
       table count fails g-forms with the same note and coefficient as before
       the closed forms became polynomial identities; a planted wrong
       quotient in ballot_between_gf, the one builder behind dyck_gf and
-      ballot_end_gf, fails g-forms as G_k^(j) at i = 0 and firstsum at G_3;
-      a planted wrong square root fails the g-forms tie sqrt(C) = t (1 + C)
-    - _series_mismatch refuses series of unequal orders, so t3-main refuses
-      a displayed tail built one t-power short
+      ballot_end_gf, fails g-forms as G_k^(j) at i = 0; a planted wrong
+      coefficient of the C series fails the g-forms tie C = x (1 + C)^2
+    - _series_mismatch refuses series of unequal orders, and t3-main refuses
+      a displayed tail built one C-power short
     - a planted wrong T(2, 5) fails pairsum's table-row comparison, a
       planted wrong displayed tail t3-main's k-sum closed form, and a pair
       missing from the stream of E_4 lemma-main's enumeration count, each
@@ -338,21 +344,32 @@ def test_firstsum():
     _assert_clean_pass(verify_firstsum(12), "firstsum")
 
 
+def _plant_strides(monkeypatch, at, strides):
+    """identities._c_quotient with `strides` in place of the strides of the
+    quotient C^e / prod (1 - C^a) whose (e, strides) is `at`."""
+    _plant(monkeypatch, "_c_quotient", lambda real: lambda e, got, length: real(
+        e, strides if (e, tuple(got)) == at else got, length))
+
+
 def test_firstsum_fails_on_a_wrong_height_bound(monkeypatch):
-    # G_4 -> G_5 changes the n = 3 summand by (G_3 - G_2)(G_5 - G_4), which
-    # starts at 1·x^3 · 1·x^5; the n = 4 and n = 5 changes sum to
-    # (G_5 - G_4)(G_5 - G_6), which starts at x^11
-    _plant(monkeypatch, "dyck_gf", lambda real: lambda k: real(k + (k == 4)))
+    # the n = 3 summand C^3 / ((1 - C^4)(1 - C^6)) built with 1 - C^7 for
+    # 1 - C^6, the C-form of G_5 in place of G_4: it changes by
+    # C^3 (C^7 - C^6) / ((1 - C^4)(1 - C^6)(1 - C^7)), which starts at -C^9,
+    # and (1 - C^2)^2 keeps that lowest term
+    _plant_strides(monkeypatch, (3, (4, 6)), (4, 7))
     report = verify_firstsum(12)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch(16, 2 * catalan(8) + 1, 2 * catalan(8))
+    assert report.first_mismatch == Mismatch(9, -1, 0)
+    assert report.notes == ("sum in C vs 1 + 2C, power is the C-exponent",)
 
 
 def test_pairsum():
     report = verify_pairsum(12)
     _assert_clean_pass(report, "pairsum")
-    assert ("coefficients x^1..x^12 cross-checked against pair counts "
-            "from the height table") in report.notes
+    assert report.notes == (
+        "summed in C through C^12, carried to x by Lagrange inversion",
+        "coefficients x^1..x^12 cross-checked against pair counts from the "
+        "height table")
 
 
 def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
@@ -403,15 +420,49 @@ def test_pairsum_fails_on_a_wrong_height_table_entry(monkeypatch):
 
 
 def test_pairsum_fails_on_a_wrong_height_bound(monkeypatch):
-    # G_4 -> G_5 adds (G_3 - G_2)(G_5 - G_4) to the n = 3 summand and
-    # (G_5 - G_4)(G_5 - G_2) to the n = 4 summand, each starting at 1·x^8;
-    # the n = 5 summand loses (G_5 - G_4)(G_6 - G_3), which starts at x^9
-    _plant(monkeypatch, "dyck_gf", lambda real: lambda k: real(k + (k == 4)))
-    report = verify_pairsum(12)
+    # d_4 = C^4 / ((1 - C^5)(1 - C^6)) built with 1 - C^7 for 1 - C^6
+    # changes by -C^10 + ...; it is a neighbour in the products n = 3, 4, 5,
+    # which multiply it by C^n, so the change starts at -C^13, from n = 3
+    _plant_strides(monkeypatch, (4, (5, 6)), (5, 7))
+    report = verify_pairsum(30)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch(16, super_catalan(2, 8) + 2,
-                                             super_catalan(2, 8))
-    assert report.notes == ("series sum vs 1 + 2C - C^2",)
+    assert report.first_mismatch == Mismatch(13, -1, 0)
+    assert report.notes == ("sum in C vs 1 + 2C - C^2, power is the C-exponent",)
+
+
+def test_a_wrong_crossing_to_x_fails_pairsum_and_t3_main(monkeypatch):
+    # one more at x^7 of every series carried from C to x: pairsum meets
+    # the table row there, T(2, 7) = 286, and t3-main its left side,
+    # T(3, 8) = 780; the C stages before it still pass
+    _plant(monkeypatch, "_c_to_x", lambda real: lambda cs: [
+        c + (n == 7) for n, c in enumerate(real(cs))])
+    report = verify_pairsum(12)
+    assert report.first_mismatch == Mismatch(14, 287, 286)
+    assert report.notes == ("series sum vs 1 + sum T(2,n) x^n",)
+    report = verify_t3_main(10)
+    assert report.first_mismatch == Mismatch(14, 780, 781)
+    assert report.notes == ("main series identity",)
+
+
+@pytest.mark.parametrize("cs", [
+    [1], [0, 1], [5, 0, 0, 1], [1, 2, -1, 0, 0, 0], [3, -7, 11, 0, 2, -5, 13, 1],
+    list(range(-20, 21, 2))])
+def test_crossing_to_x_is_substitution_of_the_catalan_series(cs):
+    # sum_k cs[k] C^k with C = c(x) - 1, by series products
+    order = 2 * (len(cs) - 1)
+    C = shifted_catalan_series(len(cs) - 1)
+    total, power = TruncSeries.zero(order), TruncSeries.one(order)
+    for c in cs:
+        total, power = total + c * power, power * C
+    assert identities._c_to_x(cs) == list(total.coeffs[::2])
+
+
+def test_c_lists_of_unequal_lengths_are_refused():
+    with pytest.raises(RuntimeError,
+                       match="cannot compare coefficient lists of lengths 3 and 2"):
+        identities._first_mismatch([1, 2, 3], [1, 2])
+    assert identities._first_mismatch([1, 2, 3], [1, 2, 4]) == Mismatch(2, 3, 4)
+    assert identities._first_mismatch([1, 2, 3], [1, 2, 3]) is None
 
 
 def test_e52():
@@ -422,18 +473,16 @@ def test_e52_fails_on_a_wrong_catalan_coefficient(monkeypatch):
     # C_5 one too large in c(x) makes sqrt(1 - 4x) = 1 - 2x c(x) two smaller
     # at x^6, so the cleared left side 1 - 10x + 30x^2 - 20x^3
     # - (1 - 4x)^2 (1 - 2x c(x)) is two larger there: 2T(3, 3) + 2 = 22.
-    # t3-main's k-sum sub-identity reads the same side, against the cleared
-    # triple sum, which is 0 below x^12
+    # t3-main's k-sum sub-identity builds the same side in C from the
+    # displayed polynomials, with sqrt(1 - 4x) = (1 - C) / (1 + C), and reads
+    # no Catalan series
     _plant(monkeypatch, "catalan_series", lambda real: lambda x_order:
            real(x_order) + TruncSeries.from_x_coeffs([0] * 5 + [1], 2 * x_order))
     report = verify_e52(12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(12, 2 * super_catalan(3, 3) + 2,
                                              2 * super_catalan(3, 3))
-    report = verify_t3_main(10)
-    assert report.passed is False
-    assert report.first_mismatch == Mismatch(12, 0, 2)
-    assert report.notes == ("k-sum vs displayed closed rational expression",)
+    _assert_clean_pass(verify_t3_main(10), "t3-main")
 
 
 @pytest.mark.parametrize("x_order", [1, 30, 200])
@@ -453,9 +502,9 @@ def test_e52_cleared_lhs_is_the_binomial_expansion(x_order):
 def test_t3_main():
     report = verify_t3_main(10)
     _assert_clean_pass(report, "t3-main")
-    assert any("rational form" in note for note in report.notes)
-    assert ("coefficients x^0..x^10 cross-checked against triple path counts"
-            in report.notes)
+    assert report.notes == (
+        "k-sum checked in C against its displayed closed rational form",
+        "coefficients x^0..x^10 cross-checked against triple path counts")
     # the oracle covers every coefficient through the order checked
     for order in (4, 1):
         assert (f"coefficients x^0..x^{order} cross-checked against triple "
@@ -463,10 +512,11 @@ def test_t3_main():
 
 
 def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
-    # doubling H_6^(4) doubles the k = 6 triple product, whose single
-    # lowest path term sits at t^15, so t^16 after the half-step shift
-    _plant(monkeypatch, "ballot_exact_gf",
-           lambda real: lambda k, j: real(k, j) * (1 + ((k, j) == (6, 4))))
+    # the k = 6 term of the k-sum in C, C^8 / ((1 - C^3) ... (1 - C^8)),
+    # doubled: the triple of exact-height paths, counted twice.  Its lowest
+    # term, 1·C^8, is 1·x^8 = t^16 in x
+    _plant(monkeypatch, "_c_quotient", lambda real: lambda e, strides, length: [
+        (1 + (e == 8)) * c for c in real(e, strides, length)])
     report = verify_t3_main(10)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(16, super_catalan(3, 9),
@@ -486,14 +536,15 @@ def test_t3_main_fails_on_a_wrong_constant_term(monkeypatch):
 
 
 def test_t3_main_fails_on_a_wrong_displayed_tail(monkeypatch):
-    # one more t^6 in the displayed tail, doubled and shifted by t^8, leaves
-    # the main identity standing and fails the k-sum's closed form at t^14
-    _plant(monkeypatch, "_displayed_t3_tail", lambda real: lambda t_order: (
-        real(t_order) + TruncSeries([0] * 6 + [1], t_order)))
+    # one more C^3 in the displayed tail, doubled and shifted by C^4, leaves
+    # the main identity standing and fails the k-sum's closed form at C^7
+    _plant(monkeypatch, "_displayed_t3_tail", lambda real: lambda length: [
+        c + (n == 3) for n, c in enumerate(real(length))])
     report = verify_t3_main(20)
     assert (report.identity, report.order, report.passed) == ("t3-main", 20, False)
-    assert report.first_mismatch == Mismatch(14, 0, 2)
-    assert report.notes == ("k-sum vs displayed closed rational expression",)
+    assert report.first_mismatch == Mismatch(7, 0, 2)
+    assert report.notes == ("k-sum vs displayed closed rational expression, "
+                            "power is the C-exponent",)
 
 
 def test_t3_main_oracle_sees_a_wrong_count_above_x9(monkeypatch):
@@ -516,8 +567,11 @@ def test_t3_path_counts_use_no_series_route(monkeypatch):
     monkeypatch.setattr(TruncSeries, "__mul__", refuse)
     monkeypatch.setattr(PolyQuotient, "expand", refuse)
     for module in (identities, height_gf):
-        for name in ("ballot_exact_gf", "dyck_gf", "p_poly"):
+        for name in ("dyck_gf", "p_poly"):
             monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(height_gf, "ballot_exact_gf", refuse)
+    for name in ("_c_quotient", "_over_one_minus", "_c_to_x", "_in_c"):
+        monkeypatch.setattr(identities, name, refuse)
     assert identities._t3_path_counts(30) == (
         [1 + super_catalan(3, 1)] + [super_catalan(3, n + 1) for n in range(1, 31)])
 
@@ -526,7 +580,7 @@ def test_g_closed_forms():
     report = verify_g_closed_forms(10)
     _assert_clean_pass(report, "g-forms")
     assert report.notes == (
-        "C = x (1 + C)^2 and sqrt(C) = t (1 + C) through t^20",
+        "C = x (1 + C)^2 through t^20",
         "220 closed forms, k <= 8, checked as polynomial identities in C",
         "219 quotient expansions cross-checked against path counts through t^20")
 
@@ -623,23 +677,43 @@ def test_g_closed_forms_fail_on_a_wrong_shared_quotient(monkeypatch):
 
 
 def test_firstsum_fails_on_a_wrong_shared_quotient(monkeypatch):
-    # dyck_gf(3) is ballot_between_gf(3, 0, 0)
-    _plant_between(monkeypatch, (3, 0, 0), 8)
-    report = verify_firstsum(30)
-    assert report.passed is False
-    assert report.first_mismatch == Mismatch(12, 265, 264)
+    # the running sum behind every division by 1 - C^a in C, shared by
+    # firstsum, pairsum and t3-main, starting one block late at a = 5: a
+    # quotient with 1 - C^5 in its denominator loses C^5 times its terms
+    # below C^5
+    def wrong(cs, strides):
+        cs = list(cs)
+        for a in strides:
+            for lo in range(a + a * (a == 5), len(cs), a):
+                cs[lo:lo + a] = [u + v for u, v in zip(cs[lo:lo + a], cs[lo - a:lo])]
+        return cs
+    monkeypatch.setattr(identities, "_over_one_minus", wrong)
+    for verify, mismatch, note in (
+            # the n = 2 summand C^2 / ((1 - C^3)(1 - C^5)) loses C^7
+            (verify_firstsum, Mismatch(7, -1, 0),
+             "sum in C vs 1 + 2C, power is the C-exponent"),
+            # d_3 = C^3 / ((1 - C^4)(1 - C^5)) loses C^8, a neighbour in the
+            # n = 2 product, which multiplies it by C^2
+            (verify_pairsum, Mismatch(10, -1, 0),
+             "sum in C vs 1 + 2C - C^2, power is the C-exponent"),
+            # G_3 = (1 + C)(1 - C^4) / (1 - C^5) loses C^5, which is x^5
+            (verify_t3_main, Mismatch(10, 110, 109), "main series identity")):
+        report = verify(30)
+        assert report.passed is False
+        assert report.first_mismatch == mismatch
+        assert report.notes == (note,)
 
 
-def test_g_closed_forms_fail_on_a_wrong_square_root(monkeypatch):
-    # one more t^4 in sqrt(C / x) = 1 + C is one more t^5 in sqrt(C), whose
-    # coefficient there is C_2 = 2
-    real = TruncSeries.sqrt
-    monkeypatch.setattr(TruncSeries, "sqrt", lambda self: real(self)
-                        + t_power(4, self.order))
+def test_g_closed_forms_fail_on_a_wrong_c_series(monkeypatch):
+    # one more x^2 in C, 3 for C_2 = 2: the tie C = x (1 + C)^2 reads C only
+    # below x^2 there, where its right side is 2 C_1 = 2.  This tie is also
+    # what makes sqrt(C) = t (1 + C), which g-forms no longer compares
+    _plant(monkeypatch, "shifted_catalan_series", lambda real: lambda x_order:
+           real(x_order) + t_power(4, 2 * x_order))
     report = verify_g_closed_forms(12)
     assert report.passed is False
-    assert report.notes == ("sqrt(C) vs t (1 + C)",)
-    assert report.first_mismatch == Mismatch(5, 3, 2)
+    assert report.notes == ("C vs x (1 + C)^2",)
+    assert report.first_mismatch == Mismatch(4, 3, 2)
 
 
 def test_g_closed_forms_fail_on_a_wrong_catalan(monkeypatch):
@@ -875,11 +949,12 @@ def test_series_mismatch_refuses_unequal_orders():
 
 
 def test_t3_main_refuses_a_shortened_displayed_tail(monkeypatch):
-    # the tail built one t-power short leaves the sub-identity's right side
-    # at order t2 - 1; it is refused, not compared through t2 - 1
+    # the tail built one C-power short leaves the sub-identity's right side
+    # through C^23; it is refused, not compared through C^23
     _plant(monkeypatch, "_displayed_t3_tail",
-           lambda real: lambda t_order: real(t_order - 1))
-    with pytest.raises(RuntimeError, match="cannot compare series of orders 48 and 47"):
+           lambda real: lambda length: real(length - 1))
+    with pytest.raises(RuntimeError,
+                       match="cannot compare coefficient lists of lengths 25 and 24"):
         verify_t3_main(20)
 
 

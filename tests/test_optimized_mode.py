@@ -5,10 +5,11 @@ Claims covered:
       bijection round trips run and pass with optimization on
     - a planted wrong landmark in either bijection core still raises: u on a
       down step in the inverse, y after a down step in the forward
-    - a doubled H_6^(4) still fails t3-main at t^16, in its main series
-      identity
-    - a comparison of series of unequal orders still raises, here t3-main's
-      sub-identity against a displayed tail built one t-power short
+    - a doubled k = 6 term of t3-main's k-sum in C still fails t3-main at
+      t^16, in its main series identity
+    - a comparison of coefficient lists of unequal lengths still raises,
+      here t3-main's sub-identity against a displayed tail built one
+      C-power short
     - a planted wrong factorial that leaves super_catalan's quotient inexact
       still raises
     - a planted wrong start value of super_catalan_row, or of the walk along
@@ -74,12 +75,14 @@ try:
     print("planted y passed")
 except RuntimeError as exc:
     print("planted y raised:", exc)
-# doubling H_6^(4) doubles the k = 6 triple product, which starts at t^15
-real_exact = identities.ballot_exact_gf
-identities.ballot_exact_gf = lambda k, j: real_exact(k, j) * (1 + ((k, j) == (6, 4)))
+# the k = 6 term of the k-sum in C, which starts at C^8, doubled
+real_quotient = identities._c_quotient
+identities._c_quotient = lambda e, strides, length: [
+    (1 + (e == 8)) * c for c in real_quotient(e, strides, length)]
 report = identities.verify_t3_main(10)
-print("doubled H_6^(4)", report.passed, report.first_mismatch.power, report.notes[-1])
-identities.ballot_exact_gf = real_exact
+print("doubled k = 6 term", report.passed, report.first_mismatch.power,
+      report.notes[-1])
+identities._c_quotient = real_quotient
 # T(3, 4) planted as 71 for 70 in its doubled row entry
 real_row = identities.super_catalan_row
 identities.super_catalan_row = lambda m, n_max: [
@@ -87,7 +90,7 @@ identities.super_catalan_row = lambda m, n_max: [
 print("planted e-mo", identities.verify_e_mo(12).first_mismatch)
 identities.super_catalan_row = real_row
 real_tail = identities._displayed_t3_tail
-identities._displayed_t3_tail = lambda t_order: real_tail(t_order - 1)
+identities._displayed_t3_tail = lambda length: real_tail(length - 1)
 try:
     identities.verify_t3_main(6)
     print("short tail passed")
@@ -195,9 +198,9 @@ def test_checks_survive_optimize_flag():
         "roundtrips True",
         "planted u raised: rightmost level-1 point of F must precede an up step",
         "planted y raised: leftmost highest point of F must follow an up step",
-        "doubled H_6^(4) False 16 main series identity",
+        "doubled k = 6 term False 16 main series identity",
         "planted e-mo Mismatch(power=(3, 4), lhs=70, rhs=71)",
-        "short tail raised: cannot compare series of orders 20 and 19",
+        "short tail raised: cannot compare coefficient lists of lengths 11 and 10",
         "inexact coefficient raised: coefficients must be integers, not Fraction",
         "inexact coefficient raised: coefficients must be integers, not float",
         "inexact coefficient raised: coefficients must be integers, not Fraction",
