@@ -9,6 +9,7 @@ so that boundary cases vanish from the same formulas.
 
 from __future__ import annotations
 
+from .counting import _convolve
 from .series import _INTS, TruncSeries, _divide, _int, _unit
 
 
@@ -58,14 +59,9 @@ class PolyX:
             return PolyX([c * other for c in self.coeffs])
         if not isinstance(other, PolyX):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PolyX()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyX(out)
+        a, b = self.coeffs, other.coeffs
+        return PolyX(_convolve(a, b + (0,) * (len(a) - 1),
+                               range(len(a) + len(b) - 1)))
 
     __rmul__ = __mul__
 
@@ -174,8 +170,8 @@ class PolyQuotient:
         """Series expansion truncated to exactly `t_order`.
 
         The x-coefficients of num/den come from den's linear recurrence
-        (`_divide`, the routine behind `TruncSeries.invert`), which costs
-        O(N * deg den) and never touches the odd t-powers."""
+        (`_divide`, the one quotient kernel), which costs O(N * deg den);
+        the odd t-powers are never divided, since num/den is a series in x."""
         if t_order < 0:
             raise ValueError("t_order must be nonnegative")
         if self.is_zero:

@@ -335,8 +335,8 @@ def verify_pairsum(x_order: int) -> VerificationReport:
 
     The sum goes to x by Lagrange inversion (`_c_to_x`), and its
     coefficients are compared with the table row T(2, n) and with one
-    `_pair_counts` pass, which shares nothing with the series and counts the
-    pairs of height gap at most 1 for every n."""
+    `_pair_counts` pass, which shares nothing with the sum in C and counts
+    the pairs of height gap at most 1 for every n."""
     def body(notes):
         length = x_order + 1
         # d[m + 1] = d_m for every m that a product below reads

@@ -14,6 +14,9 @@ constant term of 1 or -1 only, any other raises ValueError, and the square
 root halves exactly and raises ValueError on an odd coefficient.  Every
 series, results included, is built by the constructor, which stores an
 all-int input as it is and sends any other input through the rule.
+
+A product is `counting._convolve`, the one product kernel of the package,
+and a quotient is `_divide`, its one quotient kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .counting import catalan
+from .counting import _convolve, catalan
 
 _ZERO = 0
 _INTS = {int}
@@ -35,17 +38,6 @@ def _int(value) -> int:
     raise TypeError(f"coefficients must be integers, not {type(value).__name__}")
 
 
-def _span(cs: tuple) -> tuple[int, int, int | None] | None:
-    """(first, last, parity) of the nonzero terms of cs, parity None when
-    they sit on both parities; None when cs is zero."""
-    odd, even = any(cs[1::2]), any(cs[::2])
-    if not (odd or even):
-        return None
-    lo = next(i for i, c in enumerate(cs) if c)
-    hi = len(cs) - 1 - next(i for i, c in enumerate(reversed(cs)) if c)
-    return lo, hi, None if odd and even else lo % 2
-
-
 def _unit(a0: int) -> int:
     """1 / a0 for a constant term of 1 or -1, each its own inverse; any other
     raises ValueError, since dividing by it would leave the integers."""
@@ -57,7 +49,9 @@ def _unit(a0: int) -> int:
 def _divide(num: Sequence[int], den: Sequence[int], length: int) -> list:
     """The first `length` coefficients of num / den (den[0] = 1 or -1, num
     padded with zeros): out[k] = (num[k] - sum_{i>=1} den[i] out[k-i]) / den[0],
-    one dot product of den's tail with out reversed per coefficient."""
+    one dot product of den's tail with out reversed per coefficient.  The one
+    quotient kernel: `TruncSeries.invert` divides 1 by a t-series with it,
+    and `PolyQuotient.expand` divides x-polynomials."""
     inv0 = _unit(den[0])
     tail = den[1:]
     out = []
@@ -123,44 +117,22 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other) -> "TruncSeries":
-        """The truncated product.  Each output coefficient is one dot product
-        of a slice of self with a slice of other reversed, bounded by the
-        first and last nonzero terms of both.  When each operand keeps its
-        nonzero terms on one parity of t-power (every x-series and every
-        power of sqrt(C) does), the slices take every second term and the
-        output coefficients of the other parity are skipped."""
+        """The truncated product, one `_convolve` term per coefficient."""
         if isinstance(other, int):
             return TruncSeries([c * other for c in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        a, b = self.coeffs[:order + 1], other.coeffs[:order + 1]
-        out = [_ZERO] * (order + 1)
-        span_a, span_b = _span(a), _span(b)
-        if span_a is None or span_b is None:
-            return TruncSeries(out, order)
-        (lo_a, hi_a, par_a), (lo_b, hi_b, par_b) = span_a, span_b
-        step = 2 if par_a is not None and par_b is not None else 1
-        rb = b[::-1]  # b[k - i] = rb[order - k + i]
-        for k in range(lo_a + lo_b, min(order, hi_a + hi_b) + 1, step):
-            i0, i1 = max(lo_a, k - hi_b), min(hi_a, k - lo_b) + 1
-            off = order - k
-            out[k] = sum(map(mul, a[i0:i1:step], rb[off + i0:off + i1:step]))
-        return TruncSeries(out, order)
+        return TruncSeries(_convolve(self.coeffs, other.coeffs, range(order + 1)),
+                           order)
 
     __rmul__ = __mul__
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires a constant term of 1 or -1."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        # a series on even t-powers alone has an inverse on even t-powers
-        step = 1 if any(self.coeffs[1::2]) else 2
-        den = self.coeffs[::step]
-        out = [_ZERO] * (self.order + 1)
-        out[::step] = _divide((1,), den, len(den))
-        return TruncSeries(out, self.order)
+        return TruncSeries(_divide((1,), self.coeffs, len(self.coeffs)), self.order)
 
     def sqrt(self) -> "TruncSeries":
         """Square root of a series with constant term 1, the one with
@@ -170,9 +142,7 @@ class TruncSeries:
             raise ValueError("sqrt requires constant term 1")
         out = [1] + [_ZERO] * self.order
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= out[i] * out[k - i]
+            acc = self.coeffs[k] - sum(map(mul, out[1:k], out[k - 1:0:-1]))
             out[k], odd = divmod(acc, 2)
             if odd:
                 raise ValueError(f"the t^{k} coefficient of the square root "
@@ -194,7 +164,7 @@ class TruncSeries:
         """Forget coefficients above `order` (which must not exceed self.order)."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order + 1], order)
+        return TruncSeries(self.coeffs, order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries)

@@ -61,8 +61,10 @@ Claims covered:
       planted wrong displayed tail t3-main's k-sum closed form, and a pair
       missing from the stream of E_4 lemma-main's enumeration count, each
       with its full report pinned
-    - every term of the integer convolution planted one too large fails
-      e-mo, lemma-main, pairsum and t3-main at their default orders
+    - every term of the integer convolution, the product kernel of the
+      series and polynomials too, planted one too large fails e-mo, e52,
+      g-forms, lemma-main, p-bridge, pairsum and t3-main at their default
+      orders
     - a report's elapsed_ms lies within the time its call took
     - the dispatcher validates ids and orders, applies per-identity defaults,
       and clamps enumeration-bound checks with a recorded note
@@ -832,13 +834,18 @@ def test_lemma_main_fails_on_a_missing_pair(monkeypatch):
     ("lemma-main", Mismatch(1, 3, 1), "|E_1| != C_1"),
     ("pairsum", Mismatch(2, 2, 4), "pair count disagrees at n=1"),
     ("t3-main", Mismatch(16, 2210, 2212), "triple path counts disagree at n=8"),
+    # these three read it only through a series or polynomial product
+    ("e52", Mismatch(0, -1, 0), None),
+    ("g-forms", Mismatch(2, 1, 2), "C vs x (1 + C)^2"),
+    ("p-bridge", Mismatch(2, 1, 2), "C vs x (1 + C)^2"),
 ])
 def test_a_wrong_convolution_fails_each_count_check(monkeypatch, identity,
                                                      mismatch, note):
-    # every term of every integer convolution one too large, in both modules
-    # that call it; each check runs at its default order
+    # every term of every integer convolution one too large, in each module
+    # that calls it: the series and polynomial products go through it too.
+    # Each check runs at its default order
     real = counting._convolve
-    for module in (counting, identities):
+    for module in (counting, identities, series, height_gf):
         monkeypatch.setattr(module, "_convolve",
                             lambda a, b, ks: [term + 1 for term in real(a, b, ks)])
     report = run_identity(identity)

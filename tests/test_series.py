@@ -2,13 +2,17 @@
 
 Claims covered:
     - exact arithmetic with explicit truncation-order bookkeeping: results
-      carry the minimum operand order, shifts move it, nothing is lost silently
+      carry the minimum operand order, shifts move it, nothing is lost
+      silently; a shift down may leave the top coefficient alone, and one
+      further is refused; negation flips every coefficient, and the repr
+      shows the first six nonzero terms
     - inversion and square root against independent oracles (geometric
       series, composition enumeration)
     - the Catalan series satisfies c = 1 + x c^2 and matches its radical
       form, 2x c = 1 - sqrt(1 - 4x)
     - the substitution identities x = C/(1+C)^2 and sqrt(C) = t(1+C)
-    - bivariate multiplication/inversion on total-degree-truncated series;
+    - bivariate multiplication/inversion on total-degree-truncated series,
+      a product keeping its terms of the top total degree;
       the dense inverse equals the dict-scan reference on seeded random
       sparse and dense inputs, with constant term 1 and -1
     - one coefficient rule: every coefficient is a plain int (a bool
@@ -58,6 +62,10 @@ def test_basic_products():
     assert (one + t) * (one - t) == one - t_power(2, 8)
 
 
+def test_negation_flips_every_coefficient():
+    assert (-TruncSeries([1, -2, 0, 3], 3)).coeffs == (-1, 2, 0, -3)
+
+
 def test_order_bookkeeping():
     a = TruncSeries.one(10)
     b = TruncSeries.one(6)
@@ -75,6 +83,20 @@ def test_shift_down_requires_zero_low_terms():
     assert x.shift(-2) == TruncSeries.one(4)
     with pytest.raises(ValueError):
         TruncSeries.one(6).shift(-1)
+
+
+def test_shift_down_to_order_zero_and_past_it():
+    # the top coefficient alone may stay; one shift further empties the series
+    assert TruncSeries([0, 0, 5], 2).shift(-2) == TruncSeries([5], 0)
+    with pytest.raises(ValueError, match="empty"):
+        TruncSeries.zero(2).shift(-3)
+
+
+def test_repr_shows_the_first_six_terms():
+    s = TruncSeries(range(1, 9), 7)
+    assert repr(s) == ("TruncSeries(1*t^0 + 2*t^1 + 3*t^2 + 4*t^3 + 5*t^4 "
+                       "+ 6*t^5 + O(t^8))")
+    assert repr(TruncSeries.zero(3)) == "TruncSeries(0 + O(t^4))"
 
 
 def test_invert_geometric():
@@ -148,6 +170,12 @@ def test_bi_trunc_geometric_inverse():
     expected = BiTrunc({(k, k): 1 for k in range(order // 2 + 1)}, order)
     assert inv == expected
     assert (one - xy) * inv == one
+
+
+def test_bi_trunc_product_keeps_the_top_total_degree():
+    x, y = BiTrunc({(1, 0): 1}, 2), BiTrunc({(0, 1): 1}, 2)
+    assert (x * y).coeffs == {(1, 1): 1}
+    assert (x * y * x).coeffs == {}
 
 
 def _dict_scan_invert(s):

@@ -4,7 +4,8 @@
 
 Stdlib only, and not part of the test suite.  It makes one mutant per site
 in src/supercat/counting.py, src/supercat/identities.py,
-src/supercat/lattice_paths.py and src/supercat/height_gf.py:
+src/supercat/lattice_paths.py, src/supercat/height_gf.py and
+src/supercat/series.py:
 
   - a `+` or `-` swapped for the other, `+=` and `-=` included;
   - a comparison made strict or loose: `<` and `<=`, `>` and `>=`;
@@ -44,9 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py",
-           "src/supercat/lattice_paths.py", "src/supercat/height_gf.py")
+           "src/supercat/lattice_paths.py", "src/supercat/height_gf.py",
+           "src/supercat/series.py")
 TESTS = ("tests/test_check_orders.py", "tests/test_identities.py",
          "tests/test_counting.py", "tests/test_height_gf.py",
+         "tests/test_series.py", "tests/test_series_properties.py",
          "tests/test_optimized_mode.py", "tests/test_cli.py",
          "tests/test_acceptance.py", "perfbench/test_oracles.py",
          "tests/test_lattice_paths.py", "tests/test_path_properties.py",
