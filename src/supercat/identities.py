@@ -7,15 +7,16 @@ variable t (x = t**2); `first_mismatch.power` is the t-exponent there.  It is
 the C-exponent, and the note says so, for what is checked in C under
 x = C / (1 + C)^2: the polynomial identities of g-forms and p-bridge, the
 sums of firstsum and pairsum and t3-main's k-sum sub-identity.  The sums in
-C reach x by Lagrange inversion, and pairsum and t3-main compare them there,
-at t-exponents.  For integer and bivariate checks the power is an index (or
-index tuple).  Identities with a combinatorial meaning are additionally
-cross-checked against path counts or path enumeration, so a defect on either
-route fails the report.
+C and e52's cleared left side reach x by Lagrange inversion, and pairsum,
+t3-main and e52 compare them there, at t-exponents.  For integer and
+bivariate checks the power is an index (or index tuple).  Identities with a
+combinatorial meaning are additionally cross-checked against path counts or
+path enumeration, so a defect on either route fails the report.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from operator import add, mul, sub
 from time import perf_counter
@@ -28,14 +29,13 @@ from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
 from .height_gf import (PolyX, ballot_between_gf, ballot_end_gf, dyck_gf,
                         p_poly)
 from .lattice_paths import _levels
-from .series import (TruncSeries, _divide, catalan_series,
-                     shifted_catalan_series)
+from .series import TruncSeries, _divide, shifted_catalan_series
 
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
 _P_BRIDGE_N_MAX = 12
-# lemma-main inverts the Dyck words of each D_n with one level pass per chunk
-# of this many words
+# lemma-main maps and inverts the pairs of each E_n with one level pass per
+# chunk of this many pairs
 _INVERSE_CHUNK = 1024
 
 
@@ -371,31 +371,34 @@ def verify_pairsum(x_order: int) -> VerificationReport:
     return _run("pairsum", x_order, body)
 
 
-def _e52_cleared_lhs(x_order: int) -> TruncSeries:
+def _e52_cleared_in_c() -> list[int]:
     """The e52 left side times 2x^4, 1 - 10x + 30x^2 - 20x^3 - (1-4x)^(5/2),
-    as a t-series through x^(x_order + 4), in integers:
-    (1-4x)^(5/2) = (1-4x)^2 (1 - 2x c(x)) with c the Catalan series.
-
-    sqrt(1-4x) = 1 - 2x c(x): the square of the right side is
-    1 - 4x c + 4x^2 c^2 = 1 - 4x by c = 1 + x c^2, and its constant term
-    is +1, as the square root's is."""
-    xc = catalan_series(x_order + 3).shift(2)  # x c(x) through x^(x_order + 4)
-    root = TruncSeries.one(xc.order) - 2 * xc
-    return (TruncSeries.from_x_coeffs([1, -10, 30, -20], xc.order)
-            - TruncSeries.from_x_coeffs([1, -8, 16], xc.order) * root)
+    times (1 + C)^8 under x = C / (1 + C)^2, as a polynomial in C:
+    (1-4x)^(5/2) (1 + C)^8 = (1-4x)^2 (1 + C)^7 (1 - C) by
+    sqrt(1-4x) = (1 - C) / (1 + C), whose square is 1 - 4x and whose
+    constant term is +1, as the square root's is.  Each polynomial in x goes
+    to C through `_in_c`.  Since 2x^4 (1 + C)^8 = 2C^4, it is 2C^4 times the
+    e52 right side in C, 2C^4 (5 + 6C - 2C^2 - 2C^3 + C^4)."""
+    return list(map(sub, _in_c(PolyX((1, -10, 30, -20)), 8),
+                    _times_one_minus(_in_c(PolyX((1, -8, 16)), 7), (1,))))
 
 
 def verify_e52(x_order: int) -> VerificationReport:
     """-(1-4x)^(5/2)/(2x^4) - 10/x + 15/x^2 - 5/x^3 + 1/(2x^4)
     = sum T(3,n+1) x^n.  Both sides are multiplied by 2x^4 first, which clears
-    all negative powers and leaves an equality of genuine series."""
+    all negative powers and leaves an equality of genuine series.
+
+    The left side is `_e52_cleared_in_c`, 2C^4 times a polynomial in C,
+    which goes to x by Lagrange inversion (`_c_to_x`) after the C^4; a
+    series in C and its series in x have their first nonzero coefficient at
+    the same power with the same value, so the C^4 stays x^4.  A mismatch
+    reports a t-exponent."""
     def body(notes):
-        lhs = _e52_cleared_lhs(x_order)
-        rhs = TruncSeries.from_x_coeffs(
-            [0, 0, 0, 0] + [2 * super_catalan(3, n + 1) for n in range(x_order + 1)],
-            lhs.order)
+        cleared = _e52_cleared_in_c()
+        lhs = cleared[:4] + _c_to_x((cleared[4:] + [0] * x_order)[:x_order + 1])
+        rhs = [0] * 4 + [2 * super_catalan(3, n + 1) for n in range(x_order + 1)]
         notes.append("compared after clearing denominators (multiplied by 2x^4)")
-        return _series_mismatch(lhs, rhs)
+        return _x_mismatch(lhs, rhs)
     return _run("e52", x_order, body)
 
 
@@ -490,10 +493,7 @@ def verify_t3_main(x_order: int) -> VerificationReport:
     Also checks the k-sum alone against its displayed closed rational form,
     as a series in C through C^(x_order + 4) with both sides multiplied by
     2x^4 (1 + C)^8 = 2C^4, a mismatch at a C-exponent: the e52 left side
-    times 2x^4 becomes 1 - 10x + 30x^2 - 20x^3 - (1-4x)^(5/2) times
-    (1 + C)^8, with (1-4x)^(5/2) (1 + C)^8 = (1-4x)^2 (1 + C)^7 (1 - C) by
-    sqrt(1-4x) = (1 - C) / (1 + C), whose square is 1 - 4x and whose
-    constant term is +1; each polynomial in x goes to C through `_in_c`.
+    becomes `_e52_cleared_in_c`, the polynomial in C that e52 reads.
     Last, every coefficient through x^x_order is compared with triple path
     counts.
     """
@@ -510,8 +510,7 @@ def verify_t3_main(x_order: int) -> VerificationReport:
             notes.append("main series identity")
             return mismatch
 
-        cleared = list(map(sub, _in_c(PolyX((1, -10, 30, -20)), 8),
-                           _times_one_minus(_in_c(PolyX((1, -8, 16)), 7), (1,))))
+        cleared = _e52_cleared_in_c()
         lhs_sub = [0] * 4 + [2 * c for c in k_sum]
         tail = [0] * 4 + [2 * c for c in _displayed_t3_tail(length)]
         # the cleared side is a polynomial of degree 8; map stops at the tail
@@ -675,26 +674,23 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     E_n is the set of pairs (P, Q) of Dyck paths of total semilength n with P
     nonempty and h(P) <= h(Q) + 1.  For 1 <= n <= n_max this checks the count
     against the enumeration and against one `_pair_counts` pass over the
-    height table, which counts every n at once, that forward maps E_n onto
-    the full set D_n of Dyck paths, and that inverse(forward(pair)) == pair on
-    E_n.  The reverse round trip follows and is not run: every d in D_n is
-    forward(pair) for some pair, so inverse(d) = pair and forward(inverse(d))
-    = forward(pair) = d.
+    height table, which counts every n at once, that every image lies in the
+    set D_n of Dyck paths, and that inverse(forward(pair)) == pair on E_n.
+    That makes forward one-to-one, and with |E_n| = C_n = |D_n| it maps E_n
+    onto D_n, so forward(inverse(d)) = d follows and is not run.
 
     The Dyck paths of each semilength are enumerated once per check as
     (steps, height, first peak) words and shared by every n; no Path is
-    built.  Each n takes two passes.  The forward pass streams the pairs
-    from `_restricted_words`, the generator behind
-    `enumerate_restricted_pairs`, through the forward string core into a map
-    from image to pair.  Once the image check has found the keys of that map
-    to be D_n, each word d of D_n is inverted once, in enumeration order,
-    against the pair that maps to it; since forward maps E_n onto D_n, this
-    is inverse(forward(pair)) == pair on E_n.  The words go to the inverse
-    core in chunks of `_INVERSE_CHUNK`, with one level pass over each chunk
-    joined into one word: every word starts and ends at level 0, so word i
-    of a chunk has the levels at points 2n i to 2n (i + 1).  The core gets
-    the height the enumeration carries, as `_restricted_words` does; an
-    error the core raises on a word counts as a round-trip failure.
+    built.  Each n is one pass over the pairs from `_restricted_words`, the
+    generator behind `enumerate_restricted_pairs`, in chunks of
+    `_INVERSE_CHUNK`: each pair goes through the forward string core, its
+    image is looked up in D_n, and the images of the chunk go to the inverse
+    core with one level pass over them joined into one word: every word of
+    D_n starts and ends at level 0, so image i of a chunk has the levels at
+    points 2n i to 2n (i + 1).  The core gets the height the enumeration
+    carries for that word, as `_restricted_words` does; an error the core
+    raises counts as a round-trip failure.  Once an image lies outside D_n
+    no more round trips run for that n: that note is reported first.
     """
     def body(notes):
         words = _dyck_words(n_max)
@@ -704,34 +700,29 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
             if counts[n] != expected:
                 notes.append(f"|E_{n}| != C_{n}")
                 return Mismatch(n, counts[n], expected)
-            dyck_n = words[n]
-            pairs = 0
-            preimage = {}
-            for p, q, hp, hq, q_peak in _restricted_words(n, words):
-                pairs += 1
-                preimage[_forward_core(p, q, hp, hq, q_peak)] = (p, q)
+            height = {d: h for d, h, _ in words[n]}
+            pairs = outside = failures = 0
+            stream = _restricted_words(n, words)
+            while chunk := list(islice(stream, _INVERSE_CHUNK)):
+                pairs += len(chunk)
+                images = [_forward_core(*pair) for pair in chunk]
+                outside += sum(d not in height for d in images)
+                if outside:
+                    continue  # its note comes before any round-trip note
+                levels = _levels("".join(images))
+                for lo, d, pair in zip(range(0, len(levels), 2 * n), images, chunk):
+                    try:
+                        back = _inverse_core(d, levels[lo:lo + 2 * n + 1], height[d])
+                    except (ValueError, IndexError, RuntimeError):
+                        back = None  # the core refused a word of D_n
+                    if back != pair[:2]:
+                        failures += 1
             if pairs != expected:
                 notes.append(f"pair enumeration at n={n} disagrees with count")
                 return Mismatch(n, pairs, expected)
-            # with |E_n| = |D_n|, equal sets also make forward one-to-one
-            ds = [d for d, _, _ in dyck_n]
-            if (len(preimage) != len(ds)
-                    or not all(map(preimage.__contains__, ds))):
-                notes.append(f"image of E_{n} is not all of D_{n}")
-                return Mismatch(n, len(preimage), len(dyck_n))
-            failures = 0
-            for start in range(0, len(ds), _INVERSE_CHUNK):
-                chunk = dyck_n[start:start + _INVERSE_CHUNK]
-                levels = _levels("".join(ds[start:start + _INVERSE_CHUNK]))
-                for lo, (d, h, _) in zip(range(0, len(levels), 2 * n), chunk):
-                    try:
-                        pair = _inverse_core(d, levels[lo:lo + 2 * n + 1], h)
-                    except (ValueError, IndexError, RuntimeError):
-                        failures += 1  # the core refused a word of D_n
-                        continue
-                    # popped, so a word listed twice finds no pair again
-                    if pair != preimage.pop(d, None):
-                        failures += 1
+            if outside:
+                notes.append(f"{outside} images of E_{n} outside D_{n}")
+                return Mismatch(n, outside, 0)
             if failures:
                 notes.append(f"{failures} roundtrip failures at n={n}")
                 return Mismatch(n, failures, 0)

@@ -10,13 +10,16 @@ Claims covered:
       intermediate path and landmarks accept every pair and give forward's image
     - traces expose the boundary and marked points, including the edge case
       where the second portion carries no steps
+    - the forward string core refuses a pair with h(P) = h(Q) + 2 on its
+      own, and the Dyck words lemma-main reads are those of each
+      semilength 0..n, with their heights and first peaks
     - a round trip forward(inverse(Path(d))) builds four Paths, d, p, q and
       the output, and makes one level pass and one range pass for each
 """
 
 import pytest
 
-from supercat import (IntermediatePath, Path, RestrictedPair,
+from supercat import (IntermediatePath, Path, RestrictedPair, bijection,
                       enumerate_dyck, enumerate_restricted_pairs, forward,
                       inverse, lattice_paths, trace)
 
@@ -70,6 +73,8 @@ def test_trace_marks_the_surgery_points():
     record = trace(RestrictedPair(Path("UD"), Path("UD")))
     assert record.intermediate.path == Path("UUUD")
     assert record.intermediate.boundary == 2
+    # u -> v is p's final down step, and v' its replacement's end in F
+    assert (record.u, record.v, record.v_prime) == (1, 2, 2)
     assert record.y == 3
     assert record.intermediate.path.levels[record.y] == 3
     assert record.x == record.y - 1
@@ -93,6 +98,16 @@ def test_trace_with_stepless_second_portion():
 def test_trace_rejects_invalid_pairs():
     with pytest.raises(ValueError):
         trace(RestrictedPair(Path("UUDD"), Path("")))
+    # the string core refuses h(p) = h(q) + 2 without the pair's check: F's
+    # leftmost highest point would lie in F1
+    with pytest.raises(RuntimeError, match="must lie in F2"):
+        bijection._forward_core("UUDD", "", 2, 0, 0)
+
+
+def test_dyck_words_are_the_dyck_paths_of_each_semilength():
+    assert bijection._dyck_words(6) == [
+        [(d.steps, d.height, d.levels.index(d.height)) for d in enumerate_dyck(a)]
+        for a in range(7)]
 
 
 def test_exhaustive_roundtrips():

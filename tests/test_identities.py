@@ -6,26 +6,31 @@ Claims covered:
     - a planted wrong pair count fails pairsum and lemma-main at that n, and
       so does a planted wrong entry of the height table behind both
     - a planted wrong inverse core fails the lemma-main round trip, on the
-      last word of D_8 and on the first of its second chunk too, and a
-      planted forward core that is not one-to-one fails its image check;
-      lemma-main makes one level pass per chunk of words, 31 at order 10
+      image of the last pair of E_8 and of the first of its second chunk
+      too; a planted forward core that is not one-to-one fails the round
+      trip, and one with an image outside D_4 fails its image check;
+      lemma-main makes one level pass per chunk of pairs, 31 at order 10,
+      and its forward core never runs more than one chunk ahead of its
+      inverse core
     - a height off by one on the first, sixth or last enumerated word of
       D_4 fails lemma-main at n = 4, as a report even where the inverse
       core raises on it
     - a planted wrong Catalan number fails e2 and t3-closed, a wrong height
-      bound in C firstsum and pairsum at a C-exponent, a wrong coefficient
-      of the Catalan series e52 but not t3-main, whose k-sum closed form is
-      built in C, a doubled k = 6 term in C or a wrong constant term
-      t3-main and a wrong p_n p-bridge, each at a stated coefficient
+      bound in C firstsum and pairsum at a C-exponent, a doubled k = 6 term
+      in C or a wrong constant term t3-main and a wrong p_n p-bridge, each
+      at a stated coefficient
     - firstsum, pairsum and t3-main sum in C: a planted wrong running sum,
       the division by 1 - C^a they share, fails each at a stated
       coefficient, and a planted wrong crossing to x fails pairsum at its
-      table row and t3-main at its main identity; the crossing by Lagrange
-      inversion equals substitution of the Catalan series, by series
-      products, and coefficient lists of unequal lengths are refused
-    - e52's cleared left side, built in integers through
-      sqrt(1 - 4x) = 1 - 2x c(x), equals the generalized binomial expansion
-      of (1 - 4x)^(5/2) in exact fractions through x^204
+      table row, t3-main at its main identity and e52; a planted wrong
+      polynomial in C fails e52 and t3-main's k-sum closed form, which read
+      one cleared side; the crossing by Lagrange inversion equals
+      substitution of the Catalan series, by series products, and
+      coefficient lists of unequal lengths are refused
+    - e52's cleared left side, built in C through
+      sqrt(1 - 4x) = (1 - C) / (1 + C) and carried to x by Lagrange
+      inversion, equals the generalized binomial expansion of
+      (1 - 4x)^(5/2) in exact fractions through x^204
     - a planted wrong coefficient in the division shared by expand and
       invert fails g-forms at its path-count check; p-bridge divides
       nothing, and a planted wrong Catalan number fails it, and g-forms, at
@@ -62,7 +67,7 @@ Claims covered:
       missing from the stream of E_4 lemma-main's enumeration count, each
       with its full report pinned
     - every term of the integer convolution, the product kernel of the
-      series and polynomials too, planted one too large fails e-mo, e52,
+      series and polynomials too, planted one too large fails e-mo,
       g-forms, lemma-main, p-bridge, pairsum and t3-main at their default
       orders
     - a report's elapsed_ms lies within the time its call took
@@ -471,34 +476,55 @@ def test_e52():
     _assert_clean_pass(verify_e52(12), "e52")
 
 
-def test_e52_fails_on_a_wrong_catalan_coefficient(monkeypatch):
-    # C_5 one too large in c(x) makes sqrt(1 - 4x) = 1 - 2x c(x) two smaller
-    # at x^6, so the cleared left side 1 - 10x + 30x^2 - 20x^3
-    # - (1 - 4x)^2 (1 - 2x c(x)) is two larger there: 2T(3, 3) + 2 = 22.
-    # t3-main's k-sum sub-identity builds the same side in C from the
-    # displayed polynomials, with sqrt(1 - 4x) = (1 - C) / (1 + C), and reads
-    # no Catalan series
-    _plant(monkeypatch, "catalan_series", lambda real: lambda x_order:
-           real(x_order) + TruncSeries.from_x_coeffs([0] * 5 + [1], 2 * x_order))
+def test_e52_fails_on_a_wrong_crossing_to_x(monkeypatch):
+    # one more at x^7 of the cleared side divided by 2x^4 once it is carried
+    # from C to x: 2T(3, 8) + 1 at x^11 of the cleared side, t^22
+    _plant(monkeypatch, "_c_to_x", lambda real: lambda cs: [
+        c + (n == 7) for n, c in enumerate(real(cs))])
     report = verify_e52(12)
-    assert report.passed is False
-    assert report.first_mismatch == Mismatch(12, 2 * super_catalan(3, 3) + 2,
-                                             2 * super_catalan(3, 3))
-    _assert_clean_pass(verify_t3_main(10), "t3-main")
+    assert (report.identity, report.order, report.passed) == ("e52", 12, False)
+    assert report.first_mismatch == Mismatch(22, 2 * super_catalan(3, 8) + 1,
+                                             2 * super_catalan(3, 8))
+    assert report.notes == (
+        "compared after clearing denominators (multiplied by 2x^4)",)
+
+
+def test_e52_fails_on_a_wrong_polynomial_in_c(monkeypatch):
+    # one more at C^8 of 1 - 10x + 30x^2 - 20x^3 times (1 + C)^8: the
+    # cleared side gains 1·C^8 = 2C^4 · C^4 / 2, which is 1·x^4 + ... in x
+    # after the C^4, so 2T(3, 5) + 1 at x^8 of the cleared side, t^16.
+    # t3-main's k-sum closed form reads the same cleared side and fails at
+    # the same C^8
+    _plant(monkeypatch, "_in_c", lambda real: lambda poly, degree: [
+        c + (degree == r == 8) for r, c in enumerate(real(poly, degree))])
+    assert identities._e52_cleared_in_c() == [0, 0, 0, 0, 10, 12, -4, -4, 3]
+    report = verify_e52(12)
+    assert (report.identity, report.order, report.passed) == ("e52", 12, False)
+    assert report.first_mismatch == Mismatch(16, 2 * super_catalan(3, 5) + 1,
+                                             2 * super_catalan(3, 5))
+    assert report.notes == (
+        "compared after clearing denominators (multiplied by 2x^4)",)
+    report = verify_t3_main(10)
+    assert report.first_mismatch == Mismatch(8, 0, 1)
+    assert report.notes == ("k-sum vs displayed closed rational expression, "
+                            "power is the C-exponent",)
 
 
 @pytest.mark.parametrize("x_order", [1, 30, 200])
 def test_e52_cleared_lhs_is_the_binomial_expansion(x_order):
     # (1 - 4x)^(5/2) = sum_k binom(5/2, k) (-4x)^k, each generalized binomial
-    # in exact fractions: the route e52 took before it ran in integers
+    # in exact fractions, against e52's route: the cleared side in C, whose
+    # part past C^4 goes to x by Lagrange inversion
     big = x_order + 4
     power = [Fraction(1)]
     for k in range(1, big + 1):
         power.append(power[-1] * (Fraction(5, 2) - k + 1) / k * -4)
     assert all(c.denominator == 1 for c in power)
-    cleared = [a - int(c) for a, c in zip([1, -10, 30, -20] + [0] * big, power)]
-    assert identities._e52_cleared_lhs(x_order) == TruncSeries.from_x_coeffs(
-        cleared, 2 * big)
+    expected = [a - int(c) for a, c in zip([1, -10, 30, -20] + [0] * big, power)]
+    cleared = identities._e52_cleared_in_c()
+    assert cleared == [0, 0, 0, 0, 10, 12, -4, -4, 2]
+    assert cleared[:4] + identities._c_to_x(
+        (cleared[4:] + [0] * x_order)[:x_order + 1]) == expected
 
 
 def test_t3_main():
@@ -834,8 +860,7 @@ def test_lemma_main_fails_on_a_missing_pair(monkeypatch):
     ("lemma-main", Mismatch(1, 3, 1), "|E_1| != C_1"),
     ("pairsum", Mismatch(2, 2, 4), "pair count disagrees at n=1"),
     ("t3-main", Mismatch(16, 2210, 2212), "triple path counts disagree at n=8"),
-    # these three read it only through a series or polynomial product
-    ("e52", Mismatch(0, -1, 0), None),
+    # these two read it only through a series or polynomial product
     ("g-forms", Mismatch(2, 1, 2), "C vs x (1 + C)^2"),
     ("p-bridge", Mismatch(2, 1, 2), "C vs x (1 + C)^2"),
 ])
@@ -868,20 +893,35 @@ def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
 
 
 @pytest.mark.parametrize("index", [
-    # the last word of D_8, and the first of its second chunk of words
+    # the last pair of E_8, and the first of its second chunk of pairs
     -1, identities._INVERSE_CHUNK])
 def test_lemma_main_inverts_every_chunk_of_words(monkeypatch, index):
-    # C_8 = 1430 words: one full chunk of 1024, then 406
+    # |E_8| = C_8 = 1430 pairs: one full chunk of 1024, then 406
     real = identities._inverse_core
-    dyck = enumerate_dyck(8)
-    d, wrong = dyck[index], inverse(dyck[0])
+    pairs = enumerate_restricted_pairs(8)
+    d, wrong = forward(pairs[index]).steps, pairs[0]
     monkeypatch.setattr(identities, "_inverse_core",
                         lambda word, levels, h: (wrong.p.steps, wrong.q.steps)
-                        if word == d.steps else real(word, levels, h))
+                        if word == d else real(word, levels, h))
     report = verify_lemma_main_count(8)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(8, 1, 0)
     assert "1 roundtrip failures at n=8" in report.notes
+
+
+def test_lemma_main_inverts_each_chunk_before_mapping_the_next(monkeypatch):
+    # forward runs at most one chunk of pairs ahead of inverse, and each
+    # runs once per pair of E_1..E_9: C_9 = 4862 makes five chunks
+    ahead = [0]  # forward calls minus inverse calls, after each call
+    for name, step in (("_forward_core", 1), ("_inverse_core", -1)):
+        def core(*args, real=getattr(identities, name), step=step):
+            ahead.append(ahead[-1] + step)
+            return real(*args)
+        monkeypatch.setattr(identities, name, core)
+    assert verify_lemma_main_count(9).passed
+    assert max(ahead) == identities._INVERSE_CHUNK
+    assert ahead[-1] == 0
+    assert len(ahead) == 1 + 2 * sum(catalan(n) for n in range(1, 10))
 
 
 def test_lemma_main_makes_one_level_pass_per_chunk(monkeypatch):
@@ -931,8 +971,24 @@ def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
                         else real(p, q, *landmarks))
     report = verify_lemma_main_count(5)
     assert report.passed is False
-    assert report.first_mismatch == Mismatch(4, catalan(4) - 1, catalan(4))
-    assert "image of E_4 is not all of D_4" in report.notes
+    # the image of the second pair inverts to the first
+    assert report.first_mismatch == Mismatch(4, 1, 0)
+    assert report.notes == ("1 roundtrip failures at n=4",)
+
+
+def test_lemma_main_fails_on_a_forward_image_outside_d_n(monkeypatch):
+    # the sixth pair of E_4 maps to a word that is not a Dyck path; the
+    # other 13 images still invert to their pairs
+    real = identities._forward_core
+    sixth = enumerate_restricted_pairs(4)[5]
+    monkeypatch.setattr(identities, "_forward_core",
+                        lambda p, q, *landmarks: "DU" * 4
+                        if (p, q) == (sixth.p.steps, sixth.q.steps)
+                        else real(p, q, *landmarks))
+    report = verify_lemma_main_count(5)
+    assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
+    assert report.first_mismatch == Mismatch(4, 1, 0)
+    assert report.notes == ("1 images of E_4 outside D_4",)
 
 
 def test_series_mismatch_locates_first_difference():

@@ -4,8 +4,8 @@
 
 Stdlib only, and not part of the test suite.  It makes one mutant per site
 in src/supercat/counting.py, src/supercat/identities.py,
-src/supercat/lattice_paths.py, src/supercat/height_gf.py and
-src/supercat/series.py:
+src/supercat/lattice_paths.py, src/supercat/height_gf.py,
+src/supercat/series.py and src/supercat/bijection.py:
 
   - a `+` or `-` swapped for the other, `+=` and `-=` included;
   - a comparison made strict or loose: `<` and `<=`, `>` and `>=`;
@@ -46,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py",
            "src/supercat/lattice_paths.py", "src/supercat/height_gf.py",
-           "src/supercat/series.py")
+           "src/supercat/series.py", "src/supercat/bijection.py")
 TESTS = ("tests/test_check_orders.py", "tests/test_identities.py",
          "tests/test_counting.py", "tests/test_height_gf.py",
          "tests/test_series.py", "tests/test_series_properties.py",
