@@ -16,7 +16,7 @@ path enumeration, so a defect on either route fails the report.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from math import comb
 from operator import add, mul, sub
 from time import perf_counter
@@ -674,23 +674,26 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     E_n is the set of pairs (P, Q) of Dyck paths of total semilength n with P
     nonempty and h(P) <= h(Q) + 1.  For 1 <= n <= n_max this checks the count
     against the enumeration and against one `_pair_counts` pass over the
-    height table, which counts every n at once, that every image lies in the
-    set D_n of Dyck paths, and that inverse(forward(pair)) == pair on E_n.
-    That makes forward one-to-one, and with |E_n| = C_n = |D_n| it maps E_n
+    height table, which counts every n at once, that the images are distinct
+    words of the set D_n of Dyck paths, and that inverse(forward(pair)) ==
+    pair on E_n.  Distinct images make the C_n streamed pairs distinct and
+    forward one-to-one on them, and with |E_n| = C_n = |D_n| it maps E_n
     onto D_n, so forward(inverse(d)) = d follows and is not run.
 
     The Dyck paths of each semilength are enumerated once per check as
     (steps, height, first peak) words and shared by every n; no Path is
     built.  Each n is one pass over the pairs from `_restricted_words`, the
     generator behind `enumerate_restricted_pairs`, in chunks of
-    `_INVERSE_CHUNK`: each pair goes through the forward string core, its
-    image is looked up in D_n, and the images of the chunk go to the inverse
-    core with one level pass over them joined into one word: every word of
-    D_n starts and ends at level 0, so image i of a chunk has the levels at
-    points 2n i to 2n (i + 1).  The core gets the height the enumeration
-    carries for that word, as `_restricted_words` does; an error the core
-    raises counts as a round-trip failure.  Once an image lies outside D_n
-    no more round trips run for that n: that note is reported first.
+    `_INVERSE_CHUNK`: each pair goes through the forward string core, and
+    its image takes its height out of the height map of D_n, so an image
+    outside D_n or one made a second time finds none.  The images of the
+    chunk go to the inverse core with one level pass over them joined into
+    one word: every word of D_n starts and ends at level 0, so image i of a
+    chunk has the levels at points 2n i to 2n (i + 1).  The core gets the
+    height the enumeration carries for that word, as `_restricted_words`
+    does; an error the core raises counts as a round-trip failure.  Once an
+    image finds no height no more round trips run for that n: that note is
+    reported first.
     """
     def body(notes):
         words = _dyck_words(n_max)
@@ -706,13 +709,14 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
             while chunk := list(islice(stream, _INVERSE_CHUNK)):
                 pairs += len(chunk)
                 images = [_forward_core(*pair) for pair in chunk]
-                outside += sum(d not in height for d in images)
+                heights = [height.pop(d, None) for d in images]
+                outside += heights.count(None)
                 if outside:
                     continue  # its note comes before any round-trip note
                 levels = _levels("".join(images))
-                for lo, d, pair in zip(range(0, len(levels), 2 * n), images, chunk):
+                for lo, d, h, pair in zip(count(0, 2 * n), images, heights, chunk):
                     try:
-                        back = _inverse_core(d, levels[lo:lo + 2 * n + 1], height[d])
+                        back = _inverse_core(d, levels[lo:lo + 2 * n + 1], h)
                     except (ValueError, IndexError, RuntimeError):
                         back = None  # the core refused a word of D_n
                     if back != pair[:2]:
@@ -721,7 +725,7 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
                 notes.append(f"pair enumeration at n={n} disagrees with count")
                 return Mismatch(n, pairs, expected)
             if outside:
-                notes.append(f"{outside} images of E_{n} outside D_{n}")
+                notes.append(f"{outside} images of E_{n} outside D_{n} or repeated")
                 return Mismatch(n, outside, 0)
             if failures:
                 notes.append(f"{failures} roundtrip failures at n={n}")

@@ -7,8 +7,9 @@ Claims covered:
       so does a planted wrong entry of the height table behind both
     - a planted wrong inverse core fails the lemma-main round trip, on the
       image of the last pair of E_8 and of the first of its second chunk
-      too; a planted forward core that is not one-to-one fails the round
-      trip, and one with an image outside D_4 fails its image check;
+      too; a planted forward core that is not one-to-one, one with an image
+      outside D_4 and a pair streamed twice in place of another each fail
+      the image check, which takes each image's height out of D_4's map;
       lemma-main makes one level pass per chunk of pairs, 31 at order 10,
       and its forward core never runs more than one chunk ahead of its
       inverse core
@@ -971,9 +972,26 @@ def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
                         else real(p, q, *landmarks))
     report = verify_lemma_main_count(5)
     assert report.passed is False
-    # the image of the second pair inverts to the first
+    # the image of the second pair was the first's, and finds no height
     assert report.first_mismatch == Mismatch(4, 1, 0)
-    assert report.notes == ("1 roundtrip failures at n=4",)
+    assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
+
+
+def test_lemma_main_fails_on_a_pair_streamed_twice(monkeypatch):
+    # the first pair of E_4 streams again in place of the second: 14 pairs,
+    # every image a Dyck word and every round trip its own pair
+    def plant(real):
+        def stream(n, words):
+            pairs = list(real(n, words))
+            if n == 4:
+                pairs[1] = pairs[0]
+            return iter(pairs)
+        return stream
+    _plant(monkeypatch, "_restricted_words", plant)
+    report = verify_lemma_main_count(5)
+    assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
+    assert report.first_mismatch == Mismatch(4, 1, 0)
+    assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
 
 
 def test_lemma_main_fails_on_a_forward_image_outside_d_n(monkeypatch):
@@ -988,7 +1006,7 @@ def test_lemma_main_fails_on_a_forward_image_outside_d_n(monkeypatch):
     report = verify_lemma_main_count(5)
     assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
     assert report.first_mismatch == Mismatch(4, 1, 0)
-    assert report.notes == ("1 images of E_4 outside D_4",)
+    assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
 
 
 def test_series_mismatch_locates_first_difference():
