@@ -5,12 +5,15 @@ marked points u, v', x, y; panel 2 shows the output Dyck path with x and the
 lowered point y'.  Geometry and colors are fixed constants, so the output is
 byte-identical for a given trace (tests/test_svg.py pins the bytes).
 
-A panel of a 2n-step path has one vertical grid line and one polyline point
-per point, so the per-point work is done in bulk: the x coordinates are
-formatted once per document and shared by both panels, which have the same
-length; the y coordinates once per level of a panel.  The vertical grid is one
-%-format of the line template repeated 2n + 1 times, and the polyline points
-are one join of "x," strings with the y strings looked up by level.
+The vertical grid of a panel is one <path> with one subpath per point: a
+move to the top of the next column and a vertical line down to level 0.  Each
+subpath is stroked like its own <line> (butt caps, no overlap), so the
+drawing is that of one line per point at about a quarter of the bytes, and
+the whole grid is one repeated string.  The polyline still has one point per
+point, so its work is done in bulk: the x coordinates are formatted once per
+document and shared by both panels, which have the same length; the y
+coordinates once per level of a panel, and the points are one join of "x,"
+strings with the y strings looked up by level.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
     """
     top = path.height
     steps = len(path)
+    rise = top * UNIT  # px from level 0 up to the top level
     width = 2 * MARGIN + steps * UNIT
-    height = TITLE_SPACE + top * UNIT + MARGIN
-    floor = y_top + TITLE_SPACE + top * UNIT  # y of level 0
+    height = TITLE_SPACE + rise + MARGIN
+    floor = y_top + TITLE_SPACE + rise  # y of level 0
     ys = [str(floor - level * UNIT) for level in range(top + 1)]
 
     parts = [f'<text x="{MARGIN}" y="{y_top + 18}" font-size="14" '
@@ -53,14 +57,11 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
         stroke = BASELINE_COLOR if level == 0 else GRID_COLOR
         parts.append(f'<line x1="{MARGIN}" y1="{y}" x2="{xs[steps]}" '
                      f'y2="{y}" stroke="{stroke}" stroke-width="1"/>')
-    # one vertical line per point: the template holds its x twice
-    vertical = (f'<line x1="%s" y1="{ys[top]}" x2="%s" y2="{ys[0]}" '
-                f'stroke="{GRID_COLOR}" stroke-width="1"/>')
-    doubled = [""] * (2 * steps + 2)
-    doubled[::2] = doubled[1::2] = xs[:steps + 1]
-    parts.append("\n".join([vertical] * (steps + 1)) % tuple(doubled))
+    grid = f"m{UNIT} -{rise}v{rise}" * steps
+    parts.append(f'<path d="M{MARGIN} {ys[top]}v{rise}{grid}" fill="none" '
+                 f'stroke="{GRID_COLOR}" stroke-width="1"/>')
     if boundary is not None:
-        parts.append(f'<line x1="{xs[boundary]}" y1="{floor - top * UNIT - 10}" '
+        parts.append(f'<line x1="{xs[boundary]}" y1="{floor - rise - 10}" '
                      f'x2="{xs[boundary]}" y2="{floor + 10}" '
                      f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
                      'stroke-dasharray="5,3"/>')
@@ -82,8 +83,14 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
 
 
 def render_trace(trace: BijectionTrace) -> str:
-    """Two-panel SVG document for one application of the pair-to-path map."""
+    """Two-panel SVG document for one application of the pair-to-path map.
+
+    Raises ValueError if a panel path goes below level 0, which has no row
+    in the drawing; the check reads the level range the paths already keep.
+    """
     f = trace.intermediate.path
+    if not (f.is_ballot() and trace.output.is_ballot()):
+        raise ValueError("a panel path goes below level 0")
     # F and the output both have 2n steps, so the panels share the x strings
     steps = max(len(f), len(trace.output))
     xs = list(map(str, range(MARGIN, MARGIN + (steps + 1) * UNIT, UNIT)))

@@ -5,7 +5,7 @@
 Stdlib only, and not part of the test suite.  It makes one mutant per site
 in src/supercat/counting.py, src/supercat/identities.py,
 src/supercat/lattice_paths.py, src/supercat/height_gf.py,
-src/supercat/series.py and src/supercat/bijection.py:
+src/supercat/series.py, src/supercat/bijection.py and src/supercat/svg.py:
 
   - a `+` or `-` swapped for the other, `+=` and `-=` included;
   - a comparison made strict or loose: `<` and `<=`, `>` and `>=`;
@@ -46,14 +46,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = ("src/supercat/counting.py", "src/supercat/identities.py",
            "src/supercat/lattice_paths.py", "src/supercat/height_gf.py",
-           "src/supercat/series.py", "src/supercat/bijection.py")
+           "src/supercat/series.py", "src/supercat/bijection.py",
+           "src/supercat/svg.py")
 TESTS = ("tests/test_check_orders.py", "tests/test_identities.py",
          "tests/test_counting.py", "tests/test_height_gf.py",
          "tests/test_series.py", "tests/test_series_properties.py",
          "tests/test_optimized_mode.py", "tests/test_cli.py",
          "tests/test_acceptance.py", "perfbench/test_oracles.py",
          "tests/test_lattice_paths.py", "tests/test_path_properties.py",
-         "tests/test_string_cores.py", "tests/test_bijection.py")
+         "tests/test_string_cores.py", "tests/test_bijection.py",
+         "tests/test_svg.py")
 EQUIVALENT = ROOT / "tools" / "mutate_equivalent.txt"
 WORKERS = 2
 MEMORY_LIMIT = 2 << 30
