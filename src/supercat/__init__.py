@@ -18,8 +18,7 @@ from .identities import (IDENTITIES, Mismatch, VerificationReport,
                          verify_t3_closed_form, verify_t3_main)
 from .lattice_paths import (DOWN, UP, Path, PathClass, enumerate_ballot,
                             enumerate_dyck, factor_dyck)
-from .series import (BiTrunc, TruncSeries, catalan_series,
-                     shifted_catalan_series)
+from .series import BiTrunc, TruncSeries, catalan_series
 from .svg import render_trace
 
 __version__ = "0.1.0"
@@ -33,9 +32,8 @@ __all__ = [
     "count_pairs_height_diff", "count_paths_dp", "dyck_gf", "enumerate_ballot",
     "enumerate_dyck", "enumerate_restricted_pairs", "factor_dyck", "forward",
     "inverse", "p_poly", "render_trace", "report_to_dict", "run_identity",
-    "shifted_catalan_series", "super_catalan", "super_catalan_row", "trace",
-    "verify_e8", "verify_e52", "verify_e_mo", "verify_firstsum",
-    "verify_g_closed_forms", "verify_lemma_main_count", "verify_p_bridge",
-    "verify_pairsum", "verify_t2_closed_form", "verify_t3_closed_form",
-    "verify_t3_main",
+    "super_catalan", "super_catalan_row", "trace", "verify_e8", "verify_e52",
+    "verify_e_mo", "verify_firstsum", "verify_g_closed_forms",
+    "verify_lemma_main_count", "verify_p_bridge", "verify_pairsum",
+    "verify_t2_closed_form", "verify_t3_closed_form", "verify_t3_main",
 ]

@@ -49,10 +49,6 @@ class RestrictedPair(NamedTuple("RestrictedPair", [("p", Path), ("q", Path)])):
 
     _make = _checked_make
 
-    @property
-    def total_semilength(self) -> int:
-        return (len(self.p) + len(self.q)) // 2
-
 
 class IntermediatePath(NamedTuple("IntermediatePath",
                                   [("path", Path), ("boundary", int)])):
@@ -97,25 +93,6 @@ class BijectionTrace(NamedTuple):
     y: int
     y_prime: int
     output: Path
-
-    def to_dict(self) -> dict:
-        """JSON-ready form: the steps of each path and the marked points."""
-        return {
-            "pair": {"p": self.pair.p.steps, "q": self.pair.q.steps},
-            "intermediate": {
-                "path": self.intermediate.path.steps,
-                "boundary": self.intermediate.boundary,
-            },
-            "points": {
-                "u": self.u,
-                "v": self.v,
-                "v_prime": self.v_prime,
-                "x": self.x,
-                "y": self.y,
-                "y_prime": self.y_prime,
-            },
-            "output": self.output.steps,
-        }
 
 
 def trace(pair: RestrictedPair) -> BijectionTrace:

@@ -71,10 +71,6 @@ class PolyX:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def to_series(self, t_order: int) -> TruncSeries:
-        """The polynomial as a t-series (x**k contributes at t**(2k))."""
-        return TruncSeries.from_x_coeffs(self.coeffs, t_order)
-
     def __repr__(self) -> str:
         return f"PolyX({list(self.coeffs)})"
 

@@ -29,7 +29,7 @@ from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
 from .height_gf import (PolyX, ballot_between_gf, ballot_end_gf, dyck_gf,
                         p_poly)
 from .lattice_paths import _levels
-from .series import TruncSeries, _divide, shifted_catalan_series
+from .series import _divide
 
 # g-forms covers the height bounds k <= 8, p-bridge the polynomials p_n, n <= 12
 _G_FORMS_K_MAX = 8
@@ -95,15 +95,6 @@ def _first_mismatch(lhs, rhs) -> Mismatch | None:
         return None
     return next((Mismatch(s, a, b) for s, (a, b) in enumerate(zip(lhs, rhs))
                  if a != b), None)
-
-
-def _series_mismatch(lhs: TruncSeries, rhs: TruncSeries) -> Mismatch | None:
-    """The first t-power where two series of one order differ.  Series of
-    unequal orders are refused: a comparison never shortens itself."""
-    if lhs.order != rhs.order:
-        raise RuntimeError(f"cannot compare series of orders {lhs.order} "
-                           f"and {rhs.order}")
-    return _first_mismatch(lhs.coeffs, rhs.coeffs)
 
 
 def _closed_form_row(identity: str, m: int, n_max: int, closed) -> VerificationReport:
@@ -552,12 +543,15 @@ def _c_mismatch(num: PolyX, den: PolyX, degrees: tuple[int, int],
                            tuple(rhs + [0] * (width - len(rhs))))
 
 
-def _catalan_tie(C: TruncSeries) -> Mismatch | None:
-    """C = x (1 + C)^2 through the order of C, one series product.  Only one
-    series solves it to that order, and it has no constant term: the
-    coefficient of t^m on the right reads C only below t^m."""
-    one_plus_c = TruncSeries.one(C.order) + C
-    return _series_mismatch(C, (one_plus_c * one_plus_c).shift(2).truncate(C.order))
+def _catalan_tie(x_order: int) -> Mismatch | None:
+    """C = x (1 + C)^2 through x^x_order on int lists: c holds
+    C = c(x) - 1, the Catalan numbers with c[0] = 0, and (1 + C)^2 is one
+    `_convolve`.  Only one series solves it to that order, and it has no
+    constant term: the coefficient of x^n on the right reads C only below
+    x^n.  A mismatch reports its t-exponent, 2n for x^n."""
+    c = [0] + [catalan(n) for n in range(1, x_order + 1)]
+    one_plus_c = [1] + c[1:]
+    return _x_mismatch(c, [0] + _convolve(one_plus_c, one_plus_c, range(x_order)))
 
 
 def _g_cases():
@@ -592,14 +586,15 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     rational function of x, so a quotient of the wrong t-parity fails too.
     A mismatch there reports a C-exponent.
 
-    One series comparison through t^(2 x_order) ties C to x:
-    C = x (1 + C)^2, with the series of `shifted_catalan_series`.  It makes
-    that series the one solution with no constant term, so x = C / (1 + C)^2
-    holds through t^(2 x_order).  So does t = sqrt(C) / (1 + C), with no
-    comparison of its own: (t (1 + C))^2 = x (1 + C)^2 = C by the tie, and C
-    has exactly one square root whose leading term is +t, since a square
-    root r with r^2 = C = t^2 + O(t^4) is +t or -t at its lowest term and
-    each choice fixes every later coefficient.  The polynomial identities
+    One comparison through x^x_order ties C to x: C = x (1 + C)^2, with C
+    the list of Catalan numbers C_1, C_2, ... and (1 + C)^2 one
+    `_convolve`.  It makes that series the one solution with no constant
+    term, so x = C / (1 + C)^2 holds through t^(2 x_order).  So does
+    t = sqrt(C) / (1 + C), with no comparison of its own:
+    (t (1 + C))^2 = x (1 + C)^2 = C by the tie, and C has exactly one
+    square root whose leading term is +t, since a square root r with
+    r^2 = C = t^2 + O(t^4) is +t or -t at its lowest term and each choice
+    fixes every later coefficient.  The polynomial identities
     then give every C-form as a series identity through that order.
 
     Each quotient expansion, G_-1 = 0 aside, is also compared with its
@@ -608,7 +603,7 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     """
     def body(notes):
         t_order = 2 * x_order
-        mismatch = _catalan_tie(shifted_catalan_series(x_order))
+        mismatch = _catalan_tie(x_order)
         if mismatch:
             notes.append("C vs x (1 + C)^2")
             return mismatch
@@ -645,14 +640,14 @@ def verify_p_bridge(x_order: int) -> VerificationReport:
 
     Under x = C / (1 + C)^2 this is the polynomial identity
     P_n (1 - C) = 1 - C^(n+1), P_n = p_n(x) (1 + C)^n, checked exactly; a
-    mismatch there reports a C-exponent.  One series comparison,
-    C = x (1 + C)^2 through t^(2 x_order), ties the series of
-    `shifted_catalan_series` to x, and with it each polynomial identity
-    gives the series identity through that order."""
+    mismatch there reports a C-exponent.  One comparison,
+    C = x (1 + C)^2 through x^x_order on the list of Catalan numbers (see
+    g-forms), ties C to x, and with it each polynomial identity gives the
+    series identity through that order."""
     def body(notes):
         n_max = min(_P_BRIDGE_N_MAX, x_order)
         t_order = 2 * x_order
-        mismatch = _catalan_tie(shifted_catalan_series(x_order))
+        mismatch = _catalan_tie(x_order)
         if mismatch:
             notes.append("C vs x (1 + C)^2")
             return mismatch

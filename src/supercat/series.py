@@ -149,23 +149,6 @@ class TruncSeries:
                                  "is not an integer")
         return TruncSeries(out, self.order)
 
-    def shift(self, s: int) -> "TruncSeries":
-        """Multiply by t**s.  The order moves with the shift; a negative shift
-        requires the dropped low coefficients to vanish."""
-        if s >= 0:
-            return TruncSeries([_ZERO] * s + list(self.coeffs), self.order + s)
-        if any(self.coeffs[:-s]):
-            raise ValueError("cannot divide: low-order coefficients are nonzero")
-        if self.order + s < 0:
-            raise ValueError("shift would empty the series")
-        return TruncSeries(self.coeffs[-s:], self.order + s)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        """Forget coefficients above `order` (which must not exceed self.order)."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs, order)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncSeries)
                 and self.order == other.order and self.coeffs == other.coeffs)
@@ -185,11 +168,6 @@ def catalan_series(x_order: int) -> TruncSeries:
         raise ValueError("x_order must be nonnegative")
     return TruncSeries.from_x_coeffs(
         [catalan(n) for n in range(x_order + 1)], 2 * x_order)
-
-
-def shifted_catalan_series(x_order: int) -> TruncSeries:
-    """c(x) - 1 = x*c(x)**2: the substitution variable of the closed forms."""
-    return catalan_series(x_order) - TruncSeries.one(2 * x_order)
 
 
 class BiTrunc:

@@ -10,10 +10,12 @@ move to the top of the next column and a vertical line down to level 0.  Each
 subpath is stroked like its own <line> (butt caps, no overlap), so the
 drawing is that of one line per point at about a quarter of the bytes, and
 the whole grid is one repeated string.  The polyline still has one point per
-point, so its work is done in bulk: the x coordinates are formatted once per
-document and shared by both panels, which have the same length; the y
-coordinates once per level of a panel, and the points are one join of "x,"
-strings with the y strings looked up by level.
+point, so its work is done in bulk: the "x," strings of the points are
+formatted once per document, one list shared by both panels, which have the
+same length; the y coordinates once per level of a panel, and the points are
+one join of "x," strings with the y strings looked up by level.  Every other
+x coordinate (a panel's right edge, the boundary, the markers) is computed
+where it is drawn.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ MARKER_RADIUS = 4
 
 def _panel(path: Path, markers: dict[str, int], boundary: int | None,
            title: str, color: str, y_top: int,
-           xs: list[str], xs_comma: list[str]) -> tuple[list[str], int, int]:
+           xs_comma: list[str]) -> tuple[list[str], int, int]:
     """Render one path panel at vertical offset y_top.
 
-    xs[i] is the x coordinate of point i as a string and xs_comma[i] the same
-    followed by a comma; both cover at least len(path) + 1 points.
+    xs_comma[i] is the x coordinate of point i as a string followed by a
+    comma; it covers at least len(path) + 1 points.
     Returns (svg elements, width, height).
     """
     top = path.height
@@ -55,14 +57,15 @@ def _panel(path: Path, markers: dict[str, int], boundary: int | None,
              f'font-family="monospace">{title}</text>']
     for level, y in enumerate(ys):
         stroke = BASELINE_COLOR if level == 0 else GRID_COLOR
-        parts.append(f'<line x1="{MARGIN}" y1="{y}" x2="{xs[steps]}" '
+        parts.append(f'<line x1="{MARGIN}" y1="{y}" x2="{MARGIN + steps * UNIT}" '
                      f'y2="{y}" stroke="{stroke}" stroke-width="1"/>')
     grid = f"m{UNIT} -{rise}v{rise}" * steps
     parts.append(f'<path d="M{MARGIN} {ys[top]}v{rise}{grid}" fill="none" '
                  f'stroke="{GRID_COLOR}" stroke-width="1"/>')
     if boundary is not None:
-        parts.append(f'<line x1="{xs[boundary]}" y1="{floor - rise - 10}" '
-                     f'x2="{xs[boundary]}" y2="{floor + 10}" '
+        bx = MARGIN + boundary * UNIT
+        parts.append(f'<line x1="{bx}" y1="{floor - rise - 10}" '
+                     f'x2="{bx}" y2="{floor + 10}" '
                      f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
                      'stroke-dasharray="5,3"/>')
     points = " ".join(map(add, xs_comma, map(ys.__getitem__, path.levels)))
@@ -93,8 +96,7 @@ def render_trace(trace: BijectionTrace) -> str:
         raise ValueError("a panel path goes below level 0")
     # F and the output both have 2n steps, so the panels share the x strings
     steps = max(len(f), len(trace.output))
-    xs = list(map(str, range(MARGIN, MARGIN + (steps + 1) * UNIT, UNIT)))
-    xs_comma = [x + "," for x in xs]
+    xs_comma = [f"{x}," for x in range(MARGIN, MARGIN + (steps + 1) * UNIT, UNIT)]
     panel1, w1, h1 = _panel(
         f,
         {"u": trace.u, "v'": trace.v_prime, "x": trace.x, "y": trace.y},
@@ -102,7 +104,7 @@ def render_trace(trace: BijectionTrace) -> str:
         "surgery 1: F = F1 F2 (dashed line marks the F1/F2 boundary)",
         PATH_COLORS[0],
         0,
-        xs, xs_comma,
+        xs_comma,
     )
     panel2, w2, h2 = _panel(
         trace.output,
@@ -111,7 +113,7 @@ def render_trace(trace: BijectionTrace) -> str:
         "surgery 2: the step into y is flipped and the tail drops two levels",
         PATH_COLORS[1],
         h1,
-        xs, xs_comma,
+        xs_comma,
     )
     width = max(w1, w2)
     height = h1 + h2

@@ -34,7 +34,8 @@ def test_restricted_pair_validation():
     with pytest.raises(ValueError, match="height condition"):
         RestrictedPair(Path("UUDD"), Path(""))
     pair = RestrictedPair(Path("UUDD"), Path("UD"))
-    assert pair.total_semilength == 3
+    assert (pair.p.steps, pair.q.steps) == ("UUDD", "UD")
+    assert len(forward(pair)) == 2 * 3
 
 
 def test_intermediate_path_validation():
@@ -79,11 +80,7 @@ def test_trace_marks_the_surgery_points():
     assert record.intermediate.path.levels[record.y] == 3
     assert record.x == record.y - 1
     assert record.output == Path("UUDD")
-    data = record.to_dict()
-    assert data["pair"] == {"p": "UD", "q": "UD"}
-    assert data["intermediate"] == {"path": "UUUD", "boundary": 2}
-    assert data["points"]["y"] == 3
-    assert data["output"] == "UUDD"
+    assert record.pair == RestrictedPair(Path("UD"), Path("UD"))
 
 
 def test_trace_with_stepless_second_portion():

@@ -13,12 +13,16 @@ Claims covered:
       registered id with no planted defect here fails by name
     - at order 1 every check reports the order it ran and its notes: e-mo
       alone raises its order, to total degree 2
+    - e2, e52, firstsum, p-bridge and t3-closed pass at every order the CLI
+      accepts, 1..200, and each report gives the order asked for; p-bridge
+      makes the tie C = x (1 + C)^2 at each of them
 """
 
 import pytest
 
 from supercat import IDENTITIES, CountTable, run_identity
 from supercat import identities
+from supercat.cli import ORDER_MAX
 
 
 def _plant(monkeypatch, name, wrong):
@@ -164,3 +168,12 @@ def test_every_check_at_order_one():
         report = run_identity(identity, 1)
         assert report.passed, identity
         assert (report.order, report.notes) == (order, notes), identity
+
+
+@pytest.mark.parametrize("identity", ["e2", "e52", "firstsum", "p-bridge",
+                                      "t3-closed"])
+def test_cheap_checks_pass_at_every_accepted_order(identity):
+    for order in range(1, ORDER_MAX + 1):
+        report = run_identity(identity, order)
+        assert (report.identity, report.order, report.passed) == (
+            identity, order, True)

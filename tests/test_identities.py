@@ -46,9 +46,9 @@ Claims covered:
     - a row scaled by a wrong start value, every division still exact, fails
       e8 and e-mo at the row's anchor, with halved values in the report
     - e8 and e-mo call super_catalan once per row; g-forms and p-bridge
-      each make one series product, the (1 + C)^2 of the C tie, and g-forms
-      builds one table column per (k, i, j) and expands each of those
-      quotients once: 219 of each
+      make no series product, since the (1 + C)^2 of the C tie is one
+      integer convolution, and g-forms builds one table column per
+      (k, i, j) and expands each of those quotients once: 219 of each
     - e-mo, checked as L = 1 + A L, gives the report of the dense inverse of
       1 - A at every degree 2..20, clean and under planted wrong super
       Catalan and Catalan numbers; an odd doubled row entry, a non-integer
@@ -60,9 +60,8 @@ Claims covered:
       the closed forms became polynomial identities; a planted wrong
       quotient in ballot_between_gf, the one builder behind dyck_gf and
       ballot_end_gf, fails g-forms as G_k^(j) at i = 0; a planted wrong
-      coefficient of the C series fails the g-forms tie C = x (1 + C)^2
-    - _series_mismatch refuses series of unequal orders, and t3-main refuses
-      a displayed tail built one C-power short
+      Catalan number at C_2 fails the g-forms tie C = x (1 + C)^2
+    - t3-main refuses a displayed tail built one C-power short
     - a planted wrong T(2, 5) fails pairsum's table-row comparison, a
       planted wrong displayed tail t3-main's k-sum closed form, and a pair
       missing from the stream of E_4 lemma-main's enumeration count, each
@@ -92,23 +91,16 @@ from time import perf_counter
 import pytest
 
 from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
-                      PolyX, TruncSeries, catalan, enumerate_dyck,
-                      enumerate_restricted_pairs, forward, inverse,
-                      report_to_dict, run_identity, shifted_catalan_series,
-                      super_catalan, verify_e8, verify_e52, verify_e_mo,
-                      verify_firstsum, verify_g_closed_forms,
-                      verify_lemma_main_count, verify_p_bridge, verify_pairsum,
-                      verify_t2_closed_form, verify_t3_closed_form,
-                      verify_t3_main)
+                      PolyX, TruncSeries, catalan, catalan_series,
+                      enumerate_dyck, enumerate_restricted_pairs, forward,
+                      inverse, report_to_dict, run_identity, super_catalan,
+                      verify_e8, verify_e52, verify_e_mo, verify_firstsum,
+                      verify_g_closed_forms, verify_lemma_main_count,
+                      verify_p_bridge, verify_pairsum, verify_t2_closed_form,
+                      verify_t3_closed_form, verify_t3_main)
 from supercat import counting, height_gf, identities, series
 from supercat.cli import main
 from supercat.counting import exact_div
-from supercat.identities import _series_mismatch
-
-
-def t_power(s: int, order: int) -> TruncSeries:
-    """The monomial t**s, truncated at `order`."""
-    return TruncSeries([0] * s + [1], order)
 
 
 def _assert_clean_pass(report, identity):
@@ -207,18 +199,16 @@ def test_row_checks_call_super_catalan_once_per_row(monkeypatch):
     assert calls == [(m, 12 - m) for m in range(1, 12)]
 
 
-def test_g_closed_forms_make_one_series_product(monkeypatch):
-    # (1 + C)^2 in the C tie; the closed forms are polynomial identities in
-    # C, which take no series product at all
+def test_g_closed_forms_make_no_series_product(monkeypatch):
+    # the (1 + C)^2 of the C tie is one integer convolution, and the closed
+    # forms are polynomial identities in C, which take no series product
     calls = []
     real = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda self, other: calls.append(1) or real(self, other))
     assert verify_g_closed_forms(12).passed
-    assert len(calls) == 1
-    calls.clear()
     assert verify_p_bridge(12).passed
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_g_closed_forms_expand_each_quotient_once(monkeypatch):
@@ -458,7 +448,7 @@ def test_a_wrong_crossing_to_x_fails_pairsum_and_t3_main(monkeypatch):
 def test_crossing_to_x_is_substitution_of_the_catalan_series(cs):
     # sum_k cs[k] C^k with C = c(x) - 1, by series products
     order = 2 * (len(cs) - 1)
-    C = shifted_catalan_series(len(cs) - 1)
+    C = catalan_series(len(cs) - 1) - TruncSeries.one(order)
     total, power = TruncSeries.zero(order), TruncSeries.one(order)
     for c in cs:
         total, power = total + c * power, power * C
@@ -737,8 +727,7 @@ def test_g_closed_forms_fail_on_a_wrong_c_series(monkeypatch):
     # one more x^2 in C, 3 for C_2 = 2: the tie C = x (1 + C)^2 reads C only
     # below x^2 there, where its right side is 2 C_1 = 2.  This tie is also
     # what makes sqrt(C) = t (1 + C), which g-forms no longer compares
-    _plant(monkeypatch, "shifted_catalan_series", lambda real: lambda x_order:
-           real(x_order) + t_power(4, 2 * x_order))
+    _plant(monkeypatch, "catalan", lambda real: lambda n: real(n) + (n == 2))
     report = verify_g_closed_forms(12)
     assert report.passed is False
     assert report.notes == ("C vs x (1 + C)^2",)
@@ -796,9 +785,9 @@ def _plant_division_defect(monkeypatch):
 
 
 def _plant_wrong_c12(monkeypatch):
-    """C_12 one too many in the Catalan series, so at x^12 = t^24 of C."""
-    real = series.catalan
-    monkeypatch.setattr(series, "catalan", lambda n: real(n) + (n == 12))
+    """C_12 one too many in the Catalan numbers of the C tie, so at
+    x^12 = t^24 of C."""
+    _plant(monkeypatch, "catalan", lambda real: lambda n: real(n) + (n == 12))
 
 
 @pytest.mark.parametrize("verify, note, mismatch", [
@@ -1007,26 +996,6 @@ def test_lemma_main_fails_on_a_forward_image_outside_d_n(monkeypatch):
     assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
     assert report.first_mismatch == Mismatch(4, 1, 0)
     assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
-
-
-def test_series_mismatch_locates_first_difference():
-    order = 10
-    C = shifted_catalan_series(order)
-    one = TruncSeries.one(2 * order)
-    lhs = one + 2 * C
-    rhs = one + 2 * C - C * C
-    mismatch = _series_mismatch(lhs, rhs)
-    assert mismatch == Mismatch(4, 4, 3)
-    assert _series_mismatch(lhs, lhs) is None
-
-
-def test_series_mismatch_refuses_unequal_orders():
-    # a comparison through the lower order would pass a shortened side
-    one = TruncSeries.one(10)
-    with pytest.raises(RuntimeError, match="cannot compare series of orders 10 and 9"):
-        _series_mismatch(one, one.truncate(9))
-    with pytest.raises(RuntimeError, match="orders 9 and 10"):
-        _series_mismatch(one.truncate(9), one)
 
 
 def test_t3_main_refuses_a_shortened_displayed_tail(monkeypatch):

@@ -2,10 +2,9 @@
 
 Claims covered:
     - exact arithmetic with explicit truncation-order bookkeeping: results
-      carry the minimum operand order, shifts move it, nothing is lost
-      silently; a shift down may leave the top coefficient alone, and one
-      further is refused; negation flips every coefficient, and the repr
-      shows the first six nonzero terms
+      carry the minimum operand order, nothing is lost silently; negation
+      flips every coefficient, and the repr shows the first six nonzero
+      terms
     - inversion and square root against independent oracles (geometric
       series, composition enumeration)
     - the Catalan series satisfies c = 1 + x c^2 and matches its radical
@@ -30,13 +29,25 @@ from math import prod
 import pytest
 
 from supercat import (BiTrunc, PolyX, TruncSeries, catalan,
-                      catalan_series, dyck_gf, shifted_catalan_series,
-                      super_catalan)
+                      catalan_series, dyck_gf, super_catalan)
 
 
 def t_power(s: int, order: int) -> TruncSeries:
     """The monomial t**s, truncated at `order`."""
     return TruncSeries([0] * s + [1], order)
+
+
+def shifted_catalan(x_order: int) -> TruncSeries:
+    """C = c(x) - 1 = x c(x)^2, the substitution variable of the closed
+    forms, through x**x_order."""
+    return catalan_series(x_order) - TruncSeries.one(2 * x_order)
+
+
+def over_x(s: TruncSeries) -> TruncSeries:
+    """s / x = s / t**2, two orders lower; s must have no t**0 or t**1
+    term."""
+    assert not any(s.coeffs[:2])
+    return TruncSeries(s.coeffs[2:], s.order - 2)
 
 
 def test_construction_pads_and_truncates():
@@ -72,24 +83,6 @@ def test_order_bookkeeping():
     assert (a * b).order == 6
     assert (a + b).order == 6
     assert (a - b).order == 6
-    assert a.shift(3).order == 13
-    assert a.truncate(4).order == 4
-    with pytest.raises(ValueError):
-        a.truncate(11)
-
-
-def test_shift_down_requires_zero_low_terms():
-    x = t_power(2, 6)
-    assert x.shift(-2) == TruncSeries.one(4)
-    with pytest.raises(ValueError):
-        TruncSeries.one(6).shift(-1)
-
-
-def test_shift_down_to_order_zero_and_past_it():
-    # the top coefficient alone may stay; one shift further empties the series
-    assert TruncSeries([0, 0, 5], 2).shift(-2) == TruncSeries([5], 0)
-    with pytest.raises(ValueError, match="empty"):
-        TruncSeries.zero(2).shift(-3)
 
 
 def test_repr_shows_the_first_six_terms():
@@ -118,7 +111,7 @@ def test_catalan_series_matches_radical_form():
     # 2x c(x) = 1 - (1-4x)^(1/2), the square root taken by the series kernel
     n = 16
     radical = TruncSeries.from_x_coeffs([1, -4], 2 * n).sqrt()
-    lhs = (TruncSeries.one(2 * n) - radical).shift(-2)
+    lhs = over_x(TruncSeries.one(2 * n) - radical)
     assert lhs == 2 * catalan_series(n - 1)
 
 
@@ -136,20 +129,20 @@ def test_invert_one_minus_catalan_against_composition_oracle():
     oracle = [sum(prod(catalan(part) for part in comp) for comp in _compositions(n))
               for n in range(9)]
     assert oracle == [1, 1, 3, 10, 35, 126, 462, 1716, 6435]
-    C = shifted_catalan_series(8)
+    C = shifted_catalan(8)
     inv = (TruncSeries.one(16) - C).invert()
     assert [inv.x_coefficient(n) for n in range(9)] == oracle
 
 
 def test_substitution_identities():
     order = 12
-    C = shifted_catalan_series(order)
+    C = shifted_catalan(order)
     one = TruncSeries.one(2 * order)
     x = t_power(2, 2 * order)
     one_plus = one + C
     assert x == C * (one_plus * one_plus).invert()
     # sqrt(C)/t has constant term 1 and equals 1 + C
-    assert C.shift(-2).sqrt() == one_plus.truncate(2 * order - 2)
+    assert over_x(C).sqrt() == TruncSeries(one_plus.coeffs, 2 * order - 2)
 
 
 def test_sqrt_requires_unit_constant_term():
@@ -158,7 +151,7 @@ def test_sqrt_requires_unit_constant_term():
 
 
 def test_half_step_parity_of_even_series():
-    C = shifted_catalan_series(10)
+    C = shifted_catalan(10)
     assert all(C.coeffs[s] == 0 for s in range(1, C.order + 1, 2))
 
 
@@ -250,7 +243,7 @@ def test_inexact_coefficients_are_refused():
 
 
 def test_integral_coefficients_are_plain_ints():
-    C = shifted_catalan_series(20)
+    C = shifted_catalan(20)
     one = TruncSeries.one(40)
     degree = 20
     inner = BiTrunc({(m, n): super_catalan(m, n)
@@ -258,7 +251,7 @@ def test_integral_coefficients_are_plain_ints():
                     degree)
     e_mo_rhs = (BiTrunc.one(degree) - inner).invert()
     for coeffs in (dyck_gf(4).expand(40).coeffs, catalan_series(30).coeffs,
-                   (one - C).invert().coeffs, C.shift(-2).sqrt().coeffs,
+                   (one - C).invert().coeffs, over_x(C).sqrt().coeffs,
                    TruncSeries([True, 2], 2).coeffs,
                    (TruncSeries([1, 2], 2) * True).coeffs,
                    PolyX([True, False, 2]).coeffs,
