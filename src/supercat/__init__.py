@@ -8,7 +8,7 @@ from .bijection import (BijectionTrace, IntermediatePath, RestrictedPair,
 from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
                        count_F_set, count_pairs_height_diff, count_paths_dp,
                        super_catalan, super_catalan_row)
-from .height_gf import (PolyQuotient, PolyX, ballot_between_gf, ballot_end_gf,
+from .height_gf import (PolyQuotient, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .identities import (IDENTITIES, Mismatch, VerificationReport,
                          report_to_dict, run_identity, verify_e8, verify_e52,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiTrunc", "BijectionTrace", "CountTable", "DOWN", "IDENTITIES",
     "IntermediatePath", "Mismatch", "Path", "PathClass", "PolyQuotient",
-    "PolyX", "RestrictedPair", "TruncSeries", "UP", "VerificationReport",
+    "RestrictedPair", "TruncSeries", "UP", "VerificationReport",
     "ballot_between_gf", "ballot_end_gf", "ballot_exact_gf", "catalan",
     "catalan_series", "count_E_set", "count_F_set", "count_ballot_dp",
     "count_pairs_height_diff", "count_paths_dp", "dyck_gf", "enumerate_ballot",

@@ -2,103 +2,70 @@
 
 Every generating function here is a quotient of integer polynomials in x,
 carried together with an explicit power of t for the x**(j/2) weight of paths
-ending at odd levels (x = t**2).  The denominators are the Fibonacci-like
-polynomials p_n with p_0 = p_1 = 1 and p_n = p_{n-1} - x*p_{n-2}; p_{-1} = 0
-so that boundary cases vanish from the same formulas.
+ending at odd levels (x = t**2).  A polynomial in x is a tuple of ints,
+lowest power first, with no trailing zeros, so () is zero; `_poly` makes one
+under the coefficient rule of `series`.  The denominators are the
+Fibonacci-like polynomials p_n with p_0 = p_1 = 1 and
+p_n = p_{n-1} - x*p_{n-2}; p_{-1} = 0 so that boundary cases vanish from the
+same formulas.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .counting import _convolve
 from .series import _INTS, TruncSeries, _divide, _int, _unit
 
 
-class PolyX:
-    """Dense integer-coefficient polynomial in x."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not _INTS.issuperset(map(type, cs)):
-            cs = list(map(_int, cs))
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def mul_x_power(self, m: int) -> "PolyX":
-        if m < 0:
-            raise ValueError("power must be nonnegative")
-        if self.is_zero:
-            return self
-        return PolyX((0,) * m + self.coeffs)
-
-    def __add__(self, other: "PolyX") -> "PolyX":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyX([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "PolyX") -> "PolyX":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyX":
-        return PolyX([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "PolyX":
-        if isinstance(other, int):
-            return PolyX([c * other for c in self.coeffs])
-        if not isinstance(other, PolyX):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return PolyX(_convolve(a, b + (0,) * (len(a) - 1),
-                               range(len(a) + len(b) - 1)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyX) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyX({list(self.coeffs)})"
+def _poly(coeffs) -> tuple[int, ...]:
+    """The stored form of an x-polynomial: plain ints by the rule of
+    `series` (a bool becomes an int, any other type raises TypeError),
+    trailing zeros dropped."""
+    cs = list(coeffs)
+    if not _INTS.issuperset(map(type, cs)):
+        cs = list(map(_int, cs))
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-_ONE = PolyX((1,))
-_P_CACHE = [_ONE, _ONE]  # p_0, p_1
+def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a + b, padded with zeros to the longer one."""
+    return _poly(map(sum, zip_longest(a, b, fillvalue=0)))
 
 
-def p_poly(n: int) -> PolyX:
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a * b, one `_convolve` over b padded to the length of the product."""
+    return _poly(_convolve(a, b + (0,) * (len(a) - 1), range(len(a) + len(b) - 1)))
+
+
+_P_CACHE = [(1,), (1,)]  # p_0, p_1
+
+
+def p_poly(n: int) -> tuple[int, ...]:
     """p_n from the recurrence p_n = p_{n-1} - x*p_{n-2}; p_{-1} = 0."""
     if n < -1:
         raise ValueError("defined for n >= -1")
     if n == -1:
-        return PolyX()
+        return ()
     while len(_P_CACHE) <= n:
         k = len(_P_CACHE)
-        _P_CACHE.append(_P_CACHE[k - 1] - _P_CACHE[k - 2].mul_x_power(1))
+        _P_CACHE.append(_poly_add(_P_CACHE[k - 1],
+                                  _poly_mul((0, -1), _P_CACHE[k - 2])))
     return _P_CACHE[n]
 
 
 class PolyQuotient:
     """t**t_shift * num(x) / den(x), expandable as a t-series.
 
-    The zero quotient is canonically 0/1 with shift 0; otherwise the
-    denominator must have constant term 1 or -1, so that the expansion stays
-    in the integers, and even parts of the shift fold into the numerator as
-    powers of x, leaving t_shift in {0, 1}.  Every p_n has constant term 1,
-    and so has every product of them.
+    num and den are given as int sequences, lowest power first, and stored
+    as x-polynomials, int tuples made by `_poly`.  The zero quotient is
+    canonically 0/1 with shift 0; otherwise the denominator must have
+    constant term 1 or -1, so that the expansion stays in the integers, and
+    even parts of the shift fold into the numerator as powers of x, leaving
+    t_shift in {0, 1}.  Every p_n has constant term 1, and so has every
+    product of them.
 
     The arithmetic (+, -, * and == by cross-multiplication) is library API:
     perfbench/tracer.py wraps __add__, __sub__ and __mul__ by name.  No
@@ -107,16 +74,17 @@ class PolyQuotient:
 
     __slots__ = ("num", "den", "t_shift")
 
-    def __init__(self, num: PolyX, den: PolyX = _ONE, t_shift: int = 0):
+    def __init__(self, num, den=(1,), t_shift: int = 0):
         if t_shift < 0:
             raise ValueError("t_shift must be nonnegative")
-        if num.is_zero:
-            num, den, t_shift = PolyX(), _ONE, 0
+        num, den = _poly(num), _poly(den)
+        if not num:
+            den, t_shift = (1,), 0
         else:
-            if den.is_zero:
+            if not den:
                 raise ZeroDivisionError("zero denominator")
-            _unit(den.coeffs[0])  # raises unless 1 or -1
-            num = num.mul_x_power(t_shift // 2)
+            _unit(den[0])  # raises unless 1 or -1
+            num = (0,) * (t_shift // 2) + num
             t_shift %= 2
         self.num = num
         self.den = den
@@ -124,7 +92,7 @@ class PolyQuotient:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     def __add__(self, other: "PolyQuotient") -> "PolyQuotient":
         if self.is_zero:
@@ -133,23 +101,24 @@ class PolyQuotient:
             return self
         if self.t_shift != other.t_shift:
             raise ValueError("cannot add quotients of different t-parity")
-        return PolyQuotient(self.num * other.den + other.num * self.den,
-                            self.den * other.den, self.t_shift)
+        return PolyQuotient(_poly_add(_poly_mul(self.num, other.den),
+                                      _poly_mul(other.num, self.den)),
+                            _poly_mul(self.den, other.den), self.t_shift)
 
     def __sub__(self, other: "PolyQuotient") -> "PolyQuotient":
         return self + (-other)
 
     def __neg__(self) -> "PolyQuotient":
-        return PolyQuotient(-self.num, self.den, self.t_shift)
+        return PolyQuotient([-c for c in self.num], self.den, self.t_shift)
 
     def __mul__(self, other) -> "PolyQuotient":
         if isinstance(other, int):
-            return PolyQuotient(self.num * other, self.den, self.t_shift)
+            return PolyQuotient([c * other for c in self.num], self.den,
+                                self.t_shift)
         if not isinstance(other, PolyQuotient):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PolyQuotient(PolyX())
-        return PolyQuotient(self.num * other.num, self.den * other.den,
+        return PolyQuotient(_poly_mul(self.num, other.num),
+                            _poly_mul(self.den, other.den),
                             self.t_shift + other.t_shift)
 
     __rmul__ = __mul__
@@ -157,10 +126,8 @@ class PolyQuotient:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyQuotient):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
         return (self.t_shift == other.t_shift
-                and self.num * other.den == other.num * self.den)
+                and _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den))
 
     def expand(self, t_order: int) -> TruncSeries:
         """Series expansion truncated to exactly `t_order`.
@@ -173,16 +140,16 @@ class PolyQuotient:
         if self.is_zero:
             return TruncSeries.zero(t_order)
         cs = [0] * (t_order + 1)
-        cs[self.t_shift::2] = _divide(self.num.coeffs, self.den.coeffs,
+        cs[self.t_shift::2] = _divide(self.num, self.den,
                                       (t_order - self.t_shift) // 2 + 1)
         return TruncSeries(cs, t_order)
 
     def __repr__(self) -> str:
-        return (f"PolyQuotient(num={list(self.num.coeffs)}, "
-                f"den={list(self.den.coeffs)}, t_shift={self.t_shift})")
+        return (f"PolyQuotient(num={list(self.num)}, den={list(self.den)}, "
+                f"t_shift={self.t_shift})")
 
 
-_ZERO_Q = PolyQuotient(PolyX())
+_ZERO_Q = PolyQuotient(())
 
 
 def dyck_gf(k: int) -> PolyQuotient:
@@ -226,7 +193,7 @@ def ballot_between_gf(k: int, i: int, j: int) -> PolyQuotient:
         raise ValueError("levels must lie in [0, k + 1]")
     if i > j:
         i, j = j, i
-    return PolyQuotient(p_poly(i) * p_poly(k - j), p_poly(k + 1), j - i)
+    return PolyQuotient(_poly_mul(p_poly(i), p_poly(k - j)), p_poly(k + 1), j - i)
 
 
 def ballot_exact_gf(k: int, j: int) -> PolyQuotient:
@@ -246,4 +213,4 @@ def ballot_exact_gf(k: int, j: int) -> PolyQuotient:
         raise ValueError("end level must be >= 0")
     if j > k:
         return _ZERO_Q
-    return PolyQuotient(p_poly(j), p_poly(k) * p_poly(k + 1), 2 * k - j)
+    return PolyQuotient(p_poly(j), _poly_mul(p_poly(k), p_poly(k + 1)), 2 * k - j)

@@ -26,8 +26,7 @@ from .bijection import (_dyck_words, _forward_core, _inverse_core,
                         _restricted_words)
 from .counting import (CountTable, _convolve, _e_band, _pair_counts, catalan,
                        exact_div, super_catalan, super_catalan_row)
-from .height_gf import (PolyX, ballot_between_gf, ballot_end_gf, dyck_gf,
-                        p_poly)
+from .height_gf import ballot_between_gf, ballot_end_gf, dyck_gf, p_poly
 from .lattice_paths import _levels
 from .series import _divide
 
@@ -214,12 +213,12 @@ def verify_e_mo(degree: int) -> VerificationReport:
     return _run("e-mo", degree, body)
 
 
-def _in_c(poly: PolyX, degree: int) -> list[int]:
+def _in_c(poly: tuple[int, ...], degree: int) -> list[int]:
     """poly(x) (1 + C)^degree under x = C / (1 + C)^2, as the coefficients of
     a polynomial in C when degree >= 2 deg poly: the term a x^e becomes
     a C^e (1 + C)^(degree - 2e)."""
     out = [0] * (degree + 1)
-    for e, a in enumerate(poly.coeffs):
+    for e, a in enumerate(poly):
         n = degree - 2 * e
         out[e:e + n + 1] = map(add, out[e:e + n + 1],
                                [a * comb(n, r) for r in range(n + 1)])
@@ -350,10 +349,11 @@ def verify_pairsum(x_order: int) -> VerificationReport:
             notes.append("series sum vs 1 + sum T(2,n) x^n")
             return mismatch
         counts = _pair_counts(range(length), lambda hp: (hp - 1, hp + 1))
-        for n in range(1, length):
-            if crossed[n] != counts[n]:
-                notes.append(f"pair count disagrees at n={n}")
-                return Mismatch(2 * n, crossed[n], counts[n])
+        # x^0 is the 1 of the sum, which the series check has just compared
+        mismatch = _x_mismatch(crossed, [1] + counts[1:])
+        if mismatch:
+            notes.append(f"pair count disagrees at n={mismatch.power // 2}")
+            return mismatch
         notes.append(f"summed in C through C^{x_order}, carried to x by "
                      "Lagrange inversion")
         notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
@@ -370,8 +370,8 @@ def _e52_cleared_in_c() -> list[int]:
     constant term is +1, as the square root's is.  Each polynomial in x goes
     to C through `_in_c`.  Since 2x^4 (1 + C)^8 = 2C^4, it is 2C^4 times the
     e52 right side in C, 2C^4 (5 + 6C - 2C^2 - 2C^3 + C^4)."""
-    return list(map(sub, _in_c(PolyX((1, -10, 30, -20)), 8),
-                    _times_one_minus(_in_c(PolyX((1, -8, 16)), 7), (1,))))
+    return list(map(sub, _in_c((1, -10, 30, -20), 8),
+                    _times_one_minus(_in_c((1, -8, 16), 7), (1,))))
 
 
 def verify_e52(x_order: int) -> VerificationReport:
@@ -400,14 +400,14 @@ def _displayed_t3_tail(length: int) -> list[int]:
     num(x) (1 + C)^d over den(x) (1 + C)^d, d = 2 deg den, two polynomials in
     C, and the second has constant term 1."""
     terms = (
-        (2, PolyX((1,)), PolyX((1, -1))),
-        (2, PolyX((1, -1)), PolyX((1, -2))),
-        (1, PolyX((1, -2)), PolyX((1, -3, 1))),
-        (1, PolyX((1, -4, 3)), PolyX((1, -5, 6, -1))),
+        (2, (1,), (1, -1)),
+        (2, (1, -1), (1, -2)),
+        (1, (1, -2), (1, -3, 1)),
+        (1, (1, -4, 3), (1, -5, 6, -1)),
     )
     tail = ([1] + [0] * length)[:length]
     for mult, num, den in terms:
-        d = 2 * den.degree
+        d = 2 * (len(den) - 1)
         quotient = _divide(_in_c(num, d), _in_c(den, d), length)
         tail = [c - mult * q for c, q in zip(tail, quotient)]
     return tail
@@ -514,17 +514,17 @@ def verify_t3_main(x_order: int) -> VerificationReport:
         notes.append("k-sum checked in C against its displayed closed "
                      "rational form")
 
-        for n, counted in enumerate(_t3_path_counts(x_order)):
-            if crossed[n] != counted:
-                notes.append(f"triple path counts disagree at n={n}")
-                return Mismatch(2 * n, crossed[n], counted)
+        mismatch = _x_mismatch(crossed, _t3_path_counts(x_order))
+        if mismatch:
+            notes.append(f"triple path counts disagree at n={mismatch.power // 2}")
+            return mismatch
         notes.append(f"coefficients x^0..x^{x_order} cross-checked "
                      "against triple path counts")
         return None
     return _run("t3-main", x_order, body)
 
 
-def _c_mismatch(num: PolyX, den: PolyX, degrees: tuple[int, int],
+def _c_mismatch(num: tuple[int, ...], den: tuple[int, ...], degrees: tuple[int, int],
                 left: tuple[int, ...], right: tuple[int, ...],
                 e: int = 0) -> Mismatch | None:
     """The first C-power at which num(x) / den(x) = (1 + C)^(dd - dn) C^e
@@ -535,7 +535,7 @@ def _c_mismatch(num: PolyX, den: PolyX, degrees: tuple[int, int],
     (1 + C) that makes them polynomials, which only a quotient of too high a
     degree needs."""
     dn, dd = degrees
-    lift = max(0, 2 * num.degree - dn, 2 * den.degree - dd)
+    lift = max(0, 2 * (len(num) - 1) - dn, 2 * (len(den) - 1) - dd)
     lhs = _times_one_minus(_in_c(num, dn + lift), left)
     rhs = [0] * e + _times_one_minus(_in_c(den, dd + lift), right)
     width = max(len(lhs), len(rhs))
@@ -652,7 +652,7 @@ def verify_p_bridge(x_order: int) -> VerificationReport:
             notes.append("C vs x (1 + C)^2")
             return mismatch
         for n in range(n_max + 1):
-            mismatch = _c_mismatch(p_poly(n), PolyX((1,)), (n, 0), (1,), (n + 1,))
+            mismatch = _c_mismatch(p_poly(n), (1,), (n, 0), (1,), (n + 1,))
             if mismatch:
                 notes.append(f"first failure at n={n}, power is the C-exponent")
                 return mismatch

@@ -2,9 +2,13 @@
 
 Claims covered:
     - the p polynomials from the recurrence match the alternating binomial sum
-    - PolyX stores its coefficients as plain ints, a bool too
+    - an x-polynomial is an int tuple: _poly drops trailing zeros and
+      refuses a non-int coefficient, _poly_add pads the shorter operand and
+      _poly_mul makes the full product; a quotient built from bools stores
+      plain ints
     - quotient normalization: even t-shifts fold into the numerator, the zero
-      quotient is canonical, parity-mixed addition is rejected
+      quotient is canonically 0/1 with shift 0, parity-mixed addition is
+      rejected; the repr lists num and den
     - quotients compare by cross-multiplication and are unhashable, since
       no hash of num, den and shift agrees with that equality
     - a denominator must have constant term 1 or -1, so every expansion
@@ -27,24 +31,25 @@ Claims covered:
       so it stays independent of the division shared with TruncSeries.invert
 """
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supercat import (CountTable, PathClass, PolyQuotient, PolyX, TruncSeries,
+from supercat import (CountTable, PathClass, PolyQuotient, TruncSeries,
                       ballot_between_gf, ballot_end_gf, ballot_exact_gf,
                       count_ballot_dp, count_paths_dp, dyck_gf, p_poly)
 from supercat import height_gf
 
 
-def p_poly_explicit(n: int) -> PolyX:
+def p_poly_explicit(n: int) -> tuple[int, ...]:
     """p_n from the alternating binomial sum over k <= n/2 of (-1)^k C(n-k, k) x^k,
     the reference for p_poly's recurrence."""
     if n < -1:
         raise ValueError("defined for n >= -1")
     if n == -1:
-        return PolyX()
-    return PolyX([(-1) ** k * comb(n - k, k) for k in range(n // 2 + 1)])
+        return ()
+    return tuple((-1) ** k * comb(n - k, k) for k in range(n // 2 + 1))
 
 
 P_FIRST = [(1,), (1,), (1, -1), (1, -2), (1, -3, 1), (1, -4, 3), (1, -5, 6, -1)]
@@ -52,12 +57,12 @@ P_FIRST = [(1,), (1,), (1, -1), (1, -2), (1, -3, 1), (1, -4, 3), (1, -5, 6, -1)]
 
 def test_p_poly_first_values():
     for n, coeffs in enumerate(P_FIRST):
-        assert p_poly(n) == PolyX(coeffs)
-    assert p_poly(-1).is_zero
+        assert p_poly(n) == coeffs
+    assert p_poly(-1) == ()
 
 
 def test_p_poly_eight_from_the_sum():
-    assert p_poly_explicit(8) == PolyX((1, -7, 15, -10, 1))
+    assert p_poly_explicit(8) == (1, -7, 15, -10, 1)
     assert p_poly(8) == p_poly_explicit(8)
 
 
@@ -70,33 +75,44 @@ def test_p_poly_recurrence_matches_explicit_sum():
         p_poly_explicit(-3)
 
 
-def test_polyx_arithmetic():
-    a = PolyX((1, 2))
-    b = PolyX((0, 0, 3))
-    assert a + b == PolyX((1, 2, 3))
-    assert a * b == PolyX((0, 0, 3, 6))
-    assert (a - a).is_zero and (a - a).degree == -1
-    assert a.mul_x_power(2) == PolyX((0, 0, 1, 2))
+def test_x_polynomial_helpers():
+    a, b = (1, 2), (0, 0, 3)
+    assert height_gf._poly_add(a, b) == height_gf._poly_add(b, a) == (1, 2, 3)
+    assert height_gf._poly_add(a, (-1, -2)) == ()
+    assert height_gf._poly_add((), b) == b
+    assert height_gf._poly_mul(a, b) == height_gf._poly_mul(b, a) == (0, 0, 3, 6)
+    assert height_gf._poly_mul((1, -1), (1, 1, 1)) == (1, 0, 0, -1)
+    assert height_gf._poly_mul((), b) == height_gf._poly_mul(a, ()) == ()
+    assert height_gf._poly([0, 0, 1, 2, 0, 0]) == (0, 0, 1, 2)
+    assert height_gf._poly([0, 0]) == ()
+    for bad in ((1.5,), (1, 0.0), (Fraction(2),)):
+        with pytest.raises(TypeError):
+            height_gf._poly(bad)
     with pytest.raises(TypeError):
-        PolyX((1.5,))
+        PolyQuotient((1.5,))
+    with pytest.raises(TypeError):
+        PolyQuotient((1,), (1, Fraction(1)))
 
 
-def test_polyx_stores_bool_coefficients_as_ints():
-    flags = PolyX((True, False, True))
-    assert flags == PolyX((1, 0, 1))
-    assert all(type(c) is int for c in flags.coeffs)
+def test_quotient_stores_bool_coefficients_as_ints():
+    flags = PolyQuotient((True, False, True), (True,))
+    assert flags.num == (1, 0, 1) and flags.den == (1,)
+    assert all(type(c) is int for c in flags.num + flags.den)
 
 
 def test_quotient_normalization():
-    q = PolyQuotient(PolyX((1,)), PolyX((1, -1)), t_shift=4)
+    q = PolyQuotient((1,), (1, -1), t_shift=4)
     assert q.t_shift == 0
-    assert q.num == PolyX((0, 0, 1))
-    zero = PolyQuotient(PolyX(), PolyX((0, 1)), t_shift=3)
+    assert q.num == (0, 0, 1)
+    zero = PolyQuotient((), (0, 1), t_shift=3)
     assert zero.is_zero and zero.t_shift == 0
+    assert (zero.num, zero.den) == ((), (1,))
+    assert repr(zero) == "PolyQuotient(num=[], den=[1], t_shift=0)"
+    assert repr(q) == "PolyQuotient(num=[0, 0, 1], den=[1, -1], t_shift=0)"
     with pytest.raises(ValueError):
-        PolyQuotient(PolyX((1,)), PolyX((0, 1)))
+        PolyQuotient((1,), (0, 1))
     with pytest.raises(ZeroDivisionError):
-        PolyQuotient(PolyX((1,)), PolyX(()))
+        PolyQuotient((1,), ())
 
 
 def test_quotient_parity_rules():
@@ -105,15 +121,15 @@ def test_quotient_parity_rules():
     with pytest.raises(ValueError):
         even + odd
     assert (odd * odd).t_shift == 0
-    assert (even + PolyQuotient(PolyX())) == even
+    assert (even + PolyQuotient(())) == even
 
 
 def test_quotient_equality_by_cross_multiplication():
-    a = PolyQuotient(PolyX((1,)), PolyX((1, -1)))
-    b = PolyQuotient(PolyX((1, 1)), PolyX((1, 0, -1)))  # (1 + x) / (1 - x^2)
-    c = PolyQuotient(PolyX((-1,)), PolyX((-1, 1)))
+    a = PolyQuotient((1,), (1, -1))
+    b = PolyQuotient((1, 1), (1, 0, -1))  # (1 + x) / (1 - x^2)
+    c = PolyQuotient((-1,), (-1, 1))
     assert a == b == c
-    assert a != PolyQuotient(PolyX((1,)), PolyX((1, -2)))
+    assert a != PolyQuotient((1,), (1, -2))
     # no hash of num, den and shift agrees with this equality
     for quotient in (a, b, c):
         with pytest.raises(TypeError):
@@ -193,7 +209,7 @@ def test_ballot_exact_gf_values():
 
 
 def test_ballot_exact_gf_denominator_and_counts():
-    assert ballot_exact_gf(3, 1).den == p_poly(3) * p_poly(4)
+    assert ballot_exact_gf(3, 1).den == height_gf._poly_mul(p_poly(3), p_poly(4))
     for k in range(1, 5):
         for j in range(k + 2):
             series = ballot_exact_gf(k, j).expand(14)
@@ -204,10 +220,12 @@ def test_ballot_exact_gf_denominator_and_counts():
 
 
 def test_casoratian_identity():
+    mul = height_gf._poly_mul
     for k in range(1, 40):
         for j in range(k + 1):
-            assert (p_poly(k - j) * p_poly(k) - p_poly(k - 1 - j) * p_poly(k + 1)
-                    == p_poly(j).mul_x_power(k - j))
+            minus = tuple(-c for c in mul(p_poly(k - 1 - j), p_poly(k + 1)))
+            assert (height_gf._poly_add(mul(p_poly(k - j), p_poly(k)), minus)
+                    == (0,) * (k - j) + p_poly(j))
 
 
 def test_ballot_exact_gf_is_the_difference_of_height_bounds():
@@ -266,7 +284,7 @@ def test_off_route_check_sees_a_wrong_height_bound_at_40(monkeypatch):
     # path of height 41 is the first the bound leaves out
     real = height_gf.dyck_gf
     monkeypatch.setattr(height_gf, "dyck_gf", lambda k: real(k) + PolyQuotient(
-        PolyX((0,) * 41 + (int(k == 40),))))
+        (0,) * 41 + (int(k == 40),)))
     assert _off_route_mismatches() == [("dyck_gf", 40, 0)]
 
 
@@ -281,14 +299,14 @@ def test_expand_times_denominator_is_the_shifted_numerator():
     quotients = [dyck_gf(k) for k in range(8)]
     quotients += [ballot_between_gf(5, i, j) for i in range(7) for j in range(i, 7)]
     quotients += [ballot_exact_gf(4, 3) * ballot_exact_gf(2, 1),
-                  PolyQuotient(PolyX((3, 1)), PolyX((-1, -1, 5)), 1),
-                  PolyQuotient(PolyX((1,)), PolyX((-1, 4)))]
+                  PolyQuotient((3, 1), (-1, -1, 5), 1),
+                  PolyQuotient((1,), (-1, 4))]
     for quotient in quotients:
         for t_order in (0, 1, 2, 7, 30):
-            num = TruncSeries.from_x_coeffs(quotient.num.coeffs, t_order)
+            num = TruncSeries.from_x_coeffs(quotient.num, t_order)
             numerator = TruncSeries([0] * quotient.t_shift + list(num.coeffs),
                                     t_order)
-            den = TruncSeries.from_x_coeffs(quotient.den.coeffs, t_order)
+            den = TruncSeries.from_x_coeffs(quotient.den, t_order)
             assert quotient.expand(t_order) * den == numerator
 
 
@@ -296,6 +314,6 @@ def test_quotient_refuses_a_non_unit_constant_term():
     # t / (2 - x) = t/2 + t^3/4 + ... leaves the integers at its first term
     for a0 in (2, -3, 0):
         with pytest.raises(ValueError, match=f"constant term must be 1 or -1, not {a0}"):
-            PolyQuotient(PolyX((1,)), PolyX((a0, -1)), 1)
-    series = PolyQuotient(PolyX((1,)), PolyX((-1, 1)), 1).expand(7)
+            PolyQuotient((1,), (a0, -1), 1)
+    series = PolyQuotient((1,), (-1, 1), 1).expand(7)
     assert series.coeffs == (0, -1, 0, -1, 0, -1, 0, -1)

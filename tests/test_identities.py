@@ -91,7 +91,7 @@ from time import perf_counter
 import pytest
 
 from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
-                      PolyX, TruncSeries, catalan, catalan_series,
+                      TruncSeries, catalan, catalan_series,
                       enumerate_dyck, enumerate_restricted_pairs, forward,
                       inverse, report_to_dict, run_identity, super_catalan,
                       verify_e8, verify_e52, verify_e_mo, verify_firstsum,
@@ -622,7 +622,7 @@ def _with_t_parity_flipped(quotient):
 def _bump(k, delta):
     """The quotient x^k (t^k when delta is 1, odd k), added to a planted
     series; zero when delta is 0."""
-    return PolyQuotient(PolyX((0,) * (k // 2) + (delta,)), t_shift=k % 2)
+    return PolyQuotient((0,) * (k // 2) + (delta,), t_shift=k % 2)
 
 
 class _TableWithOneWrongCount(CountTable):

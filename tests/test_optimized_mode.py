@@ -21,8 +21,8 @@ Claims covered:
       past the end of its second operand
     - a planted wrong T(3,4) in its row of super_catalan_row fails e-mo at
       degree 12 at (3, 4)
-    - a Fraction or float coefficient is refused by TruncSeries, PolyX and
-      BiTrunc; a constant term of 2 by TruncSeries.invert, BiTrunc.invert
+    - a Fraction or float coefficient is refused by TruncSeries,
+      PolyQuotient and BiTrunc; a constant term of 2 by TruncSeries.invert, BiTrunc.invert
       and PolyQuotient; and TruncSeries([1, 1], 4).sqrt(), whose t^1
       coefficient would be 1/2
     - Path refuses a bad step, inverse refuses a path that dips below 0, and
@@ -47,7 +47,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from supercat import (IDENTITIES, BiTrunc, IntermediatePath, Path, PathClass,
-                      PolyQuotient, PolyX, RestrictedPair, TruncSeries,
+                      PolyQuotient, RestrictedPair, TruncSeries,
                       bijection, counting, enumerate_dyck,
                       enumerate_restricted_pairs, forward, identities, inverse,
                       run_identity)
@@ -99,8 +99,8 @@ except RuntimeError as exc:
 identities._displayed_t3_tail = real_tail
 for build in (lambda: TruncSeries([1, Fraction(1, 2)], 3),
               lambda: TruncSeries([0.5], 3),
-              lambda: PolyX([1, Fraction(2)]),
-              lambda: PolyX([1.0]),
+              lambda: PolyQuotient([1, Fraction(2)]),
+              lambda: PolyQuotient([1.0]),
               lambda: BiTrunc({(0, 0): Fraction(1, 2)}, 2),
               lambda: BiTrunc({(0, 0): 1, (1, 0): 1.5}, 2)):
     try:
@@ -110,7 +110,7 @@ for build in (lambda: TruncSeries([1, Fraction(1, 2)], 3),
         print("inexact coefficient raised:", exc)
 for build in (lambda: TruncSeries([2, 1], 4).invert(),
               lambda: BiTrunc({(0, 0): 2, (1, 0): 1}, 4).invert(),
-              lambda: PolyQuotient(PolyX((1,)), PolyX((2, -1)), 1),
+              lambda: PolyQuotient((1,), (2, -1), 1),
               lambda: TruncSeries([1, 1], 4).sqrt()):
     try:
         build()

@@ -28,7 +28,7 @@ from math import prod
 
 import pytest
 
-from supercat import (BiTrunc, PolyX, TruncSeries, catalan,
+from supercat import (BiTrunc, PolyQuotient, TruncSeries, catalan,
                       catalan_series, dyck_gf, super_catalan)
 
 
@@ -232,7 +232,7 @@ def test_inexact_coefficients_are_refused():
             with pytest.raises(TypeError):
                 TruncSeries(coeffs, 1)
             with pytest.raises(TypeError):
-                PolyX(coeffs)
+                PolyQuotient(coeffs)
         for terms in ({(0, 0): bad}, {(0, 0): 1, (2, 1): bad}):
             with pytest.raises(TypeError):
                 BiTrunc(terms, 2)
@@ -254,7 +254,7 @@ def test_integral_coefficients_are_plain_ints():
                    (one - C).invert().coeffs, over_x(C).sqrt().coeffs,
                    TruncSeries([True, 2], 2).coeffs,
                    (TruncSeries([1, 2], 2) * True).coeffs,
-                   PolyX([True, False, 2]).coeffs,
+                   PolyQuotient([True, False, 2]).num,
                    tuple(BiTrunc({(0, 0): True}, 1).coeffs.values()),
                    tuple(e_mo_rhs.coeffs.values())):
         assert all(type(c) is int for c in coeffs)
