@@ -11,11 +11,7 @@ from .counting import (CountTable, catalan, count_ballot_dp, count_E_set,
 from .height_gf import (PolyQuotient, ballot_between_gf, ballot_end_gf,
                         ballot_exact_gf, dyck_gf, p_poly)
 from .identities import (IDENTITIES, Mismatch, VerificationReport,
-                         report_to_dict, run_identity, verify_e8, verify_e52,
-                         verify_e_mo, verify_firstsum, verify_g_closed_forms,
-                         verify_lemma_main_count, verify_p_bridge,
-                         verify_pairsum, verify_t2_closed_form,
-                         verify_t3_closed_form, verify_t3_main)
+                         report_to_dict, run_identity)
 from .lattice_paths import (DOWN, UP, Path, PathClass, enumerate_ballot,
                             enumerate_dyck, factor_dyck)
 from .series import BiTrunc, TruncSeries, catalan_series
@@ -32,8 +28,5 @@ __all__ = [
     "count_pairs_height_diff", "count_paths_dp", "dyck_gf", "enumerate_ballot",
     "enumerate_dyck", "enumerate_restricted_pairs", "factor_dyck", "forward",
     "inverse", "p_poly", "render_trace", "report_to_dict", "run_identity",
-    "super_catalan", "super_catalan_row", "trace", "verify_e8", "verify_e52",
-    "verify_e_mo", "verify_firstsum", "verify_g_closed_forms",
-    "verify_lemma_main_count", "verify_p_bridge", "verify_pairsum",
-    "verify_t2_closed_form", "verify_t3_closed_form", "verify_t3_main",
+    "super_catalan", "super_catalan_row", "trace",
 ]

@@ -231,13 +231,10 @@ def _cmd_bijection(args) -> int:
         dyck = Path(args.inverse)
         _check_preimage(dyck)  # before the output file is opened and emptied
     with _open_output(args.svg) as svg:
-        if args.forward is not None:
-            record = trace(pair)
-            print(record.output)
-        else:
+        if args.forward is None:
             pair = inverse(dyck)
-            record = trace(pair)
-            print(f"({pair.p}, {pair.q})")
+        record = trace(pair)
+        print(record.output if args.forward is not None else f"({pair.p}, {pair.q})")
         if svg is not None:
             svg.write(render_trace(record))
     return 0

@@ -149,9 +149,6 @@ class PolyQuotient:
                 f"t_shift={self.t_shift})")
 
 
-_ZERO_Q = PolyQuotient(())
-
-
 def dyck_gf(k: int) -> PolyQuotient:
     """Dyck paths of height <= k, weight x per semilength: G_k = G_k^(0,0)
     = p_k / p_{k+1}, from `ballot_between_gf`.
@@ -161,7 +158,7 @@ def dyck_gf(k: int) -> PolyQuotient:
     if k < -2:
         raise ValueError("height bound must be >= -2")
     if k < 0:
-        return _ZERO_Q
+        return PolyQuotient(())
     return ballot_between_gf(k, 0, 0)
 
 
@@ -176,7 +173,7 @@ def ballot_end_gf(k: int, j: int) -> PolyQuotient:
     if j < 0:
         raise ValueError("end level must be >= 0")
     if j > k + 1:
-        return _ZERO_Q
+        return PolyQuotient(())
     return ballot_between_gf(k, 0, j)
 
 
@@ -212,5 +209,5 @@ def ballot_exact_gf(k: int, j: int) -> PolyQuotient:
     if j < 0:
         raise ValueError("end level must be >= 0")
     if j > k:
-        return _ZERO_Q
+        return PolyQuotient(())
     return PolyQuotient(p_poly(j), _poly_mul(p_poly(k), p_poly(k + 1)), 2 * k - j)

@@ -1,8 +1,11 @@
 """Mechanical verification of the super Catalan identity catalogue.
 
-Every check runs in exact arithmetic and produces a VerificationReport: the
-identity id, the order it was checked to, pass/fail, and the first mismatching
-coefficient on failure.  Series checks compare coefficients of the half-step
+Each check is a private body registered in IDENTITIES under its id, and
+`run_identity` is the one way to run it.  A body runs in exact arithmetic at
+one order, appends its notes and returns its first mismatch, or None; the
+runner clamps the order, times the body and builds the VerificationReport:
+the identity id, the order it was checked to, pass/fail, and the first
+mismatching coefficient on failure.  Series checks compare coefficients of the half-step
 variable t (x = t**2); `first_mismatch.power` is the t-exponent there.  It is
 the C-exponent, and the note says so, for what is checked in C under
 x = C / (1 + C)^2: the polynomial identities of g-forms and p-bridge, the
@@ -73,16 +76,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def _run(identity: str, order: int, body) -> VerificationReport:
-    notes: list[str] = []
-    start = perf_counter()
-    mismatch = body(notes)
-    elapsed_ms = int((perf_counter() - start) * 1000)
-    return VerificationReport(identity=identity, order=order,
-                              passed=mismatch is None, first_mismatch=mismatch,
-                              elapsed_ms=elapsed_ms, notes=tuple(notes))
-
-
 def _first_mismatch(lhs, rhs) -> Mismatch | None:
     """The first index where two coefficient sequences of one length differ.
     Sequences of unequal lengths are refused: a comparison never shortens
@@ -96,30 +89,27 @@ def _first_mismatch(lhs, rhs) -> Mismatch | None:
                  if a != b), None)
 
 
-def _closed_form_row(identity: str, m: int, n_max: int, closed) -> VerificationReport:
+def _closed_form_row(m: int, n_max: int, closed) -> Mismatch | None:
     """T(m,n) = closed(n) for 1 <= n <= n_max."""
-    def body(notes):
-        for n in range(1, n_max + 1):
-            lhs, rhs = super_catalan(m, n), closed(n)
-            if lhs != rhs:
-                return Mismatch(n, lhs, rhs)
-        return None
-    return _run(identity, n_max, body)
+    for n in range(1, n_max + 1):
+        lhs, rhs = super_catalan(m, n), closed(n)
+        if lhs != rhs:
+            return Mismatch(n, lhs, rhs)
+    return None
 
 
-def verify_t2_closed_form(n_max: int) -> VerificationReport:
+def _check_t2_closed_form(n_max: int, notes: list[str]) -> Mismatch | None:
     """T(2,n) = 4*C_n - C_{n+1} for 1 <= n <= n_max."""
-    return _closed_form_row("e2", 2, n_max, lambda n: 4 * catalan(n) - catalan(n + 1))
+    return _closed_form_row(2, n_max, lambda n: 4 * catalan(n) - catalan(n + 1))
 
 
-def verify_t3_closed_form(n_max: int) -> VerificationReport:
+def _check_t3_closed_form(n_max: int, notes: list[str]) -> Mismatch | None:
     """T(3,n) = 16*C_n - 8*C_{n+1} + C_{n+2} for 1 <= n <= n_max."""
     return _closed_form_row(
-        "t3-closed", 3, n_max,
-        lambda n: 16 * catalan(n) - 8 * catalan(n + 1) + catalan(n + 2))
+        3, n_max, lambda n: 16 * catalan(n) - 8 * catalan(n + 1) + catalan(n + 2))
 
 
-def verify_e8(order: int) -> VerificationReport:
+def _check_e8(order: int, notes: list[str]) -> Mismatch | None:
     """sum_n 2^(p-2n) C(p,2n) T(m,n) = T(m, m+p) for all m, p <= order.
 
     Checked on the doubled rows 2T(m, n), n <= m + order, of
@@ -135,35 +125,32 @@ def verify_e8(order: int) -> VerificationReport:
     used, and a wrong one fails at (m, order) with the row's value on the
     left.  The weights 2^(p-2n) C(p,2n) are built once.
     """
-    def body(notes):
-        notes.append(f"checked 0 <= m <= {order}, 0 <= p <= {order}")
-        notes.append("m=0 row checked as the doubled identity "
-                     "(middle binomial coefficients)")
-        weights = [[2 ** (p - 2 * n) * comb(p, 2 * n) for n in range(p // 2 + 1)]
-                   for p in range(order + 1)]
+    notes.append(f"checked 0 <= m <= {order}, 0 <= p <= {order}")
+    notes.append("m=0 row checked as the doubled identity "
+                 "(middle binomial coefficients)")
+    weights = [[2 ** (p - 2 * n) * comb(p, 2 * n) for n in range(p // 2 + 1)]
+               for p in range(order + 1)]
 
-        def mismatch(m, p, lhs, rhs):  # m = 0 keeps the doubled identity
-            if m:
-                lhs, rhs = (exact_div(v, 2, f"half of an e8 side at ({m}, {p})")
-                            for v in (lhs, rhs))
-            return Mismatch((m, p), lhs, rhs)
+    def mismatch(m, p, lhs, rhs):  # m = 0 keeps the doubled identity
+        if m:
+            lhs, rhs = (exact_div(v, 2, f"half of an e8 side at ({m}, {p})")
+                        for v in (lhs, rhs))
+        return Mismatch((m, p), lhs, rhs)
 
-        for m in range(order + 1):
-            row = super_catalan_row(m, m + order)
-            if m + order:  # at order 0 the row is its start, C(0, 0) = 1
-                anchor = 2 * super_catalan(m, m + order)
-                if row[-1] != anchor:
-                    return mismatch(m, order, row[-1], anchor)
-            for p, weight in enumerate(weights):
-                lhs = sum(map(mul, weight, row))  # n <= p // 2, the weights' length
-                rhs = row[m + p]
-                if lhs != rhs:
-                    return mismatch(m, p, lhs, rhs)
-        return None
-    return _run("e8", order, body)
+    for m in range(order + 1):
+        row = super_catalan_row(m, m + order)
+        anchor = 2 * super_catalan(m, m + order)
+        if row[-1] != anchor:
+            return mismatch(m, order, row[-1], anchor)
+        for p, weight in enumerate(weights):
+            lhs = sum(map(mul, weight, row))  # n <= p // 2, the weights' length
+            rhs = row[m + p]
+            if lhs != rhs:
+                return mismatch(m, p, lhs, rhs)
+    return None
 
 
-def verify_e_mo(degree: int) -> VerificationReport:
+def _check_e_mo(degree: int, notes: list[str]) -> Mismatch | None:
     """1 + sum C_m C_n x^m y^n = (1 - sum T(m,n) x^m y^n)^(-1), m,n >= 1,
     compared through the given total degree.
 
@@ -182,35 +169,31 @@ def verify_e_mo(degree: int) -> VerificationReport:
     Here the identity alone would also catch a row scaled by a wrong start
     value, since L fixes A = 1 - L^(-1), but only at that row's first
     entry; the anchor ties both checks to super_catalan by the same rule."""
-    if degree < 2:
-        raise ValueError("degree must be >= 2")
-    def body(notes):
-        u = [0] + [catalan(n) for n in range(1, degree + 1)]  # u[n], n <= degree
-        # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; rows 0 and
-        # degree are zero
-        a = [[0] * (degree + 1)]
-        for m in range(1, degree):
-            row = super_catalan_row(m, degree - m)
-            a.append([0] + [exact_div(value, 2, f"T({m},{n})")
-                            for n, value in enumerate(row[1:], 1)])
-            anchor = super_catalan(m, degree - m)
-            if a[m][-1] != anchor:
-                return Mismatch((m, degree - m), a[m][-1], anchor)
-        a.append([0])
-        # w[k][j] = sum_l a[k][l] u[j-l], and al[j][i] = (A L - A)[i][j]
-        # = sum_k u[i-k] w[k][j], over the column j of w, k <= degree - j
-        w = [_convolve(row, u, range(len(row))) for row in a]
-        al = [_convolve([w[k][j] for k in range(degree - j + 1)], u,
-                        range(degree - j + 1)) for j in range(degree + 1)]
-        for d in range(1, degree + 1):  # at (0, 0) both sides are 1
-            for i in range(d + 1):
-                j = d - i
-                lhs = u[i] * u[j]  # u[0] = 0
-                rhs = a[i][j] + al[j][i]
-                if lhs != rhs:
-                    return Mismatch((i, j), lhs, rhs)
-        return None
-    return _run("e-mo", degree, body)
+    u = [0] + [catalan(n) for n in range(1, degree + 1)]  # u[n], n <= degree
+    # a[k][l] = T(k, l) for k, l >= 1, k + l <= degree; rows 0 and
+    # degree are zero
+    a = [[0] * (degree + 1)]
+    for m in range(1, degree):
+        row = super_catalan_row(m, degree - m)
+        a.append([0] + [exact_div(value, 2, f"T({m},{n})")
+                        for n, value in enumerate(row[1:], 1)])
+        anchor = super_catalan(m, degree - m)
+        if a[m][-1] != anchor:
+            return Mismatch((m, degree - m), a[m][-1], anchor)
+    a.append([0])
+    # w[k][j] = sum_l a[k][l] u[j-l], and al[j][i] = (A L - A)[i][j]
+    # = sum_k u[i-k] w[k][j], over the column j of w, k <= degree - j
+    w = [_convolve(row, u, range(len(row))) for row in a]
+    al = [_convolve([w[k][j] for k in range(degree - j + 1)], u,
+                    range(degree - j + 1)) for j in range(degree + 1)]
+    for d in range(1, degree + 1):  # at (0, 0) both sides are 1
+        for i in range(d + 1):
+            j = d - i
+            lhs = u[i] * u[j]  # u[0] = 0
+            rhs = a[i][j] + al[j][i]
+            if lhs != rhs:
+                return Mismatch((i, j), lhs, rhs)
+    return None
 
 
 def _in_c(poly: tuple[int, ...], degree: int) -> list[int]:
@@ -280,7 +263,7 @@ def _g_in_c(n: int, length: int) -> list[int]:
     return _over_one_minus(_times_one_minus(one_plus_c, (n + 1,))[:length], (n + 2,))
 
 
-def verify_firstsum(x_order: int) -> VerificationReport:
+def _check_firstsum(x_order: int, notes: list[str]) -> Mismatch | None:
     """sum_n (G_n - G_{n-1}) G_{n+1} = 1 + 2C, summed in C through
     C^x_order.
 
@@ -297,22 +280,20 @@ def verify_firstsum(x_order: int) -> VerificationReport:
     The route reads these C-forms, not the quotients p_n / p_(n+1) of
     dyck_gf: g-forms checks the quotients against their C-forms for n <= 8,
     and tests compare dyck_gf(n) with path counts for larger n."""
-    def body(notes):
-        length = x_order + 1
-        total = [0] * length
-        for n in range(length):
-            total = list(map(add, total, _c_quotient(n, (n + 1, n + 3), length)))
-        mismatch = _first_mismatch(_times_one_minus(total, (2, 2))[:length],
-                                   ([1, 2] + [0] * length)[:length])
-        if mismatch:
-            notes.append("sum in C vs 1 + 2C, power is the C-exponent")
-            return mismatch
-        notes.append(f"summed in C through C^{x_order}")
-        return None
-    return _run("firstsum", x_order, body)
+    length = x_order + 1
+    total = [0] * length
+    for n in range(length):
+        total = list(map(add, total, _c_quotient(n, (n + 1, n + 3), length)))
+    mismatch = _first_mismatch(_times_one_minus(total, (2, 2))[:length],
+                               ([1, 2] + [0] * length)[:length])
+    if mismatch:
+        notes.append("sum in C vs 1 + 2C, power is the C-exponent")
+        return mismatch
+    notes.append(f"summed in C through C^{x_order}")
+    return None
 
 
-def verify_pairsum(x_order: int) -> VerificationReport:
+def _check_pairsum(x_order: int, notes: list[str]) -> Mismatch | None:
     """sum_n (G_n - G_{n-1})(G_{n+1} - G_{n-2}) = 1 + 2C - C^2
     = 1 + sum T(2,n) x^n, every coefficient cross-checked against pair counts.
 
@@ -327,39 +308,37 @@ def verify_pairsum(x_order: int) -> VerificationReport:
     coefficients are compared with the table row T(2, n) and with one
     `_pair_counts` pass, which shares nothing with the sum in C and counts
     the pairs of height gap at most 1 for every n."""
-    def body(notes):
-        length = x_order + 1
-        # d[m + 1] = d_m for every m that a product below reads
-        d = [[0] * length] + [_c_quotient(m, (m + 1, m + 2), length)
-                              for m in range(length // 2 + 2)]
-        total = [0] * length
-        for n in range(length // 2 + 1):  # the n-th product starts at C^(2n-1)
-            near = map(add, map(add, d[n], d[n + 1]), d[n + 2])
-            term = _over_one_minus(([0] * n + list(near))[:length], (n + 1, n + 2))
-            total = list(map(add, total, term))
-        total = _times_one_minus(total, (1, 1, 2, 2))[:length]
-        mismatch = _first_mismatch(total, ([1, 2, -1] + [0] * length)[:length])
-        if mismatch:
-            notes.append("sum in C vs 1 + 2C - C^2, power is the C-exponent")
-            return mismatch
-        crossed = _c_to_x(total)
-        mismatch = _x_mismatch(
-            crossed, [1] + [super_catalan(2, n) for n in range(1, length)])
-        if mismatch:
-            notes.append("series sum vs 1 + sum T(2,n) x^n")
-            return mismatch
-        counts = _pair_counts(range(length), lambda hp: (hp - 1, hp + 1))
-        # x^0 is the 1 of the sum, which the series check has just compared
-        mismatch = _x_mismatch(crossed, [1] + counts[1:])
-        if mismatch:
-            notes.append(f"pair count disagrees at n={mismatch.power // 2}")
-            return mismatch
-        notes.append(f"summed in C through C^{x_order}, carried to x by "
-                     "Lagrange inversion")
-        notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
-                     "pair counts from the height table")
-        return None
-    return _run("pairsum", x_order, body)
+    length = x_order + 1
+    # d[m + 1] = d_m for every m that a product below reads
+    d = [[0] * length] + [_c_quotient(m, (m + 1, m + 2), length)
+                          for m in range(length // 2 + 2)]
+    total = [0] * length
+    for n in range(length // 2 + 1):  # the n-th product starts at C^(2n-1)
+        near = map(add, map(add, d[n], d[n + 1]), d[n + 2])
+        term = _over_one_minus(([0] * n + list(near))[:length], (n + 1, n + 2))
+        total = list(map(add, total, term))
+    total = _times_one_minus(total, (1, 1, 2, 2))[:length]
+    mismatch = _first_mismatch(total, ([1, 2, -1] + [0] * length)[:length])
+    if mismatch:
+        notes.append("sum in C vs 1 + 2C - C^2, power is the C-exponent")
+        return mismatch
+    crossed = _c_to_x(total)
+    mismatch = _x_mismatch(
+        crossed, [1] + [super_catalan(2, n) for n in range(1, length)])
+    if mismatch:
+        notes.append("series sum vs 1 + sum T(2,n) x^n")
+        return mismatch
+    counts = _pair_counts(range(length), lambda hp: (hp - 1, hp + 1))
+    # x^0 is the 1 of the sum, which the series check has just compared
+    mismatch = _x_mismatch(crossed, [1] + counts[1:])
+    if mismatch:
+        notes.append(f"pair count disagrees at n={mismatch.power // 2}")
+        return mismatch
+    notes.append(f"summed in C through C^{x_order}, carried to x by "
+                 "Lagrange inversion")
+    notes.append(f"coefficients x^1..x^{x_order} cross-checked against "
+                 "pair counts from the height table")
+    return None
 
 
 def _e52_cleared_in_c() -> list[int]:
@@ -374,7 +353,7 @@ def _e52_cleared_in_c() -> list[int]:
                     _times_one_minus(_in_c((1, -8, 16), 7), (1,))))
 
 
-def verify_e52(x_order: int) -> VerificationReport:
+def _check_e52(x_order: int, notes: list[str]) -> Mismatch | None:
     """-(1-4x)^(5/2)/(2x^4) - 10/x + 15/x^2 - 5/x^3 + 1/(2x^4)
     = sum T(3,n+1) x^n.  Both sides are multiplied by 2x^4 first, which clears
     all negative powers and leaves an equality of genuine series.
@@ -384,13 +363,11 @@ def verify_e52(x_order: int) -> VerificationReport:
     series in C and its series in x have their first nonzero coefficient at
     the same power with the same value, so the C^4 stays x^4.  A mismatch
     reports a t-exponent."""
-    def body(notes):
-        cleared = _e52_cleared_in_c()
-        lhs = cleared[:4] + _c_to_x((cleared[4:] + [0] * x_order)[:x_order + 1])
-        rhs = [0] * 4 + [2 * super_catalan(3, n + 1) for n in range(x_order + 1)]
-        notes.append("compared after clearing denominators (multiplied by 2x^4)")
-        return _x_mismatch(lhs, rhs)
-    return _run("e52", x_order, body)
+    cleared = _e52_cleared_in_c()
+    lhs = cleared[:4] + _c_to_x((cleared[4:] + [0] * x_order)[:x_order + 1])
+    rhs = [0] * 4 + [2 * super_catalan(3, n + 1) for n in range(x_order + 1)]
+    notes.append("compared after clearing denominators (multiplied by 2x^4)")
+    return _x_mismatch(lhs, rhs)
 
 
 def _displayed_t3_tail(length: int) -> list[int]:
@@ -470,7 +447,7 @@ def _t3_path_counts(x_order: int) -> list[int]:
     return counts
 
 
-def verify_t3_main(x_order: int) -> VerificationReport:
+def _check_t3_main(x_order: int, notes: list[str]) -> Mismatch | None:
     """1 + sum T(3,n+1) x^n = sqrt(x) * sum_{k>=6} H_k^(4) H_{k-2}^(3) H_{k-4}^(2)
     + 2*G_1 + 2*G_2 + G_3 + G_5.
 
@@ -488,40 +465,38 @@ def verify_t3_main(x_order: int) -> VerificationReport:
     Last, every coefficient through x^x_order is compared with triple path
     counts.
     """
-    def body(notes):
-        length = x_order + 1
-        lhs = ([1 + super_catalan(3, 1)]
-               + [super_catalan(3, n + 1) for n in range(1, length)])
-        k_sum = _t3_k_sum_in_c(length)
-        rhs = [k + 2 * g1 + 2 * g2 + g3 + g5 for k, g1, g2, g3, g5
-               in zip(k_sum, *(_g_in_c(n, length) for n in (1, 2, 3, 5)))]
-        crossed = _c_to_x(rhs)
-        mismatch = _x_mismatch(lhs, crossed)
-        if mismatch:
-            notes.append("main series identity")
-            return mismatch
+    length = x_order + 1
+    lhs = ([1 + super_catalan(3, 1)]
+           + [super_catalan(3, n + 1) for n in range(1, length)])
+    k_sum = _t3_k_sum_in_c(length)
+    rhs = [k + 2 * g1 + 2 * g2 + g3 + g5 for k, g1, g2, g3, g5
+           in zip(k_sum, *(_g_in_c(n, length) for n in (1, 2, 3, 5)))]
+    crossed = _c_to_x(rhs)
+    mismatch = _x_mismatch(lhs, crossed)
+    if mismatch:
+        notes.append("main series identity")
+        return mismatch
 
-        cleared = _e52_cleared_in_c()
-        lhs_sub = [0] * 4 + [2 * c for c in k_sum]
-        tail = [0] * 4 + [2 * c for c in _displayed_t3_tail(length)]
-        # the cleared side is a polynomial of degree 8; map stops at the tail
-        rhs_sub = list(map(add, cleared + [0] * len(tail), tail))
-        mismatch = _first_mismatch(lhs_sub, rhs_sub)
-        if mismatch:
-            notes.append("k-sum vs displayed closed rational expression, "
-                         "power is the C-exponent")
-            return mismatch
-        notes.append("k-sum checked in C against its displayed closed "
-                     "rational form")
+    cleared = _e52_cleared_in_c()
+    lhs_sub = [0] * 4 + [2 * c for c in k_sum]
+    tail = [0] * 4 + [2 * c for c in _displayed_t3_tail(length)]
+    # the cleared side is a polynomial of degree 8; map stops at the tail
+    rhs_sub = list(map(add, cleared + [0] * len(tail), tail))
+    mismatch = _first_mismatch(lhs_sub, rhs_sub)
+    if mismatch:
+        notes.append("k-sum vs displayed closed rational expression, "
+                     "power is the C-exponent")
+        return mismatch
+    notes.append("k-sum checked in C against its displayed closed "
+                 "rational form")
 
-        mismatch = _x_mismatch(crossed, _t3_path_counts(x_order))
-        if mismatch:
-            notes.append(f"triple path counts disagree at n={mismatch.power // 2}")
-            return mismatch
-        notes.append(f"coefficients x^0..x^{x_order} cross-checked "
-                     "against triple path counts")
-        return None
-    return _run("t3-main", x_order, body)
+    mismatch = _x_mismatch(crossed, _t3_path_counts(x_order))
+    if mismatch:
+        notes.append(f"triple path counts disagree at n={mismatch.power // 2}")
+        return mismatch
+    notes.append(f"coefficients x^0..x^{x_order} cross-checked "
+                 "against triple path counts")
+    return None
 
 
 def _c_mismatch(num: tuple[int, ...], den: tuple[int, ...], degrees: tuple[int, int],
@@ -568,7 +543,7 @@ def _g_cases():
                     yield k, i, j, f"G_{k}^({i},{j})", ballot_between_gf(k, i, j)
 
 
-def verify_g_closed_forms(x_order: int) -> VerificationReport:
+def _check_g_closed_forms(x_order: int, notes: list[str]) -> Mismatch | None:
     """All closed forms for height-bounded path generating functions agree:
     the polynomial quotients, their forms in C, and the transfer-table
     counts, for G_-1 = 0 and G_k^(i,j), 0 <= i <= j <= k + 1, k <= 8.
@@ -601,41 +576,39 @@ def verify_g_closed_forms(x_order: int) -> VerificationReport:
     transfer-table column: the path counts, which share nothing with the
     C route.
     """
-    def body(notes):
-        t_order = 2 * x_order
-        mismatch = _catalan_tie(x_order)
+    t_order = 2 * x_order
+    mismatch = _catalan_tie(x_order)
+    if mismatch:
+        notes.append("C vs x (1 + C)^2")
+        return mismatch
+
+    forms = columns = 0
+    for k, i, j, name, gf in _g_cases():
+        mismatch = _c_mismatch(gf.num, gf.den, (k - gf.t_shift, k + 1),
+                               (1, k + 2), (i + 1, k - j + 1), (j - i) // 2)
         if mismatch:
-            notes.append("C vs x (1 + C)^2")
+            notes.append(f"{name}: polynomial identity fails, "
+                         "power is the C-exponent")
             return mismatch
-
-        forms = columns = 0
-        for k, i, j, name, gf in _g_cases():
-            mismatch = _c_mismatch(gf.num, gf.den, (k - gf.t_shift, k + 1),
-                                   (1, k + 2), (i + 1, k - j + 1), (j - i) // 2)
-            if mismatch:
-                notes.append(f"{name}: polynomial identity fails, "
-                             "power is the C-exponent")
-                return mismatch
-            forms += 1
-            if k < 0:  # no path has height -1
-                continue
-            if j == i:
-                table = CountTable(t_order, k, start_level=i)
-            mismatch = _first_mismatch(gf.expand(t_order).coeffs, table.column(j))
-            if mismatch:
-                notes.append(f"{name}: series vs path count at t^{mismatch.power}")
-                return mismatch
-            columns += 1
-        notes.append(f"C = x (1 + C)^2 through t^{t_order}")
-        notes.append(f"{forms} closed forms, k <= {_G_FORMS_K_MAX}, checked as "
-                     "polynomial identities in C")
-        notes.append(f"{columns} quotient expansions cross-checked against path "
-                     f"counts through t^{t_order}")
-        return None
-    return _run("g-forms", x_order, body)
+        forms += 1
+        if k < 0:  # no path has height -1
+            continue
+        if j == i:
+            table = CountTable(t_order, k, start_level=i)
+        mismatch = _first_mismatch(gf.expand(t_order).coeffs, table.column(j))
+        if mismatch:
+            notes.append(f"{name}: series vs path count at t^{mismatch.power}")
+            return mismatch
+        columns += 1
+    notes.append(f"C = x (1 + C)^2 through t^{t_order}")
+    notes.append(f"{forms} closed forms, k <= {_G_FORMS_K_MAX}, checked as "
+                 "polynomial identities in C")
+    notes.append(f"{columns} quotient expansions cross-checked against path "
+                 f"counts through t^{t_order}")
+    return None
 
 
-def verify_p_bridge(x_order: int) -> VerificationReport:
+def _check_p_bridge(x_order: int, notes: list[str]) -> Mismatch | None:
     """p_n = (1 - C^(n+1)) / ((1 - C)(1 + C)^n) for n <= min(12, x_order).
 
     Under x = C / (1 + C)^2 this is the polynomial identity
@@ -644,26 +617,24 @@ def verify_p_bridge(x_order: int) -> VerificationReport:
     C = x (1 + C)^2 through x^x_order on the list of Catalan numbers (see
     g-forms), ties C to x, and with it each polynomial identity gives the
     series identity through that order."""
-    def body(notes):
-        n_max = min(_P_BRIDGE_N_MAX, x_order)
-        t_order = 2 * x_order
-        mismatch = _catalan_tie(x_order)
+    n_max = min(_P_BRIDGE_N_MAX, x_order)
+    t_order = 2 * x_order
+    mismatch = _catalan_tie(x_order)
+    if mismatch:
+        notes.append("C vs x (1 + C)^2")
+        return mismatch
+    for n in range(n_max + 1):
+        mismatch = _c_mismatch(p_poly(n), (1,), (n, 0), (1,), (n + 1,))
         if mismatch:
-            notes.append("C vs x (1 + C)^2")
+            notes.append(f"first failure at n={n}, power is the C-exponent")
             return mismatch
-        for n in range(n_max + 1):
-            mismatch = _c_mismatch(p_poly(n), (1,), (n, 0), (1,), (n + 1,))
-            if mismatch:
-                notes.append(f"first failure at n={n}, power is the C-exponent")
-                return mismatch
-        notes.append(f"C = x (1 + C)^2 through t^{t_order}")
-        notes.append(f"checked n = 0..{n_max} as P_n (1 - C) = 1 - C^(n+1), "
-                     "P_n = p_n (1 + C)^n")
-        return None
-    return _run("p-bridge", x_order, body)
+    notes.append(f"C = x (1 + C)^2 through t^{t_order}")
+    notes.append(f"checked n = 0..{n_max} as P_n (1 - C) = 1 - C^(n+1), "
+                 "P_n = p_n (1 + C)^n")
+    return None
 
 
-def verify_lemma_main_count(n_max: int) -> VerificationReport:
+def _check_lemma_main_count(n_max: int, notes: list[str]) -> Mismatch | None:
     """|E_n| = C_n and the pair-to-path map is a bijection, exhaustively.
 
     E_n is the set of pairs (P, Q) of Dyck paths of total semilength n with P
@@ -690,53 +661,53 @@ def verify_lemma_main_count(n_max: int) -> VerificationReport:
     image finds no height no more round trips run for that n: that note is
     reported first.
     """
-    def body(notes):
-        words = _dyck_words(n_max)
-        counts = _pair_counts(range(n_max + 1), _e_band)
-        for n in range(1, n_max + 1):
-            expected = catalan(n)
-            if counts[n] != expected:
-                notes.append(f"|E_{n}| != C_{n}")
-                return Mismatch(n, counts[n], expected)
-            height = {d: h for d, h, _ in words[n]}
-            pairs = outside = failures = 0
-            stream = _restricted_words(n, words)
-            while chunk := list(islice(stream, _INVERSE_CHUNK)):
-                pairs += len(chunk)
-                images = [_forward_core(*pair) for pair in chunk]
-                heights = [height.pop(d, None) for d in images]
-                outside += heights.count(None)
-                if outside:
-                    continue  # its note comes before any round-trip note
-                levels = _levels("".join(images))
-                for lo, d, h, pair in zip(count(0, 2 * n), images, heights, chunk):
-                    try:
-                        back = _inverse_core(d, levels[lo:lo + 2 * n + 1], h)
-                    except (ValueError, IndexError, RuntimeError):
-                        back = None  # the core refused a word of D_n
-                    if back != pair[:2]:
-                        failures += 1
-            if pairs != expected:
-                notes.append(f"pair enumeration at n={n} disagrees with count")
-                return Mismatch(n, pairs, expected)
+    words = _dyck_words(n_max)
+    counts = _pair_counts(range(n_max + 1), _e_band)
+    for n in range(1, n_max + 1):
+        expected = catalan(n)
+        if counts[n] != expected:
+            notes.append(f"|E_{n}| != C_{n}")
+            return Mismatch(n, counts[n], expected)
+        height = {d: h for d, h, _ in words[n]}
+        pairs = outside = failures = 0
+        stream = _restricted_words(n, words)
+        while chunk := list(islice(stream, _INVERSE_CHUNK)):
+            pairs += len(chunk)
+            images = [_forward_core(*pair) for pair in chunk]
+            heights = [height.pop(d, None) for d in images]
+            outside += heights.count(None)
             if outside:
-                notes.append(f"{outside} images of E_{n} outside D_{n} or repeated")
-                return Mismatch(n, outside, 0)
-            if failures:
-                notes.append(f"{failures} roundtrip failures at n={n}")
-                return Mismatch(n, failures, 0)
-        notes.append(f"exhaustive roundtrips for n = 1..{n_max}")
-        return None
-    return _run("lemma-main", n_max, body)
+                continue  # its note comes before any round-trip note
+            levels = _levels("".join(images))
+            for lo, d, h, pair in zip(count(0, 2 * n), images, heights, chunk):
+                try:
+                    back = _inverse_core(d, levels[lo:lo + 2 * n + 1], h)
+                except (ValueError, IndexError, RuntimeError):
+                    back = None  # the core refused a word of D_n
+                if back != pair[:2]:
+                    failures += 1
+        if pairs != expected:
+            notes.append(f"pair enumeration at n={n} disagrees with count")
+            return Mismatch(n, pairs, expected)
+        if outside:
+            notes.append(f"{outside} images of E_{n} outside D_{n} or repeated")
+            return Mismatch(n, outside, 0)
+        if failures:
+            notes.append(f"{failures} roundtrip failures at n={n}")
+            return Mismatch(n, failures, 0)
+    notes.append(f"exhaustive roundtrips for n = 1..{n_max}")
+    return None
 
 
 class Check(NamedTuple):
-    """A registered check: its default order, the function that runs it at
-    one order, and the orders it accepts.  A requested order outside
+    """A registered check: its default order, its body, and the orders it
+    accepts.  The body takes the order and a list to append its notes to,
+    and returns the first Mismatch, or None when the identity holds;
+    `run_identity` runs it and builds the report.  A requested order outside
     [min_order, max_order] runs clamped into that range, and the report
     records `clamp_note`, formatted with the order that ran."""
     default_order: int
-    verify: Callable[[int], VerificationReport]
+    verify: Callable[[int, list[str]], Mismatch | None]
     min_order: int = 1
     max_order: int | None = None
     clamp_note: str = ""
@@ -744,27 +715,27 @@ class Check(NamedTuple):
 
 # ids in sorted order, the order of `verify all`
 IDENTITIES: dict[str, Check] = {
-    "e-mo": Check(12, verify_e_mo, min_order=2, clamp_note=(
+    "e-mo": Check(12, _check_e_mo, min_order=2, clamp_note=(
         "total degree raised to 2 (minimum meaningful degree)")),
-    "e2": Check(30, verify_t2_closed_form),
-    "e52": Check(30, verify_e52),
-    "e8": Check(10, verify_e8),
-    "firstsum": Check(30, verify_firstsum),
-    "g-forms": Check(30, verify_g_closed_forms),
+    "e2": Check(30, _check_t2_closed_form),
+    "e52": Check(30, _check_e52),
+    "e8": Check(10, _check_e8),
+    "firstsum": Check(30, _check_firstsum),
+    "g-forms": Check(30, _check_g_closed_forms),
     # exhaustive enumeration stays feasible only at desk scale
-    "lemma-main": Check(8, verify_lemma_main_count, max_order=10, clamp_note=(
+    "lemma-main": Check(8, _check_lemma_main_count, max_order=10, clamp_note=(
         "n_max clamped to {}: exhaustive enumeration bound")),
-    "p-bridge": Check(30, verify_p_bridge),
-    "pairsum": Check(30, verify_pairsum),
-    "t3-closed": Check(30, verify_t3_closed_form),
-    "t3-main": Check(20, verify_t3_main),
+    "p-bridge": Check(30, _check_p_bridge),
+    "pairsum": Check(30, _check_pairsum),
+    "t3-closed": Check(30, _check_t3_closed_form),
+    "t3-main": Check(20, _check_t3_main),
 }
 
 
 def run_identity(identity: str, order: int | None = None) -> VerificationReport:
     """Run one registered identity check at the given (or default) order,
-    clamped into the orders the check accepts; a clamp is recorded in the
-    report notes."""
+    clamped into the orders the check accepts, and report it: the time the
+    check's body took, its first mismatch and its notes, a clamp note last."""
     check = IDENTITIES.get(identity)
     if check is None:
         valid = ", ".join(IDENTITIES)
@@ -776,8 +747,12 @@ def run_identity(identity: str, order: int | None = None) -> VerificationReport:
     effective = max(order, check.min_order)
     if check.max_order is not None:
         effective = min(effective, check.max_order)
-    report = check.verify(effective)
+    notes: list[str] = []
+    start = perf_counter()
+    mismatch = check.verify(effective, notes)
+    elapsed_ms = int((perf_counter() - start) * 1000)
     if effective != order:
-        note = check.clamp_note.format(effective)
-        report = report._replace(notes=report.notes + (note,))
-    return report
+        notes.append(check.clamp_note.format(effective))
+    return VerificationReport(identity=identity, order=effective,
+                              passed=mismatch is None, first_mismatch=mismatch,
+                              elapsed_ms=elapsed_ms, notes=tuple(notes))

@@ -32,11 +32,7 @@ from io import StringIO
 
 from supercat import (IDENTITIES, PathClass, catalan, count_ballot_dp,
                       count_pairs_height_diff, count_paths_dp, enumerate_ballot,
-                      super_catalan, verify_e8, verify_e52, verify_e_mo,
-                      verify_firstsum, verify_g_closed_forms,
-                      verify_lemma_main_count, verify_p_bridge, verify_pairsum,
-                      run_identity, verify_t2_closed_form,
-                      verify_t3_closed_form, verify_t3_main)
+                      run_identity, super_catalan)
 from supercat.cli import BALLOT_STEPS_MAX, ORDER_MAX, PAIRS_N_MAX, main
 
 ROW_2 = "3 2 3 6 14 36 99 286 858 2652 8398"
@@ -82,7 +78,7 @@ def test_criterion_2_pair_counts_equal_t2():
 
 def test_criterion_3_bijection_roundtrip():
     def body():
-        report = verify_lemma_main_count(8)
+        report = run_identity("lemma-main", 8)
         return report.passed, "; ".join(report.notes) or "exhaustive roundtrips"
     check("criterion 3 (bijection roundtrips, |E_n| = C_n, n <= 8)", 10.0, body)
 
@@ -99,52 +95,52 @@ def _series_criterion(label, fn):
 
 def test_criterion_4a_e2():
     _series_criterion("criterion 4a (e2 through n = 30)",
-                      lambda: verify_t2_closed_form(30))
+                      lambda: run_identity("e2", 30))
 
 
 def test_criterion_4b_t3_closed():
     _series_criterion("criterion 4b (t3-closed through n = 30)",
-                      lambda: verify_t3_closed_form(30))
+                      lambda: run_identity("t3-closed", 30))
 
 
 def test_criterion_4c_e8():
     _series_criterion("criterion 4c (e8 for m, p <= 10)",
-                      lambda: verify_e8(10))
+                      lambda: run_identity("e8", 10))
 
 
 def test_criterion_4d_firstsum():
     _series_criterion("criterion 4d (firstsum to x-order 30)",
-                      lambda: verify_firstsum(30))
+                      lambda: run_identity("firstsum", 30))
 
 
 def test_criterion_4e_pairsum():
     _series_criterion("criterion 4e (pairsum to x-order 30)",
-                      lambda: verify_pairsum(30))
+                      lambda: run_identity("pairsum", 30))
 
 
 def test_criterion_4f_e52():
     _series_criterion("criterion 4f (e52 to x-order 30)",
-                      lambda: verify_e52(30))
+                      lambda: run_identity("e52", 30))
 
 
 def test_criterion_4g_p_bridge():
     _series_criterion("criterion 4g (p-bridge, n <= 12, x-order 30)",
-                      lambda: verify_p_bridge(30))
+                      lambda: run_identity("p-bridge", 30))
 
 
 def test_criterion_4h_g_forms():
     _series_criterion("criterion 4h (g-forms, k <= 8, all i and j, x-order 30)",
-                      lambda: verify_g_closed_forms(30))
+                      lambda: run_identity("g-forms", 30))
 
 
 def test_criterion_5_e_mo():
     _series_criterion("criterion 5 (e-mo to total degree 12)",
-                      lambda: verify_e_mo(12))
+                      lambda: run_identity("e-mo", 12))
 
 
 def test_criterion_6_t3_main_series():
     def body():
-        report = verify_t3_main(20)
+        report = run_identity("t3-main", 20)
         sub_identity_ran = any("rational form" in note for note in report.notes)
         return (report.passed and sub_identity_ran,
                 "series + closed-form sub-identity + path-count oracle")
@@ -153,7 +149,7 @@ def test_criterion_6_t3_main_series():
 
 def test_criterion_6_t3_main_oracle():
     def body():
-        report = verify_t3_main(20)
+        report = run_identity("t3-main", 20)
         oracle_ran = ("coefficients x^0..x^20 cross-checked against triple path counts"
                       in report.notes)
         return report.passed and oracle_ran, "; ".join(report.notes)

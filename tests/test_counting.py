@@ -50,8 +50,7 @@ from supercat import (CountTable, Mismatch, Path, PathClass, catalan,
                       count_ballot_dp, count_E_set, count_F_set,
                       count_pairs_height_diff, count_paths_dp, enumerate_ballot,
                       enumerate_dyck, enumerate_restricted_pairs, factor_dyck,
-                      super_catalan, super_catalan_row, verify_lemma_main_count,
-                      verify_pairsum)
+                      run_identity, super_catalan, super_catalan_row)
 from supercat import counting
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -281,11 +280,11 @@ def test_a_wrong_reflection_sum_fails_every_route_through_it(monkeypatch):
     real = counting._strip_sum
     monkeypatch.setattr(counting, "_strip_sum", lambda *args: real(*args) + 1)
     assert count_paths_dp(10, 0, 2, 3) == CountTable(10, 3).count(10, 2) + 1
-    report = verify_pairsum(12)
+    report = run_identity("pairsum", 12)
     assert report.passed is False
     assert report.notes == ("pair count disagrees at n=1",)
     assert report.first_mismatch == Mismatch(2, 2, 8)
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert report.passed is False
     assert report.notes == ("|E_1| != C_1",)
     assert report.first_mismatch == Mismatch(1, 2, 1)

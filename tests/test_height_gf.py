@@ -9,6 +9,8 @@ Claims covered:
     - quotient normalization: even t-shifts fold into the numerator, the zero
       quotient is canonically 0/1 with shift 0, parity-mixed addition is
       rejected; the repr lists num and den
+    - each builder returns a zero quotient of its own: rebinding the fields
+      of one leaves the others zero
     - quotients compare by cross-multiplication and are unhashable, since
       no hash of num, den and shift agrees with that equality
     - a denominator must have constant term 1 or -1, so every expansion
@@ -146,6 +148,13 @@ def test_dyck_gf_small_cases():
     assert [g1.x_coefficient(k) for k in range(6)] == [1, 1, 1, 1, 1, 1]
     g2 = dyck_gf(2).expand(16)
     assert [g2.x_coefficient(k) for k in range(9)] == [1, 1, 2, 4, 8, 16, 32, 64, 128]
+
+
+def test_each_empty_class_gets_its_own_zero_quotient():
+    zeros = (lambda: dyck_gf(-1), lambda: dyck_gf(-2),
+             lambda: ballot_end_gf(0, 5), lambda: ballot_exact_gf(1, 2))
+    zeros[0]().num = (1,)
+    assert [zero().is_zero for zero in zeros[1:]] == [True, True, True]
 
 
 def test_expand_bookkeeping():

@@ -93,11 +93,7 @@ import pytest
 from supercat import (IDENTITIES, BiTrunc, CountTable, Mismatch, PolyQuotient,
                       TruncSeries, catalan, catalan_series,
                       enumerate_dyck, enumerate_restricted_pairs, forward,
-                      inverse, report_to_dict, run_identity, super_catalan,
-                      verify_e8, verify_e52, verify_e_mo, verify_firstsum,
-                      verify_g_closed_forms, verify_lemma_main_count,
-                      verify_p_bridge, verify_pairsum, verify_t2_closed_form,
-                      verify_t3_closed_form, verify_t3_main)
+                      inverse, report_to_dict, run_identity, super_catalan)
 from supercat import counting, height_gf, identities, series
 from supercat.cli import main
 from supercat.counting import exact_div
@@ -111,11 +107,11 @@ def _assert_clean_pass(report, identity):
 
 
 def test_t2_closed_form():
-    _assert_clean_pass(verify_t2_closed_form(12), "e2")
+    _assert_clean_pass(run_identity("e2", 12), "e2")
 
 
 def test_t3_closed_form():
-    _assert_clean_pass(verify_t3_closed_form(12), "t3-closed")
+    _assert_clean_pass(run_identity("t3-closed", 12), "t3-closed")
 
 
 def _plant(monkeypatch, name, wrong):
@@ -123,21 +119,21 @@ def _plant(monkeypatch, name, wrong):
     monkeypatch.setattr(identities, name, wrong(getattr(identities, name)))
 
 
-@pytest.mark.parametrize("verify, n, lhs, delta", [
+@pytest.mark.parametrize("identity, n, lhs, delta", [
     # C_7 is C_{n+1} first at n = 6 in 4C_n - C_{n+1}
-    (verify_t2_closed_form, 6, super_catalan(2, 6), -1),
+    ("e2", 6, super_catalan(2, 6), -1),
     # and C_{n+2} first at n = 5 in 16C_n - 8C_{n+1} + C_{n+2}
-    (verify_t3_closed_form, 5, super_catalan(3, 5), 1),
+    ("t3-closed", 5, super_catalan(3, 5), 1),
 ])
-def test_closed_forms_fail_on_a_wrong_catalan(monkeypatch, verify, n, lhs, delta):
+def test_closed_forms_fail_on_a_wrong_catalan(monkeypatch, identity, n, lhs, delta):
     _plant(monkeypatch, "catalan", lambda real: lambda k: real(k) + (k == 7))
-    report = verify(12)
+    report = run_identity(identity, 12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(n, lhs, lhs + delta)
 
 
 def test_e8():
-    report = verify_e8(6)
+    report = run_identity("e8", 6)
     _assert_clean_pass(report, "e8")
     assert any("doubled" in note for note in report.notes)
 
@@ -161,7 +157,7 @@ def test_e8_fails_on_a_wrong_super_catalan(monkeypatch):
     # T(2, 5) first appears as the right side T(m, m + p) at (m, p) = (2, 3);
     # on the left it would need n = 5 <= p // 2, past p <= 6
     _plant_row_entry(monkeypatch, (2, 5), lambda v: v + 1)
-    report = verify_e8(6)
+    report = run_identity("e8", 6)
     assert report.passed is False
     assert report.first_mismatch == Mismatch((2, 3), super_catalan(2, 5),
                                              super_catalan(2, 5) + 1)
@@ -175,11 +171,11 @@ def test_a_scaled_row_fails_e8_and_e_mo_at_its_anchor(monkeypatch):
     real = identities.super_catalan_row
     monkeypatch.setattr(identities, "super_catalan_row", lambda m, n_max: [
         2 * value if m == 3 else value for value in real(m, n_max)])
-    report = verify_e8(6)
+    report = run_identity("e8", 6)
     assert report.passed is False
     assert report.first_mismatch == Mismatch((3, 6), 2 * super_catalan(3, 9),
                                              super_catalan(3, 9))
-    report = verify_e_mo(12)
+    report = run_identity("e-mo", 12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch((3, 9), 2 * super_catalan(3, 9),
                                              super_catalan(3, 9))
@@ -192,10 +188,10 @@ def test_row_checks_call_super_catalan_once_per_row(monkeypatch):
     real = identities.super_catalan
     monkeypatch.setattr(identities, "super_catalan",
                         lambda m, n: calls.append((m, n)) or real(m, n))
-    assert verify_e8(10).passed
+    assert run_identity("e8", 10).passed
     assert calls == [(m, m + 10) for m in range(11)]
     calls.clear()
-    assert verify_e_mo(12).passed
+    assert run_identity("e-mo", 12).passed
     assert calls == [(m, 12 - m) for m in range(1, 12)]
 
 
@@ -206,8 +202,8 @@ def test_g_closed_forms_make_no_series_product(monkeypatch):
     real = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda self, other: calls.append(1) or real(self, other))
-    assert verify_g_closed_forms(12).passed
-    assert verify_p_bridge(12).passed
+    assert run_identity("g-forms", 12).passed
+    assert run_identity("p-bridge", 12).passed
     assert calls == []
 
 
@@ -218,7 +214,7 @@ def test_g_closed_forms_expand_each_quotient_once(monkeypatch):
     real = PolyQuotient.expand
     monkeypatch.setattr(PolyQuotient, "expand",
                         lambda self, t_order: calls.append(1) or real(self, t_order))
-    assert verify_g_closed_forms(12).passed
+    assert run_identity("g-forms", 12).passed
     assert len(calls) == 219
 
 
@@ -229,7 +225,7 @@ def test_g_closed_forms_build_each_table_column_once(monkeypatch):
     real = CountTable.column
     monkeypatch.setattr(CountTable, "column",
                         lambda self, level: levels.append(level) or real(self, level))
-    assert verify_g_closed_forms(12).passed
+    assert run_identity("g-forms", 12).passed
     assert len(levels) == sum((k + 2) * (k + 3) // 2 for k in range(9)) == 219
 
 
@@ -239,14 +235,12 @@ def test_deep_order(identity):
 
 
 def test_e_mo():
-    _assert_clean_pass(verify_e_mo(8), "e-mo")
-    with pytest.raises(ValueError):
-        verify_e_mo(1)
+    _assert_clean_pass(run_identity("e-mo", 8), "e-mo")
 
 
 def test_e_mo_fails_on_a_wrong_super_catalan(monkeypatch):
     _plant_row_entry(monkeypatch, (3, 4), lambda v: v + 1)
-    report = verify_e_mo(20)
+    report = run_identity("e-mo", 20)
     assert report.passed is False
     assert report.first_mismatch.power == (3, 4)
 
@@ -282,9 +276,9 @@ def _same_as_inverse(degree):
         expected = _e_mo_by_inverse(degree)
     except RuntimeError as exc:
         with pytest.raises(RuntimeError, match=re.escape(str(exc))):
-            verify_e_mo(degree)
+            run_identity("e-mo", degree)
         return None
-    report = verify_e_mo(degree)
+    report = run_identity("e-mo", degree)
     assert (report.passed, report.first_mismatch, report.notes) == expected
     return report
 
@@ -335,11 +329,11 @@ def test_e_mo_failure_reports(monkeypatch, name, at, mismatch):
     else:
         _plant(monkeypatch, name,
                lambda real: lambda *args: real(*args) + (args == at))
-    assert verify_e_mo(20).first_mismatch == mismatch
+    assert run_identity("e-mo", 20).first_mismatch == mismatch
 
 
 def test_firstsum():
-    _assert_clean_pass(verify_firstsum(12), "firstsum")
+    _assert_clean_pass(run_identity("firstsum", 12), "firstsum")
 
 
 def _plant_strides(monkeypatch, at, strides):
@@ -355,14 +349,14 @@ def test_firstsum_fails_on_a_wrong_height_bound(monkeypatch):
     # C^3 (C^7 - C^6) / ((1 - C^4)(1 - C^6)(1 - C^7)), which starts at -C^9,
     # and (1 - C^2)^2 keeps that lowest term
     _plant_strides(monkeypatch, (3, (4, 6)), (4, 7))
-    report = verify_firstsum(12)
+    report = run_identity("firstsum", 12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(9, -1, 0)
     assert report.notes == ("sum in C vs 1 + 2C, power is the C-exponent",)
 
 
 def test_pairsum():
-    report = verify_pairsum(12)
+    report = run_identity("pairsum", 12)
     _assert_clean_pass(report, "pairsum")
     assert report.notes == (
         "summed in C through C^12, carried to x by Lagrange inversion",
@@ -375,7 +369,7 @@ def test_pairsum_fails_on_a_wrong_pair_count(monkeypatch):
     real = identities._pair_counts
     monkeypatch.setattr(identities, "_pair_counts", lambda n_max, band: [
         count + (n == 11) for n, count in enumerate(real(n_max, band))])
-    report = verify_pairsum(12)
+    report = run_identity("pairsum", 12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(22, super_catalan(2, 11),
                                              super_catalan(2, 11) + 1)
@@ -387,7 +381,7 @@ def test_pairsum_fails_on_a_wrong_t2(monkeypatch):
     # and meets the table row at x^5
     _plant(monkeypatch, "super_catalan",
            lambda real: lambda m, n: real(m, n) + ((m, n) == (2, 5)))
-    report = verify_pairsum(12)
+    report = run_identity("pairsum", 12)
     assert (report.identity, report.order, report.passed) == ("pairsum", 12, False)
     assert report.first_mismatch == Mismatch(10, 36, 37)
     assert report.notes == ("series sum vs 1 + sum T(2,n) x^n",)
@@ -411,7 +405,7 @@ def test_pairsum_fails_on_a_wrong_height_table_entry(monkeypatch):
     # gap 1 only at n = 7: UD, on either side of the pair.  At n = 6 its one
     # partner is the empty path, two heights below it
     _plant_height_table_defect(monkeypatch)
-    report = verify_pairsum(30)
+    report = run_identity("pairsum", 30)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(14, 286, 288)  # T(2, 7) = 286
     assert "pair count disagrees at n=7" in report.notes
@@ -422,7 +416,7 @@ def test_pairsum_fails_on_a_wrong_height_bound(monkeypatch):
     # changes by -C^10 + ...; it is a neighbour in the products n = 3, 4, 5,
     # which multiply it by C^n, so the change starts at -C^13, from n = 3
     _plant_strides(monkeypatch, (4, (5, 6)), (5, 7))
-    report = verify_pairsum(30)
+    report = run_identity("pairsum", 30)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(13, -1, 0)
     assert report.notes == ("sum in C vs 1 + 2C - C^2, power is the C-exponent",)
@@ -434,10 +428,10 @@ def test_a_wrong_crossing_to_x_fails_pairsum_and_t3_main(monkeypatch):
     # T(3, 8) = 780; the C stages before it still pass
     _plant(monkeypatch, "_c_to_x", lambda real: lambda cs: [
         c + (n == 7) for n, c in enumerate(real(cs))])
-    report = verify_pairsum(12)
+    report = run_identity("pairsum", 12)
     assert report.first_mismatch == Mismatch(14, 287, 286)
     assert report.notes == ("series sum vs 1 + sum T(2,n) x^n",)
-    report = verify_t3_main(10)
+    report = run_identity("t3-main", 10)
     assert report.first_mismatch == Mismatch(14, 780, 781)
     assert report.notes == ("main series identity",)
 
@@ -464,7 +458,7 @@ def test_c_lists_of_unequal_lengths_are_refused():
 
 
 def test_e52():
-    _assert_clean_pass(verify_e52(12), "e52")
+    _assert_clean_pass(run_identity("e52", 12), "e52")
 
 
 def test_e52_fails_on_a_wrong_crossing_to_x(monkeypatch):
@@ -472,7 +466,7 @@ def test_e52_fails_on_a_wrong_crossing_to_x(monkeypatch):
     # from C to x: 2T(3, 8) + 1 at x^11 of the cleared side, t^22
     _plant(monkeypatch, "_c_to_x", lambda real: lambda cs: [
         c + (n == 7) for n, c in enumerate(real(cs))])
-    report = verify_e52(12)
+    report = run_identity("e52", 12)
     assert (report.identity, report.order, report.passed) == ("e52", 12, False)
     assert report.first_mismatch == Mismatch(22, 2 * super_catalan(3, 8) + 1,
                                              2 * super_catalan(3, 8))
@@ -489,13 +483,13 @@ def test_e52_fails_on_a_wrong_polynomial_in_c(monkeypatch):
     _plant(monkeypatch, "_in_c", lambda real: lambda poly, degree: [
         c + (degree == r == 8) for r, c in enumerate(real(poly, degree))])
     assert identities._e52_cleared_in_c() == [0, 0, 0, 0, 10, 12, -4, -4, 3]
-    report = verify_e52(12)
+    report = run_identity("e52", 12)
     assert (report.identity, report.order, report.passed) == ("e52", 12, False)
     assert report.first_mismatch == Mismatch(16, 2 * super_catalan(3, 5) + 1,
                                              2 * super_catalan(3, 5))
     assert report.notes == (
         "compared after clearing denominators (multiplied by 2x^4)",)
-    report = verify_t3_main(10)
+    report = run_identity("t3-main", 10)
     assert report.first_mismatch == Mismatch(8, 0, 1)
     assert report.notes == ("k-sum vs displayed closed rational expression, "
                             "power is the C-exponent",)
@@ -519,7 +513,7 @@ def test_e52_cleared_lhs_is_the_binomial_expansion(x_order):
 
 
 def test_t3_main():
-    report = verify_t3_main(10)
+    report = run_identity("t3-main", 10)
     _assert_clean_pass(report, "t3-main")
     assert report.notes == (
         "k-sum checked in C against its displayed closed rational form",
@@ -527,7 +521,7 @@ def test_t3_main():
     # the oracle covers every coefficient through the order checked
     for order in (4, 1):
         assert (f"coefficients x^0..x^{order} cross-checked against triple "
-                "path counts" in verify_t3_main(order).notes)
+                "path counts" in run_identity("t3-main", order).notes)
 
 
 def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
@@ -536,7 +530,7 @@ def test_t3_main_fails_on_a_wrong_exact_height_gf(monkeypatch):
     # term, 1·C^8, is 1·x^8 = t^16 in x
     _plant(monkeypatch, "_c_quotient", lambda real: lambda e, strides, length: [
         (1 + (e == 8)) * c for c in real(e, strides, length)])
-    report = verify_t3_main(10)
+    report = run_identity("t3-main", 10)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(16, super_catalan(3, 9),
                                              super_catalan(3, 9) + 1)
@@ -548,7 +542,7 @@ def test_t3_main_fails_on_a_wrong_constant_term(monkeypatch):
     real = identities.super_catalan
     monkeypatch.setattr(identities, "super_catalan",
                         lambda m, n: real(m, n) + ((m, n) == (3, 1)))
-    report = verify_t3_main(10)
+    report = run_identity("t3-main", 10)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(0, 7, 6)
     assert report.notes == ("main series identity",)
@@ -559,7 +553,7 @@ def test_t3_main_fails_on_a_wrong_displayed_tail(monkeypatch):
     # the main identity standing and fails the k-sum's closed form at C^7
     _plant(monkeypatch, "_displayed_t3_tail", lambda real: lambda length: [
         c + (n == 3) for n, c in enumerate(real(length))])
-    report = verify_t3_main(20)
+    report = run_identity("t3-main", 20)
     assert (report.identity, report.order, report.passed) == ("t3-main", 20, False)
     assert report.first_mismatch == Mismatch(7, 0, 2)
     assert report.notes == ("k-sum vs displayed closed rational expression, "
@@ -573,11 +567,11 @@ def test_t3_main_oracle_sees_a_wrong_count_above_x9(monkeypatch):
     # at x^10; the series side is untouched
     monkeypatch.setattr(_TableWithOneWrongCount, "planted", (6, 0, 12, 4))
     monkeypatch.setattr(identities, "CountTable", _TableWithOneWrongCount)
-    report = verify_t3_main(20)
+    report = run_identity("t3-main", 20)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(20, 19380, 19381)
     assert "triple path counts disagree at n=10" in report.notes
-    _assert_clean_pass(verify_t3_main(9), "t3-main")
+    _assert_clean_pass(run_identity("t3-main", 9), "t3-main")
 
 
 def test_t3_path_counts_use_no_series_route(monkeypatch):
@@ -596,7 +590,7 @@ def test_t3_path_counts_use_no_series_route(monkeypatch):
 
 
 def test_g_closed_forms():
-    report = verify_g_closed_forms(10)
+    report = run_identity("g-forms", 10)
     _assert_clean_pass(report, "g-forms")
     assert report.notes == (
         "C = x (1 + C)^2 through t^20",
@@ -608,7 +602,7 @@ def test_g_closed_forms_fail_on_a_wrong_height_bound(monkeypatch):
     # G_2 = G_2^(0) built as G_3^(0): p_3 / p_4 against the C-form of height 2
     real = identities.ballot_end_gf
     monkeypatch.setattr(identities, "ballot_end_gf", lambda k, j: real(k + (k == 2), j))
-    report = verify_g_closed_forms(12)
+    report = run_identity("g-forms", 12)
     assert report.passed is False
     assert report.notes == (
         "G_2^(0): polynomial identity fails, power is the C-exponent",)
@@ -671,7 +665,7 @@ def test_g_closed_forms_failure_reports(monkeypatch, plant, expected):
     else:
         monkeypatch.setattr(_TableWithOneWrongCount, "planted", plant)
         monkeypatch.setattr(identities, "CountTable", _TableWithOneWrongCount)
-    report = verify_g_closed_forms(12)
+    report = run_identity("g-forms", 12)
     note, power, lhs, rhs = expected
     assert report.passed is False
     assert report.notes == (note,)
@@ -689,7 +683,7 @@ def _plant_between(monkeypatch, at, power):
 def test_g_closed_forms_fail_on_a_wrong_shared_quotient(monkeypatch):
     # ballot_end_gf(4, 2) is ballot_between_gf(4, 0, 2), reported as G_4^(2)
     _plant_between(monkeypatch, (4, 0, 2), 6)
-    report = verify_g_closed_forms(12)
+    report = run_identity("g-forms", 12)
     assert report.passed is False
     assert report.notes == ("G_4^(2)" + _POLYNOMIAL,)
     assert report.first_mismatch == Mismatch(3, 16, 15)
@@ -707,17 +701,17 @@ def test_firstsum_fails_on_a_wrong_shared_quotient(monkeypatch):
                 cs[lo:lo + a] = [u + v for u, v in zip(cs[lo:lo + a], cs[lo - a:lo])]
         return cs
     monkeypatch.setattr(identities, "_over_one_minus", wrong)
-    for verify, mismatch, note in (
+    for identity, mismatch, note in (
             # the n = 2 summand C^2 / ((1 - C^3)(1 - C^5)) loses C^7
-            (verify_firstsum, Mismatch(7, -1, 0),
+            ("firstsum", Mismatch(7, -1, 0),
              "sum in C vs 1 + 2C, power is the C-exponent"),
             # d_3 = C^3 / ((1 - C^4)(1 - C^5)) loses C^8, a neighbour in the
             # n = 2 product, which multiplies it by C^2
-            (verify_pairsum, Mismatch(10, -1, 0),
+            ("pairsum", Mismatch(10, -1, 0),
              "sum in C vs 1 + 2C - C^2, power is the C-exponent"),
             # G_3 = (1 + C)(1 - C^4) / (1 - C^5) loses C^5, which is x^5
-            (verify_t3_main, Mismatch(10, 110, 109), "main series identity")):
-        report = verify(30)
+            ("t3-main", Mismatch(10, 110, 109), "main series identity")):
+        report = run_identity(identity, 30)
         assert report.passed is False
         assert report.first_mismatch == mismatch
         assert report.notes == (note,)
@@ -728,7 +722,7 @@ def test_g_closed_forms_fail_on_a_wrong_c_series(monkeypatch):
     # below x^2 there, where its right side is 2 C_1 = 2.  This tie is also
     # what makes sqrt(C) = t (1 + C), which g-forms no longer compares
     _plant(monkeypatch, "catalan", lambda real: lambda n: real(n) + (n == 2))
-    report = verify_g_closed_forms(12)
+    report = run_identity("g-forms", 12)
     assert report.passed is False
     assert report.notes == ("C vs x (1 + C)^2",)
     assert report.first_mismatch == Mismatch(4, 3, 2)
@@ -737,7 +731,7 @@ def test_g_closed_forms_fail_on_a_wrong_c_series(monkeypatch):
 def test_g_closed_forms_fail_on_a_wrong_catalan(monkeypatch):
     # the C tie comes before every closed form and table column
     _plant_wrong_c12(monkeypatch)
-    report = verify_g_closed_forms(12)
+    report = run_identity("g-forms", 12)
     assert report.passed is False
     assert report.notes == ("C vs x (1 + C)^2",)
     assert report.first_mismatch == Mismatch(24, 208013, 208012)
@@ -748,7 +742,7 @@ def test_g_closed_forms_pass_deep():
 
 
 def test_p_bridge():
-    report = verify_p_bridge(12)
+    report = run_identity("p-bridge", 12)
     _assert_clean_pass(report, "p-bridge")
     assert report.notes == (
         "C = x (1 + C)^2 through t^24",
@@ -756,7 +750,7 @@ def test_p_bridge():
     # n stops at the x-order below 12, and at 12 above it
     for order, n_max in ((5, 5), (30, 12)):
         assert (f"checked n = 0..{n_max} as P_n (1 - C) = 1 - C^(n+1), "
-                "P_n = p_n (1 + C)^n") in verify_p_bridge(order).notes
+                "P_n = p_n (1 + C)^n") in run_identity("p-bridge", order).notes
 
 
 def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
@@ -764,7 +758,7 @@ def test_p_bridge_fails_on_a_wrong_polynomial(monkeypatch):
     # homogenised one degree past 3, so P_4 (1 - C) = 1 - C^5 meets
     # (1 - C^4)(1 + C) = 1 + C - C^4 - C^5
     _plant(monkeypatch, "p_poly", lambda real: lambda n: real(n + (n == 3)))
-    report = verify_p_bridge(12)
+    report = run_identity("p-bridge", 12)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(1, 0, 1)
     assert report.notes == ("first failure at n=3, power is the C-exponent",)
@@ -790,29 +784,28 @@ def _plant_wrong_c12(monkeypatch):
     _plant(monkeypatch, "catalan", lambda real: lambda n: real(n) + (n == 12))
 
 
-@pytest.mark.parametrize("verify, note, mismatch", [
+@pytest.mark.parametrize("identity, note, mismatch", [
     # the closed forms are polynomial identities in C, which divide nothing,
     # so only the height table sees the extra path of G_0 = 1 at t^24
-    (verify_g_closed_forms, "G_0^(0): series vs path count at t^24",
-     Mismatch(24, 1, 0)),
+    ("g-forms", "G_0^(0): series vs path count at t^24", Mismatch(24, 1, 0)),
     # p-bridge no longer divides: its case is a wrong C_12, which its tie
     # C = x (1 + C)^2 sees at x^12, where the right side reads C below x^12
-    (verify_p_bridge, "C vs x (1 + C)^2", Mismatch(24, 208013, 208012)),
+    ("p-bridge", "C vs x (1 + C)^2", Mismatch(24, 208013, 208012)),
 ])
-def test_division_defect_fails_g_forms_and_p_bridge(monkeypatch, verify, note,
+def test_division_defect_fails_g_forms_and_p_bridge(monkeypatch, identity, note,
                                                     mismatch):
-    if verify is verify_p_bridge:
+    if identity == "p-bridge":
         _plant_wrong_c12(monkeypatch)
     else:
         _plant_division_defect(monkeypatch)
-    report = verify(12)
+    report = run_identity(identity, 12)
     assert report.passed is False
     assert report.notes == (note,)
     assert report.first_mismatch == mismatch
 
 
 def test_lemma_main_count():
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     _assert_clean_pass(report, "lemma-main")
     assert any("roundtrips" in note for note in report.notes)
 
@@ -821,7 +814,7 @@ def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
     real = identities._pair_counts
     monkeypatch.setattr(identities, "_pair_counts", lambda n_max, band: [
         count + (n == 4) for n, count in enumerate(real(n_max, band))])
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, catalan(4) + 1, catalan(4))
     assert "|E_4| != C_4" in report.notes
@@ -829,7 +822,7 @@ def test_lemma_main_fails_on_a_wrong_pair_count(monkeypatch):
 
 def test_lemma_main_fails_on_a_wrong_height_table_entry(monkeypatch):
     _plant_height_table_defect(monkeypatch)
-    report = verify_lemma_main_count(8)
+    report = run_identity("lemma-main", 8)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(7, 430, 429)
     assert "|E_7| != C_7" in report.notes
@@ -839,7 +832,7 @@ def test_lemma_main_fails_on_a_missing_pair(monkeypatch):
     # the first pair of E_4 never streams: 13 pairs against |E_4| = 14
     _plant(monkeypatch, "_restricted_words", lambda real: lambda n, words: (
         islice(real(n, words), n == 4, None)))
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
     assert report.first_mismatch == Mismatch(4, 13, 14)
     assert report.notes == ("pair enumeration at n=4 disagrees with count",)
@@ -876,7 +869,7 @@ def test_lemma_main_fails_on_a_wrong_inverse(monkeypatch):
     monkeypatch.setattr(identities, "_inverse_core",
                         lambda word, levels, h: (wrong.p.steps, wrong.q.steps)
                         if word == d.steps else real(word, levels, h))
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(4, 1, 0)
     assert "1 roundtrip failures at n=4" in report.notes
@@ -893,7 +886,7 @@ def test_lemma_main_inverts_every_chunk_of_words(monkeypatch, index):
     monkeypatch.setattr(identities, "_inverse_core",
                         lambda word, levels, h: (wrong.p.steps, wrong.q.steps)
                         if word == d else real(word, levels, h))
-    report = verify_lemma_main_count(8)
+    report = run_identity("lemma-main", 8)
     assert report.passed is False
     assert report.first_mismatch == Mismatch(8, 1, 0)
     assert "1 roundtrip failures at n=8" in report.notes
@@ -908,7 +901,7 @@ def test_lemma_main_inverts_each_chunk_before_mapping_the_next(monkeypatch):
             ahead.append(ahead[-1] + step)
             return real(*args)
         monkeypatch.setattr(identities, name, core)
-    assert verify_lemma_main_count(9).passed
+    assert run_identity("lemma-main", 9).passed
     assert max(ahead) == identities._INVERSE_CHUNK
     assert ahead[-1] == 0
     assert len(ahead) == 1 + 2 * sum(catalan(n) for n in range(1, 10))
@@ -919,7 +912,7 @@ def test_lemma_main_makes_one_level_pass_per_chunk(monkeypatch):
     calls = []
     _plant(monkeypatch, "_levels",
            lambda real: lambda steps: calls.append(1) or real(steps))
-    assert verify_lemma_main_count(10).passed
+    assert run_identity("lemma-main", 10).passed
     assert len(calls) == 7 + 2 + 5 + 17 == 31
 
 
@@ -945,7 +938,7 @@ def test_lemma_main_fails_on_a_wrong_enumerated_height(monkeypatch, index, delta
             return out
         return words
     _plant(monkeypatch, "_dyck_words", plant)
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert report.passed is False
     assert report.first_mismatch == mismatch
     assert report.notes == (note,)
@@ -959,7 +952,7 @@ def test_lemma_main_fails_on_a_forward_that_merges_two_pairs(monkeypatch):
                         lambda p, q, *landmarks: merged
                         if (p, q) == (second.p.steps, second.q.steps)
                         else real(p, q, *landmarks))
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert report.passed is False
     # the image of the second pair was the first's, and finds no height
     assert report.first_mismatch == Mismatch(4, 1, 0)
@@ -977,7 +970,7 @@ def test_lemma_main_fails_on_a_pair_streamed_twice(monkeypatch):
             return iter(pairs)
         return stream
     _plant(monkeypatch, "_restricted_words", plant)
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
     assert report.first_mismatch == Mismatch(4, 1, 0)
     assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
@@ -992,7 +985,7 @@ def test_lemma_main_fails_on_a_forward_image_outside_d_n(monkeypatch):
                         lambda p, q, *landmarks: "DU" * 4
                         if (p, q) == (sixth.p.steps, sixth.q.steps)
                         else real(p, q, *landmarks))
-    report = verify_lemma_main_count(5)
+    report = run_identity("lemma-main", 5)
     assert (report.identity, report.order, report.passed) == ("lemma-main", 5, False)
     assert report.first_mismatch == Mismatch(4, 1, 0)
     assert report.notes == ("1 images of E_4 outside D_4 or repeated",)
@@ -1005,7 +998,7 @@ def test_t3_main_refuses_a_shortened_displayed_tail(monkeypatch):
            lambda real: lambda length: real(length - 1))
     with pytest.raises(RuntimeError,
                        match="cannot compare coefficient lists of lengths 25 and 24"):
-        verify_t3_main(20)
+        run_identity("t3-main", 20)
 
 
 # the default orders of the README catalogue

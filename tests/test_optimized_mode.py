@@ -79,7 +79,7 @@ except RuntimeError as exc:
 real_quotient = identities._c_quotient
 identities._c_quotient = lambda e, strides, length: [
     (1 + (e == 8)) * c for c in real_quotient(e, strides, length)]
-report = identities.verify_t3_main(10)
+report = run_identity("t3-main", 10)
 print("doubled k = 6 term", report.passed, report.first_mismatch.power,
       report.notes[-1])
 identities._c_quotient = real_quotient
@@ -87,12 +87,12 @@ identities._c_quotient = real_quotient
 real_row = identities.super_catalan_row
 identities.super_catalan_row = lambda m, n_max: [
     value + 2 * ((m, n) == (3, 4)) for n, value in enumerate(real_row(m, n_max))]
-print("planted e-mo", identities.verify_e_mo(12).first_mismatch)
+print("planted e-mo", run_identity("e-mo", 12).first_mismatch)
 identities.super_catalan_row = real_row
 real_tail = identities._displayed_t3_tail
 identities._displayed_t3_tail = lambda length: real_tail(length - 1)
 try:
-    identities.verify_t3_main(6)
+    run_identity("t3-main", 6)
     print("short tail passed")
 except RuntimeError as exc:
     print("short tail raised:", exc)
