@@ -18,8 +18,8 @@ the intermediate path F.  Both directions validate these landmarks at runtime.
 
 `forward` and `inverse` run the surgeries on step strings in two private
 cores and build Path objects only for their input and output; `trace` takes
-its output from the same forward core and builds and validates every
-intermediate object around it, for diagrams and debugging.
+its output from `forward` and builds and validates every intermediate object
+around it, for diagrams and debugging.
 """
 
 from __future__ import annotations
@@ -98,17 +98,17 @@ class BijectionTrace(NamedTuple):
 def trace(pair: RestrictedPair) -> BijectionTrace:
     """Apply both surgeries to `pair`, recording every landmark.
 
-    The output comes from the same string core as `forward`; the intermediate
-    path and the landmarks are built here and checked against it.
+    The output comes from `forward`; the intermediate path and the landmarks
+    are built here and checked against it.
     """
     p, q = pair.p, pair.q
-    output, q_peak = _forward_path(pair)
+    output = forward(pair)
     f = Path(p.steps[:-1] + UP + q.steps)
     boundary = len(p)
     intermediate = IntermediatePath(f, boundary)
 
     y = f.levels.index(f.height)  # leftmost highest point
-    if y != boundary + q_peak:
+    if y != boundary + q.levels.index(q.height):
         raise RuntimeError("leftmost highest point of F must be the first peak of F2")
 
     return BijectionTrace(
@@ -126,18 +126,12 @@ def trace(pair: RestrictedPair) -> BijectionTrace:
 
 def forward(pair: RestrictedPair) -> Path:
     """Map a restricted pair to a Dyck path of the same total semilength."""
-    return _forward_path(pair)[0]
-
-
-def _forward_path(pair: RestrictedPair) -> tuple[Path, int]:
-    """forward's image as a checked Path, with q's leftmost highest point."""
     p, q = pair.p, pair.q
     hq = q.height
-    q_peak = q.levels.index(hq)
-    output = Path(_forward_core(p.steps, q.steps, p.height, hq, q_peak))
+    output = Path(_forward_core(p.steps, q.steps, p.height, hq, q.levels.index(hq)))
     if not output.is_dyck():
         raise RuntimeError("surgery 2 must yield a Dyck path")
-    return output, q_peak
+    return output
 
 
 def _check_preimage(d: Path) -> None:

@@ -67,8 +67,6 @@ class CountTable:
             raise ValueError("steps must be nonnegative")
         if start_level < 0:
             raise ValueError("start_level must be nonnegative")
-        self.max_height = max_height
-        self.start_level = start_level
         cap = max_height if max_height is not None else start_level + steps
         row = [0] * max(cap + 1, 0)
         if start_level < len(row):

@@ -15,16 +15,14 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .counting import _convolve
-from .series import _INTS, TruncSeries, _divide, _int, _unit
+from .series import TruncSeries, _divide, _ints, _unit
 
 
 def _poly(coeffs) -> tuple[int, ...]:
-    """The stored form of an x-polynomial: plain ints by the rule of
-    `series` (a bool becomes an int, any other type raises TypeError),
-    trailing zeros dropped."""
-    cs = list(coeffs)
-    if not _INTS.issuperset(map(type, cs)):
-        cs = list(map(_int, cs))
+    """The stored form of an x-polynomial: plain ints by `series._ints`
+    (a bool becomes an int, any other type raises TypeError), trailing
+    zeros dropped."""
+    cs = _ints(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)

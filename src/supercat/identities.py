@@ -57,23 +57,13 @@ class VerificationReport(NamedTuple):
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    """JSON-ready dict with canonical key order."""
-    fm = None
-    if report.first_mismatch is not None:
-        power = report.first_mismatch.power
-        fm = {
-            "power": list(power) if isinstance(power, tuple) else power,
-            "lhs": report.first_mismatch.lhs,
-            "rhs": report.first_mismatch.rhs,
-        }
-    return {
-        "identity": report.identity,
-        "order": report.order,
-        "passed": report.passed,
-        "first_mismatch": fm,
-        "elapsed_ms": report.elapsed_ms,
-        "notes": list(report.notes),
-    }
+    """JSON-ready dict with canonical key order: the fields of
+    VerificationReport in their order, a first mismatch as the dict of its
+    Mismatch fields, and every other tuple (the notes, a tuple power) as a
+    list."""
+    return {key: (report_to_dict(value) if isinstance(value, Mismatch)
+                  else list(value) if isinstance(value, tuple) else value)
+            for key, value in report._asdict().items()}
 
 
 def _first_mismatch(lhs, rhs) -> Mismatch | None:
@@ -518,15 +508,19 @@ def _c_mismatch(num: tuple[int, ...], den: tuple[int, ...], degrees: tuple[int, 
                            tuple(rhs + [0] * (width - len(rhs))))
 
 
-def _catalan_tie(x_order: int) -> Mismatch | None:
+def _catalan_tie(x_order: int, notes: list[str]) -> Mismatch | None:
     """C = x (1 + C)^2 through x^x_order on int lists: c holds
     C = c(x) - 1, the Catalan numbers with c[0] = 0, and (1 + C)^2 is one
     `_convolve`.  Only one series solves it to that order, and it has no
     constant term: the coefficient of x^n on the right reads C only below
-    x^n.  A mismatch reports its t-exponent, 2n for x^n."""
+    x^n.  A mismatch reports its t-exponent, 2n for x^n, and appends the
+    failure note."""
     c = [0] + [catalan(n) for n in range(1, x_order + 1)]
     one_plus_c = [1] + c[1:]
-    return _x_mismatch(c, [0] + _convolve(one_plus_c, one_plus_c, range(x_order)))
+    mismatch = _x_mismatch(c, [0] + _convolve(one_plus_c, one_plus_c, range(x_order)))
+    if mismatch:
+        notes.append("C vs x (1 + C)^2")
+    return mismatch
 
 
 def _g_cases():
@@ -577,9 +571,8 @@ def _check_g_closed_forms(x_order: int, notes: list[str]) -> Mismatch | None:
     C route.
     """
     t_order = 2 * x_order
-    mismatch = _catalan_tie(x_order)
+    mismatch = _catalan_tie(x_order, notes)
     if mismatch:
-        notes.append("C vs x (1 + C)^2")
         return mismatch
 
     forms = columns = 0
@@ -619,9 +612,8 @@ def _check_p_bridge(x_order: int, notes: list[str]) -> Mismatch | None:
     series identity through that order."""
     n_max = min(_P_BRIDGE_N_MAX, x_order)
     t_order = 2 * x_order
-    mismatch = _catalan_tie(x_order)
+    mismatch = _catalan_tie(x_order, notes)
     if mismatch:
-        notes.append("C vs x (1 + C)^2")
         return mismatch
     for n in range(n_max + 1):
         mismatch = _c_mismatch(p_poly(n), (1,), (n, 0), (1,), (n + 1,))

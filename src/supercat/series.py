@@ -11,9 +11,11 @@ subclass such as bool is stored as int, and any other type (Fraction, float,
 ...) raises TypeError.  Every series in the identity catalogue has integer
 coefficients, and no operation leaves the integers: a quotient divides by a
 constant term of 1 or -1 only, any other raises ValueError, and the square
-root halves exactly and raises ValueError on an odd coefficient.  Every
-series, results included, is built by the constructor, which stores an
-all-int input as it is and sends any other input through the rule.
+root halves exactly and raises ValueError on an odd coefficient.  The rule
+is `_int`, and `_ints` applies it to a sequence: it keeps an all-int input
+as it is and sends any other input through `_int`.  Every series, results
+included, is built by the constructor, which stores its coefficients through
+`_ints`; so are the x-polynomials of `height_gf`.
 
 A product is `counting._convolve`, the one product kernel of the package,
 and a quotient is `_divide`, its one quotient kernel.
@@ -26,9 +28,6 @@ from typing import Iterable, Sequence
 
 from .counting import _convolve, catalan
 
-_ZERO = 0
-_INTS = {int}
-
 
 def _int(value) -> int:
     """The stored form of a coefficient: an int, with int subclasses such as
@@ -36,6 +35,14 @@ def _int(value) -> int:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"coefficients must be integers, not {type(value).__name__}")
+
+
+def _ints(values) -> list[int]:
+    """The stored form of a coefficient sequence: a new list, each value by
+    the rule of `_int`.  An all-int input is copied as it is, with no call
+    per value."""
+    cs = list(values)
+    return cs if {int}.issuperset(map(type, cs)) else list(map(_int, cs))
 
 
 def _unit(a0: int) -> int:
@@ -56,7 +63,7 @@ def _divide(num: Sequence[int], den: Sequence[int], length: int) -> list:
     tail = den[1:]
     out = []
     for k in range(length):
-        acc = num[k] if k < len(num) else _ZERO
+        acc = num[k] if k < len(num) else 0
         out.append((acc - sum(map(mul, tail, reversed(out[-len(tail):])))) * inv0)
     return out
 
@@ -69,11 +76,9 @@ class TruncSeries:
     def __init__(self, coeffs: Iterable[int], order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = list(coeffs)
-        if not _INTS.issuperset(map(type, cs)):
-            cs = list(map(_int, cs))
+        cs = _ints(coeffs)
         del cs[order + 1:]
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
+        cs.extend([0] * (order + 1 - len(cs)))
         self.coeffs = tuple(cs)
         self.order = order
 
@@ -88,7 +93,7 @@ class TruncSeries:
     @classmethod
     def from_x_coeffs(cls, x_coeffs: Iterable[int], order: int) -> "TruncSeries":
         """Series with the k-th given coefficient attached to x**k = t**(2k)."""
-        cs = [_ZERO] * (order + 1)
+        cs = [0] * (order + 1)
         for k, c in enumerate(x_coeffs):
             if 2 * k > order:
                 break
@@ -140,7 +145,7 @@ class TruncSeries:
         exactly; an odd one raises ValueError."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        out = [1] + [_ZERO] * self.order
+        out = [1] + [0] * self.order
         for k in range(1, self.order + 1):
             acc = self.coeffs[k] - sum(map(mul, out[1:k], out[k - 1:0:-1]))
             out[k], odd = divmod(acc, 2)
@@ -203,20 +208,20 @@ class BiTrunc:
         return cls({(0, 0): 1}, order)
 
     def get(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), _ZERO)
+        return self.coeffs.get((i, j), 0)
 
     def __add__(self, other: "BiTrunc") -> "BiTrunc":
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, _ZERO) + c
+            out[key] = out.get(key, 0) + c
         return BiTrunc(out, order)
 
     def __sub__(self, other: "BiTrunc") -> "BiTrunc":
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, _ZERO) - c
+            out[key] = out.get(key, 0) - c
         return BiTrunc(out, order)
 
     def __mul__(self, other: "BiTrunc") -> "BiTrunc":
@@ -229,7 +234,7 @@ class BiTrunc:
                 i, j = i1 + i2, j1 + j2
                 if i + j <= order:
                     key = (i, j)
-                    out[key] = out.get(key, _ZERO) + a * b
+                    out[key] = out.get(key, 0) + a * b
         return BiTrunc(out, order)
 
     def invert(self) -> "BiTrunc":
@@ -245,17 +250,17 @@ class BiTrunc:
             raise ZeroDivisionError("bivariate series with zero constant term is not invertible")
         inv0 = _unit(a00)
         order = self.order
-        a = [[_ZERO] * (order + 1 - i) for i in range(order + 1)]
+        a = [[0] * (order + 1 - i) for i in range(order + 1)]
         for (i, j), c in self.coeffs.items():
             a[i][j] = c
-        a[0][0] = _ZERO  # (k, l) = (0, 0) is not in the sum
+        a[0][0] = 0  # (k, l) = (0, 0) is not in the sum
         rows = [k for k, row in enumerate(a) if any(row)]
-        out = [[_ZERO] * (order + 1 - i) for i in range(order + 1)]
+        out = [[0] * (order + 1 - i) for i in range(order + 1)]
         out[0][0] = inv0
         for d in range(1, order + 1):
             for i in range(d + 1):
                 j = d - i
-                acc = _ZERO
+                acc = 0
                 for k in rows:
                     if k > i:
                         break
