@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -20,7 +19,6 @@ from .svg import render_trace
 
 ORDER_MIN = 1
 ORDER_MAX = 200
-ORDER_ENV = "SUPERCAT_ORDER"
 # `count pairs` builds a height table of O(n^2 log n) big-integer sums and makes
 # O(n^2) products for its one n, 0.3-0.5 s per process at this limit; past it a
 # count is refused before it starts.  A higher limit needs its own time and RSS
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("identity", choices=(*IDENTITIES, "all"))
     verify.add_argument("--order", type=_order_arg, default=None,
                         help=f"check order, {ORDER_MIN}..{ORDER_MAX} "
-                             f"(default: per-identity, or ${ORDER_ENV})")
+                             "(default: per-identity)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write the report to a file")
 
@@ -138,18 +136,6 @@ def _exact_size_error(args) -> str | None:
     if total > EXACT_N_MAX:
         return f"{names} must be at most {EXACT_N_MAX}, got {total}"
     return None
-
-
-def _resolve_order(args) -> int | None:
-    if args.order is not None:
-        return args.order
-    env = os.environ.get(ORDER_ENV)
-    if env is None:
-        return None
-    try:
-        return _order_arg(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{ORDER_ENV}: {exc}")
 
 
 def dumps_report(data) -> str:
@@ -201,10 +187,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = _resolve_order(args)
     with _open_output(args.out, sys.stdout) as out:
         identities = IDENTITIES if args.identity == "all" else (args.identity,)
-        reports = [run_identity(identity, order) for identity in identities]
+        reports = [run_identity(identity, args.order) for identity in identities]
         passed = all(report.passed for report in reports)
         if args.format == "json":
             if args.identity == "all":

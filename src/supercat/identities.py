@@ -727,13 +727,16 @@ IDENTITIES: dict[str, Check] = {
 def run_identity(identity: str, order: int | None = None) -> VerificationReport:
     """Run one registered identity check at the given (or default) order,
     clamped into the orders the check accepts, and report it: the time the
-    check's body took, its first mismatch and its notes, a clamp note last."""
+    check's body took, its first mismatch and its notes, a clamp note last.
+    An order other than None must be an int; a bool counts as the int it
+    stands for, by the rule `series._int` applies to coefficients."""
+    if order is not None and not isinstance(order, int):
+        raise TypeError(f"order must be an int, not {type(order).__name__}")
     check = IDENTITIES.get(identity)
     if check is None:
         valid = ", ".join(IDENTITIES)
         raise ValueError(f"unknown identity {identity!r}; valid ids: {valid}")
-    if order is None:
-        order = check.default_order
+    order = check.default_order if order is None else int(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     effective = max(order, check.min_order)

@@ -58,7 +58,8 @@ def _divide(num: Sequence[int], den: Sequence[int], length: int) -> list:
     padded with zeros): out[k] = (num[k] - sum_{i>=1} den[i] out[k-i]) / den[0],
     one dot product of den's tail with out reversed per coefficient.  The one
     quotient kernel: `TruncSeries.invert` divides 1 by a t-series with it,
-    and `PolyQuotient.expand` divides x-polynomials."""
+    `PolyQuotient.expand` divides x-polynomials, and
+    `identities._displayed_t3_tail` divides polynomials in C."""
     inv0 = _unit(den[0])
     tail = den[1:]
     out = []

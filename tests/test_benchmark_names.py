@@ -11,10 +11,16 @@ Claims covered:
     - installing the tracer wraps the package's functions, a run_identity
       call through the wrappers is traced, and uninstalling puts back every
       attribute of every supercat module and traced class
+    - the environment cannot steer what the benchmark checks: `verify all`
+      under SUPERCAT_ORDER=5 still passes the catalogue check at the default
+      orders, and no module under src/supercat/ reads os.environ or os.getenv
 """
 
+import ast
 import importlib
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -23,6 +29,7 @@ import supercat
 import supercat.cli  # noqa: F401  (the tracer wraps supercat.cli.main)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "supercat"
 
 
 @pytest.fixture
@@ -69,3 +76,33 @@ def test_uninstall_restores_every_patched_attribute(bench):
     after = _state(owners)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_environment_cannot_change_the_default_orders(bench, monkeypatch):
+    # the check workloads.build gives catalogue-default, called directly
+    # because build makes the benchmark's output directory
+    monkeypatch.setenv("SUPERCAT_ORDER", "5")
+    out = StringIO()
+    with redirect_stdout(out):
+        assert supercat.cli.main(["verify", "all", "--format", "json"]) == 0
+    workloads = bench["workloads"]
+    assert workloads._check_catalogue(workloads.DEFAULT_ORDERS)(out.getvalue()) is None
+
+
+def _reads_environment(node) -> bool:
+    """Whether `node` names os.environ or os.getenv, by attribute or by a
+    `from os import`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return False
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment would have to change this test
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    readers = [path.name for path in modules
+               if any(map(_reads_environment, ast.walk(ast.parse(path.read_text()))))]
+    assert readers == []

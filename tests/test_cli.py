@@ -2,8 +2,9 @@
 
 Claims covered:
     - count/table subcommands print the exact values, byte for byte
-    - verify exits 0 iff the requested checks pass, honors --order and
-      SUPERCAT_ORDER, and emits canonical JSON that reparses byte-identically
+    - verify exits 0 iff the requested checks pass, takes its order from
+      --order or each identity's default and from no environment variable,
+      and emits canonical JSON that reparses byte-identically
     - bijection prints mapped objects, reports violated preconditions, and
       writes deterministic SVG traces, each the renderer's string unmodified
     - an unwritable --out or --svg path is an error message and exit 1,
@@ -215,18 +216,6 @@ def test_verify_unknown_identity_lists_valid_ids(capsys):
     assert "invalid choice" in err and "t3-main" in err
 
 
-def test_verify_env_var_sets_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCAT_ORDER", "7")
-    code, out, _ = run_cli(capsys, ["verify", "e2"])
-    assert code == 0 and "(order 7," in out
-
-
-def test_verify_env_var_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCAT_ORDER", "banana")
-    code, _, err = run_cli(capsys, ["verify", "e2"])
-    assert code == 1 and "SUPERCAT_ORDER" in err
-
-
 def test_bijection_forward(capsys):
     assert run_cli(capsys, ["bijection", "--forward", "UD", "UD"]) == (0, "UUDD\n", "")
 
@@ -329,7 +318,6 @@ def test_main_runs_command_after_command(capsys):
 
 def run_python(args, **env_updates):
     env = dict(os.environ)
-    env.pop("SUPERCAT_ORDER", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -348,11 +336,12 @@ def test_module_invocation_runs_the_cli():
     assert result.stdout.startswith("e2: PASS (order 3,")
 
 
-def test_module_invocation_fails_on_bad_env_order():
-    result = run_module(["verify", "e2"], SUPERCAT_ORDER="banana")
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert "SUPERCAT_ORDER" in result.stderr
+def test_verify_order_ignores_the_retired_environment_variable():
+    # SUPERCAT_ORDER once set the default order; it is read no more
+    for value in ("7", "banana"):
+        result = run_module(["verify", "e2"], SUPERCAT_ORDER=value)
+        assert result.returncode == 0, result.stderr
+        assert "(order 30," in result.stdout
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

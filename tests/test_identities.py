@@ -72,7 +72,9 @@ Claims covered:
       orders
     - a report's elapsed_ms lies within the time its call took
     - the dispatcher validates ids and orders, applies per-identity defaults,
-      and clamps enumeration-bound checks with a recorded note
+      and clamps enumeration-bound checks with a recorded note; it refuses a
+      float or str order before the check's body runs, and stores a bool
+      order as the int it stands for
     - the registry's default orders are the README values, and `verify all`
       with no --order runs every check at them; every registry id runs under
       its own id
@@ -1009,11 +1011,10 @@ README_DEFAULT_ORDERS = {
 }
 
 
-def test_default_orders(capsys, monkeypatch):
+def test_default_orders(capsys):
     defaults = {identity: check.default_order
                 for identity, check in IDENTITIES.items()}
     assert defaults == README_DEFAULT_ORDERS
-    monkeypatch.delenv("SUPERCAT_ORDER", raising=False)
     assert main(["verify", "all", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert {r["identity"]: r["order"] for r in reports} == README_DEFAULT_ORDERS
@@ -1031,6 +1032,20 @@ def test_run_identity_dispatch():
         run_identity("nope")
     with pytest.raises(ValueError):
         run_identity("e2", 0)
+
+
+def test_run_identity_takes_an_int_order_only(monkeypatch):
+    # a bool is stored as the int it stands for, as a coefficient is
+    report = run_identity("e2", True)
+    assert type(report.order) is int and report.order == 1
+    assert '"order": 1,' in json.dumps(report_to_dict(report))
+
+    def body(order, notes):
+        raise AssertionError("the check's body ran")
+    monkeypatch.setitem(IDENTITIES, "e2", IDENTITIES["e2"]._replace(verify=body))
+    for order in (2.0, "3"):
+        with pytest.raises(TypeError, match="order must be an int, not "):
+            run_identity("e2", order)
 
 
 def test_run_identity_clamps_enumeration_bounds():

@@ -33,6 +33,8 @@ Claims covered:
       and so kept, before its height
     - RestrictedPair and PathClass refuse invalid fields through `_replace`,
       and IntermediatePath through `_make`
+    - run_identity refuses a float or str order, and runs a bool order as
+      the int it stands for
 """
 
 import os
@@ -180,6 +182,13 @@ for build in (lambda: RestrictedPair(Path("UD"), Path(""))._replace(p=Path("DU")
         print("invalid record passed")
     except ValueError as exc:
         print("invalid record raised:", exc)
+for order in (2.0, "3"):
+    try:
+        run_identity("e2", order)
+        print("non-int order passed")
+    except TypeError as exc:
+        print("non-int order raised:", exc)
+print("bool order", repr(run_identity("e2", True).order))
 """
 
 
@@ -225,6 +234,9 @@ def test_checks_survive_optimize_flag():
         "invalid record raised: p is not a Dyck path",
         "invalid record raised: boundary point must have level 2",
         "invalid record raised: max_height and exact_height are mutually exclusive",
+        "non-int order raised: order must be an int, not float",
+        "non-int order raised: order must be an int, not str",
+        "bool order 1",
     ]
 
 

@@ -41,8 +41,7 @@ def _order_id(order):
     return f"order-{order or 'default'}"
 
 
-def _verify_all(fmt, order, monkeypatch) -> str:
-    monkeypatch.delenv("SUPERCAT_ORDER", raising=False)
+def _verify_all(fmt, order) -> str:
     argv = ["verify", "all", "--format", fmt]
     if order is not None:
         argv += ["--order", str(order)]
@@ -53,16 +52,16 @@ def _verify_all(fmt, order, monkeypatch) -> str:
 
 
 @pytest.mark.parametrize("order", DIGESTS, ids=_order_id)
-def test_verify_all_json_is_pinned(order, monkeypatch):
+def test_verify_all_json_is_pinned(order):
     body, timings = re.subn(r'^ *"elapsed_ms": \d+,\n', "",
-                            _verify_all("json", order, monkeypatch), flags=re.M)
+                            _verify_all("json", order), flags=re.M)
     assert timings == len(IDENTITIES) and "elapsed_ms" not in body
     assert hashlib.sha256(body.encode()).hexdigest() == DIGESTS[order]
 
 
 @pytest.mark.parametrize("order", TEXT_DIGESTS, ids=_order_id)
-def test_verify_all_text_is_pinned(order, monkeypatch):
+def test_verify_all_text_is_pinned(order):
     body, timings = re.subn(r", \d+ ms\)$", ", N ms)",
-                            _verify_all("text", order, monkeypatch), flags=re.M)
+                            _verify_all("text", order), flags=re.M)
     assert timings == len(IDENTITIES) == 11
     assert hashlib.sha256(body.encode()).hexdigest() == TEXT_DIGESTS[order]

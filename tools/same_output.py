@@ -7,7 +7,8 @@ src/ with `git archive` into a temporary directory, then runs each command
 of COMMANDS as `python3 -m supercat.cli ...` twice: once against REV's src/
 and once against the working tree's src/.  Each run is a fresh process in an
 empty directory of its own, with SUPERCAT_ORDER unset and no bytecode
-written.  It compares the exit status, stdout, stderr and the bytes of every
+written: revisions before the variable was retired read it as the default
+order of `verify`, so an exported value would change only REV's reports.  It compares the exit status, stdout, stderr and the bytes of every
 file the command wrote, after blanking the timings: `"elapsed_ms": N` in
 JSON and `, N ms)` in text.  It prints each difference and exits 1 if there
 is one; otherwise it prints how many commands matched.
