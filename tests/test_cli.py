@@ -216,6 +216,22 @@ def test_verify_unknown_identity_lists_valid_ids(capsys):
     assert "invalid choice" in err and "t3-main" in err
 
 
+def test_verify_env_var_sets_default_order(capsys, monkeypatch):
+    # SUPERCAT_ORDER once set the default order; it is read no more, so
+    # e2 runs at its own default order whatever the variable holds
+    monkeypatch.setenv("SUPERCAT_ORDER", "7")
+    code, out, _ = run_cli(capsys, ["verify", "e2"])
+    assert code == 0 and "(order 30," in out
+
+
+def test_verify_env_var_validation(capsys, monkeypatch):
+    # a value that is no order is not validated either: nothing reads it
+    monkeypatch.setenv("SUPERCAT_ORDER", "banana")
+    code, out, err = run_cli(capsys, ["verify", "e2"])
+    assert code == 0 and "(order 30," in out
+    assert err == ""
+
+
 def test_bijection_forward(capsys):
     assert run_cli(capsys, ["bijection", "--forward", "UD", "UD"]) == (0, "UUDD\n", "")
 
@@ -336,12 +352,13 @@ def test_module_invocation_runs_the_cli():
     assert result.stdout.startswith("e2: PASS (order 3,")
 
 
-def test_verify_order_ignores_the_retired_environment_variable():
-    # SUPERCAT_ORDER once set the default order; it is read no more
-    for value in ("7", "banana"):
-        result = run_module(["verify", "e2"], SUPERCAT_ORDER=value)
-        assert result.returncode == 0, result.stderr
-        assert "(order 30," in result.stdout
+def test_module_invocation_fails_on_bad_env_order():
+    # a bad SUPERCAT_ORDER once failed `python -m supercat.cli verify`;
+    # the variable is retired, so the same run now passes at order 30
+    result = run_module(["verify", "e2"], SUPERCAT_ORDER="banana")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("e2: PASS (order 30,")
+    assert result.stderr == ""
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
